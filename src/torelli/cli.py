@@ -56,7 +56,9 @@ def _load_json(path: str) -> object:
             return json.load(handle)
     except OSError as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise _ParseFailure(f"{path} is nested too deeply to parse")
+    except ValueError as exc:  # malformed JSON, non-UTF-8 bytes, oversized integers
         raise _ParseFailure(f"{path} is not valid JSON: {exc}")
 
 
@@ -91,6 +93,8 @@ def _load_delta(path: str, model):
     data = _load_json(path)
     if not isinstance(data, Mapping):
         raise _ParseFailure(f"{path}: delta must be a JSON object")
+    if "blocks" in data and "matrix" in data:
+        raise _ParseFailure(f"{path}: delta has both 'blocks' and 'matrix'; give one")
     try:
         if "blocks" in data:
             if not isinstance(data["blocks"], Mapping):
@@ -99,6 +103,8 @@ def _load_delta(path: str, model):
             for key, block in data["blocks"].items():
                 try:
                     j = int(key)
+                    if str(j) != key:  # only canonical decimal keys, not " 0" or "+0"
+                        raise ValueError
                 except ValueError:
                     raise _ParseFailure(f"{path}: block key {key!r} is not a component index")
                 blocks[j] = _int_matrix(block, f"blocks[{key}]")

@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
+from torelli.exactlin import DimensionMismatch, IntMatrix
 from torelli.mapping_class import (
     DifferenceMap,
     NotWeaklyTorelli,
     TwistWord,
-    delta_difference,
     difference_map_from_matrix,
-    is_weakly_torelli,
+    weakly_torelli_delta,
 )
 from torelli.surface_model import HomologyModel, SubsurfaceConfig
 
@@ -58,19 +57,15 @@ class DiagonalMap:
 
 
 def is_symmetric(model: HomologyModel, delta: DifferenceMap) -> bool:
-    """Pairing symmetry: <a, delta(b)> = <b, delta(a)> on all basis pairs."""
+    """Pairing symmetry: <a, delta(b)> = <b, delta(a)> on all basis pairs.
+
+    The two-point and reduced circle bases are dual under the induced
+    pairing, so the identity is literal symmetry of the matrix.
+    """
     k = model.k0_rank
     if delta.matrix.rows != k or delta.matrix.cols != k:
         raise DimensionMismatch(f"difference map must be {k}x{k}")
-    for i in range(k):
-        di = delta.matrix.apply(IntVector.unit(k, i))
-        for j in range(i + 1, k):
-            dj = delta.matrix.apply(IntVector.unit(k, j))
-            lhs = model.induced_pairing(IntVector.unit(k, i), dj)
-            rhs = model.induced_pairing(IntVector.unit(k, j), di)
-            if lhs != rhs:
-                return False
-    return True
+    return delta.matrix == delta.matrix.transpose()
 
 
 def is_completely_reducible(model: HomologyModel, delta: DifferenceMap) -> bool:
@@ -78,13 +73,10 @@ def is_completely_reducible(model: HomologyModel, delta: DifferenceMap) -> bool:
     k = model.k0_rank
     if delta.matrix.rows != k or delta.matrix.cols != k:
         raise DimensionMismatch(f"difference map must be {k}x{k}")
-    for r in range(k):
-        for c in range(k):
-            if delta.matrix[r, c] == 0:
-                continue
-            if model.reduced_order[r][0] != model.reduced_order[c][0]:
-                return False
-    return True
+    component = [j for j, _ in model.reduced_order]
+    return all(
+        component[r] == component[c] for r in range(k) for c in range(k) if delta.matrix[r, c]
+    )
 
 
 def matrix_presentation(model: HomologyModel, delta: DifferenceMap, j: int) -> IntMatrix:
@@ -148,16 +140,12 @@ def restriction_of_diagonal(model: HomologyModel, diagonal: DiagonalMap) -> Diff
 
 def decide_extension_by_identity(model: HomologyModel, word: TwistWord) -> bool:
     """Is the extension of the word by the identity a Torelli map?"""
-    if not is_weakly_torelli(model, word):
-        return False
-    return delta_difference(model, word).is_zero()
+    return analyze(model, word).extension_by_identity_torelli
 
 
 def decide_extendable(model: HomologyModel, word: TwistWord) -> bool:
     """Does the word extend to some Torelli map of the closed surface?"""
-    if not is_weakly_torelli(model, word):
-        return False
-    return is_completely_reducible(model, delta_difference(model, word))
+    return analyze(model, word).extendable_to_torelli
 
 
 def decide_multitwist_correctable(model: HomologyModel, word: TwistWord) -> Optional[DiagonalMap]:
@@ -168,12 +156,10 @@ def decide_multitwist_correctable(model: HomologyModel, word: TwistWord) -> Opti
     solution): composing the word with the multi-twist they define yields
     the identity on ambient homology.
     """
-    if not is_weakly_torelli(model, word):
+    report = analyze(model, word)
+    if not report.weakly_torelli:
         raise NotWeaklyTorelli("word does not fix the subsurface homology image")
-    solution = diagonal_restriction(model, delta_difference(model, word))
-    if solution is None:
-        return None
-    return -solution
+    return report.multitwist_correctable
 
 
 def guaranteed_correctable(config: SubsurfaceConfig) -> bool:
@@ -229,7 +215,8 @@ class AnalysisReport:
 
 def analyze(model: HomologyModel, word: TwistWord) -> AnalysisReport:
     """Run every decider on a subsurface word and collect the verdicts."""
-    if not is_weakly_torelli(model, word):
+    weakly_torelli, delta = weakly_torelli_delta(model, word)
+    if not weakly_torelli:
         return AnalysisReport(
             weakly_torelli=False,
             delta=None,
@@ -240,7 +227,6 @@ def analyze(model: HomologyModel, word: TwistWord) -> AnalysisReport:
             multitwist_correctable=None,
             component_matrices=None,
         )
-    delta = delta_difference(model, word)
     symmetric = is_symmetric(model, delta)
     reducible = is_completely_reducible(model, delta)
     correction = diagonal_restriction(model, delta)

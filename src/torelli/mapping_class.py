@@ -16,16 +16,14 @@ questions answered in :mod:`torelli.criteria`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from torelli.exactlin import (
     DimensionMismatch,
     IntMatrix,
     IntVector,
     outer,
-    solve_integer,
 )
 from torelli.surface_model import HomologyModel
 
@@ -145,18 +143,15 @@ def _check_locus(model: HomologyModel, factor: TwistFactor, position: int) -> No
             raise LocusViolation(f"factor {position}: class meets {label}, outside {where}")
 
 
-def transvection_matrix(model: HomologyModel, z: IntVector, exponent: int) -> IntMatrix:
-    """Matrix of x -> x + m <x, z> z."""
-    jz = model.intersection_form.apply(z)
-    return IntMatrix.identity(model.rank) + exponent * outer(z, jz)
-
-
 def transvection_action(model: HomologyModel, word: TwistWord) -> IntMatrix:
-    """Product of the factor transvections, in composition order."""
+    """Dense product of the factor transvections x -> x + m <x, z> z, in
+    composition order; the reference the fast path is checked against."""
     result = IntMatrix.identity(model.rank)
     for pos, factor in enumerate(word.factors):
         _check_locus(model, factor, pos)
-        result = result * transvection_matrix(model, factor.curve_class, factor.exponent)
+        jz = model.intersection_form.apply(factor.curve_class)
+        step = IntMatrix.identity(model.rank) + factor.exponent * outer(factor.curve_class, jz)
+        result = result * step
     return result
 
 
@@ -167,53 +162,69 @@ def _require_in_q(model: HomologyModel, word: TwistWord) -> None:
         _check_locus(model, factor, pos)
 
 
+def _basis_images(model: HomologyModel, word: TwistWord) -> list[IntVector]:
+    """Image of every basis vector under the word, factors applied last
+    first, each as the rank-1 update x += m <x, z> z on all images at once.
+    The form is a signed permutation in the model basis, so <x, z> reads
+    only the partners of z's support."""
+    rank = model.rank
+    partners = [  # nonzero entries (r, J[r][c]) of each column c of the form
+        [(r, v) for r, v in enumerate(col) if v] for col in model.intersection_form.transpose().entries
+    ]
+    rows = [[int(r == c) for c in range(rank)] for r in range(rank)]  # rows[r][c]: coord r of image c
+    for factor in reversed(word.factors):
+        support = [(c, zc) for c, zc in enumerate(factor.curve_class) if zc]
+        pairings = [0] * rank  # m <image c, z> for each basis vector c
+        for c, zc in support:
+            for r, value in partners[c]:
+                w = factor.exponent * value * zc
+                pairings = [t + w * x for t, x in zip(pairings, rows[r])]
+        for c, zc in support:
+            rows[c] = [x + zc * t for x, t in zip(rows[c], pairings)]
+    return [IntVector(image) for image in zip(*rows)]
+
+
+def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, Optional[DifferenceMap]]:
+    """Whether the word is weakly Torelli and, if so, its difference map,
+    from one pass of the word over the basis.
+
+    The boundary of dual(j, i) is the pairing sign times o_{j,i}, so column
+    (j, i) of the map is that sign times the displacement of dual(j, i).
+    The map is then checked against the whole system: for every basis class
+    a, the displacement of a lies in the circle span and equals the map
+    applied to the boundary of a.
+    """
+    _require_in_q(model, word)
+    images = _basis_images(model, word)
+    for col in model.q_image.columns():
+        if sum((v * images[i] for i, v in enumerate(col) if v), IntVector.zeros(model.rank)) != col:
+            return False, None
+    boundaries, displacements = [], []  # of each basis class, over the two-point and circle bases
+    for idx, image in enumerate(images):
+        try:
+            displacements.append(model.h1bar_from_ambient(image - IntVector.unit(model.rank, idx)))
+        except ValueError as exc:
+            raise NotWeaklyTorelli(f"displacement of basis class {idx} leaves the circle span: {exc}")
+        boundaries.append(model.k0_coords(model.boundary_matrix.column(idx)))
+    duals = [model.label_index(("dual", j, i)) for j, i in model.reduced_order]
+    columns = [boundaries[d][pos] * displacements[d] for pos, d in enumerate(duals)]
+    matrix = IntMatrix.from_columns(columns, rows=model.k0_rank)
+    if any(matrix.apply(b) != d for b, d in zip(boundaries, displacements)):
+        raise InconsistentDelta("difference map fails the boundary system")
+    return True, DifferenceMap(matrix, model.block_ranges)
+
+
 def is_weakly_torelli(model: HomologyModel, word: TwistWord) -> bool:
     """Does the word fix the subsurface homology image pointwise?"""
-    _require_in_q(model, word)
-    action = transvection_action(model, word)
-    return all(action.apply(col) == col for col in model.q_image.columns())
+    return weakly_torelli_delta(model, word)[0]
 
 
 def delta_difference(model: HomologyModel, word: TwistWord) -> DifferenceMap:
-    """Extract the difference map of a weakly Torelli word.
-
-    Solves the linear system over the whole ambient basis: for every basis
-    class a, the displacement action(a) - a must lie in the circle span
-    and equal the difference map applied to the boundary of a.  Solving
-    against all 2g classes at once doubles as a consistency check.
-    """
-    _require_in_q(model, word)
-    action = transvection_action(model, word)
-    if not all(action.apply(col) == col for col in model.q_image.columns()):
+    """Difference map of a weakly Torelli word."""
+    weakly_torelli, delta = weakly_torelli_delta(model, word)
+    if not weakly_torelli:
         raise NotWeaklyTorelli("word does not fix the subsurface homology image")
-    k = model.k0_rank
-    lhs_rows = []  # boundary coordinates of each basis class
-    rhs_rows = []  # displacement of each basis class, in reduced coordinates
-    for idx in range(model.rank):
-        e = IntVector.unit(model.rank, idx)
-        residual = action.apply(e) - e
-        try:
-            projected = model.h1bar_from_ambient(residual)
-        except ValueError as exc:
-            raise NotWeaklyTorelli(
-                f"displacement of basis class {idx} leaves the circle span: {exc}"
-            )
-        lhs_rows.append(model.k0_coords(model.mv_boundary(e)).to_list())
-        rhs_rows.append(projected.to_list())
-    # matrix · boundary = displacement columnwise over basis classes;
-    # stacked and transposed this reads lhs · matrixᵗ = rhs.
-    lhs = IntMatrix(lhs_rows, cols=k)
-    rhs = IntMatrix(rhs_rows, cols=k)
-    solution_rows = []
-    for out_pos in range(k):
-        column = solve_integer(lhs, rhs.column(out_pos))
-        if column is None:
-            raise InconsistentDelta("difference-map system is unsolvable")
-        solution_rows.append(column.to_list())
-    matrix = IntMatrix(solution_rows, cols=k)
-    if lhs * matrix.transpose() != rhs:
-        raise InconsistentDelta("difference-map solution fails verification")
-    return DifferenceMap(matrix, model.block_ranges)
+    return delta
 
 
 def concat(word_a: TwistWord, word_b: TwistWord) -> TwistWord:
@@ -301,7 +312,3 @@ def word_from_json_dict(data: Mapping, rank: int) -> TwistWord:
         locus = _locus_from_json(item["locus"], pos)
         factors.append(TwistFactor(IntVector(cls), item["exponent"], locus))
     return TwistWord(factors)
-
-
-def word_to_json(word: TwistWord) -> str:
-    return json.dumps(word_to_json_dict(word), sort_keys=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from torelli import criteria, realization
 from torelli.exactlin import (
@@ -144,7 +144,8 @@ def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 6) -> 
 
 # -- invariant registry -------------------------------------------------------
 
-Check = Callable[[TrialPlan, int, Callable[[SubsurfaceConfig], HomologyModel]], Optional[dict]]
+if TYPE_CHECKING:  # built at run time, typing's cache would keep every re-imported copy alive
+    Check = Callable[[TrialPlan, int, Callable[[SubsurfaceConfig], HomologyModel]], Optional[dict]]
 
 
 def _model_witness(config: SubsurfaceConfig, **extra) -> dict:

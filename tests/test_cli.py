@@ -5,12 +5,28 @@ import random
 import subprocess
 import sys
 
+from torelli import cli
+
 FOUR_CIRCLE_CONFIG = {"q_genus": 1, "components": [{"genus": 1, "boundary_count": 4}]}
 
 
 def run_cli(args):
     cmd = [sys.executable, "-m", "torelli.cli", *args]
     return subprocess.run(cmd, capture_output=True, text=True)
+
+
+def run_main(capsys, args):
+    """In-process ``torelli`` run: (exit code, stdout, stderr)."""
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_parse_error(capsys, args, needle):
+    code, out, err = run_main(capsys, args)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and needle in err
 
 
 def write_json(path, payload):
@@ -174,7 +190,7 @@ def test_realize_cross_component_exits_5(tmp_path):
     assert result.returncode == 5
 
 
-def test_analyze_of_realized_word_reports_same_delta(tmp_path):
+def test_analyze_of_realized_word_reports_same_delta(tmp_path, capsys):
     rng = random.Random(2718)
     config_payload = {"q_genus": 0, "components": [{"genus": 0, "boundary_count": 3}]}
     config = write_json(tmp_path / "config.json", config_payload)
@@ -182,14 +198,55 @@ def test_analyze_of_realized_word_reports_same_delta(tmp_path):
         a, b, c = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
         block = [[a, b], [b, c]]
         delta = write_json(tmp_path / f"delta{trial}.json", {"blocks": {"0": block}})
-        realized = run_cli(["realize", "--config", config, "--delta", delta])
-        assert realized.returncode == 0, realized.stderr
-        word = write_json(tmp_path / f"word{trial}.json", json.loads(realized.stdout))
-        analyzed = run_cli(["analyze", "--config", config, "--word", word])
-        assert analyzed.returncode == 0, analyzed.stderr
-        report = json.loads(analyzed.stdout)
+        code, out, err = run_main(capsys, ["realize", "--config", config, "--delta", delta])
+        assert code == 0, err
+        word = write_json(tmp_path / f"word{trial}.json", json.loads(out))
+        code, out, err = run_main(capsys, ["analyze", "--config", config, "--word", word])
+        assert code == 0, err
+        report = json.loads(out)
         assert report["component_matrices"] == [block]
         assert report["weakly_torelli"] is True
+
+
+def test_realize_then_analyze_subprocess_smoke(tmp_path):
+    config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
+    block = [[1, -2, 0], [-2, 3, 1], [0, 1, -1]]
+    delta = write_json(tmp_path / "delta.json", {"blocks": {"0": block}})
+    realized = run_cli(["realize", "--config", config, "--delta", delta])
+    assert realized.returncode == 0, realized.stderr
+    word = write_json(tmp_path / "word.json", json.loads(realized.stdout))
+    analyzed = run_cli(["analyze", "--config", config, "--word", word])
+    assert analyzed.returncode == 0, analyzed.stderr
+    assert json.loads(analyzed.stdout)["component_matrices"] == [block]
+
+
+def test_unparseable_json_files_exit_2(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="utf-8")
+    assert_parse_error(capsys, ["analyze", "--config", config, "--word", str(deep)], "nested")
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert_parse_error(capsys, ["analyze", "--config", config, "--word", str(utf16)], "utf-8")
+    if hasattr(sys, "get_int_max_str_digits"):  # integer literals past the parser's digit limit
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"factors": [{"class": [' + "9" * 5000 + "]}]}", encoding="utf-8")
+        assert_parse_error(capsys, ["analyze", "--config", config, "--word", str(huge)], "huge.json")
+
+
+def test_realize_rejects_ambiguous_delta_files(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
+    zero = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    both = write_json(tmp_path / "both.json", {"blocks": {"0": zero}, "matrix": zero})
+    assert_parse_error(capsys, ["realize", "--config", config, "--delta", both], "both")
+    for key in (" 0", "+0", "00", "-0", "0 ", "0x0", "\u0660"):
+        delta = write_json(tmp_path / "key.json", {"blocks": {key: zero}})
+        assert_parse_error(
+            capsys, ["realize", "--config", config, "--delta", delta], "not a component index"
+        )
+    canonical = write_json(tmp_path / "canonical.json", {"blocks": {"0": zero}})
+    code, out, _ = run_main(capsys, ["realize", "--config", config, "--delta", canonical])
+    assert code == 0 and json.loads(out) == {"factors": []}
 
 
 def test_ranks_command(tmp_path):

@@ -80,7 +80,13 @@ def test_pairing_symmetry_equals_matrix_symmetry():
             ([rng.randint(-3, 3) for _ in range(k)] for _ in range(k)), cols=k
         )
         delta = difference_map_from_matrix(model, matrix)
-        assert is_symmetric(model, delta) == (matrix == matrix.transpose())
+        units = [IntVector.unit(k, i) for i in range(k)]
+        pairing_symmetric = all(
+            model.induced_pairing(a, matrix.apply(b)) == model.induced_pairing(b, matrix.apply(a))
+            for a in units
+            for b in units
+        )
+        assert is_symmetric(model, delta) == pairing_symmetric == (matrix == matrix.transpose())
 
 
 def test_single_component_always_reducible(four_circle_model):

@@ -1,8 +1,11 @@
 """Transvection action, weakly Torelli detection, and difference maps."""
 
+import random
+
 import pytest
 
-from torelli.exactlin import IntMatrix, IntVector, lattice_membership
+from torelli.criteria import is_completely_reducible
+from torelli.exactlin import IntMatrix, IntVector, lattice_membership, solve_integer
 from torelli.mapping_class import (
     LOCUS_AMBIENT,
     LOCUS_Q,
@@ -220,3 +223,86 @@ def test_word_json_round_trip(four_circle_model):
     assert data["factors"][1]["locus"] == {"P": 0}
     assert data["factors"][2]["locus"] == "S"
     assert word_from_json_dict(data, model.rank) == word
+
+
+def _reference_weakly_torelli_delta(model, word):
+    """Dense action plus an exact solve of the boundary system over every
+    basis class: the independent route the fast path must agree with."""
+    action = transvection_action(model, word)
+    if any(action.apply(col) != col for col in model.q_image.columns()):
+        return False, None
+    k = model.k0_rank
+    lhs_rows, rhs_rows = [], []
+    for idx in range(model.rank):
+        e = IntVector.unit(model.rank, idx)
+        lhs_rows.append(model.k0_coords(model.mv_boundary(e)).to_list())
+        rhs_rows.append(model.h1bar_from_ambient(action.apply(e) - e).to_list())
+    lhs, rhs = IntMatrix(lhs_rows, cols=k), IntMatrix(rhs_rows, cols=k)
+    rows = [solve_integer(lhs, rhs.column(pos)) for pos in range(k)]
+    assert all(row is not None for row in rows)
+    return True, IntMatrix((row.to_list() for row in rows), cols=k)
+
+
+def _handle_class(model, rng):
+    cls = IntVector.zeros(model.rank)
+    for i in range(model.config.q_genus):
+        cls = cls + rng.randint(-2, 2) * model.basis_vector(("qa", i))
+        cls = cls + rng.randint(-2, 2) * model.basis_vector(("qb", i))
+    return cls
+
+
+def _circle_span_class(model, rng):
+    cls = IntVector.zeros(model.rank)
+    for j, i in model.circle_order:
+        cls = cls + rng.randint(-1, 1) * model.circle_class(j, i)
+    return cls
+
+
+def _bounding_pair_product(model, rng):
+    """B(z1, c) B(z2, c) B(z1 + z2, c)^-1 with B(z, c) = T_z T_{z+c}^-1:
+    weakly Torelli, and in general not completely reducible."""
+
+    def shift(z, c):
+        return TwistWord([TwistFactor(z, 1, LOCUS_Q), TwistFactor(z + c, -1, LOCUS_Q)])
+
+    z1, z2, c = _handle_class(model, rng), _handle_class(model, rng), _circle_span_class(model, rng)
+    return concat(shift(z1, c), concat(shift(z2, c), invert(shift(z1 + z2, c))))
+
+
+@pytest.mark.parametrize("pairing_sign", [1, -1])
+def test_fast_path_matches_dense_reference(pairing_sign):
+    configs = [
+        SubsurfaceConfig(1, [ComplementComponent(1, 4)]),
+        SubsurfaceConfig(2, [ComplementComponent(0, 3), ComplementComponent(1, 3)]),
+        SubsurfaceConfig(
+            1, [ComplementComponent(0, 2), ComplementComponent(0, 3), ComplementComponent(1, 1)]
+        ),
+        SubsurfaceConfig(2, [ComplementComponent(0, 5)]),
+    ]
+    plan = TrialPlan(seed=29, trials=8)
+    rng = random.Random(1729 * pairing_sign)
+    counts = {"not_weakly_torelli": 0, "not_reducible": 0}
+    for n, config in enumerate(configs):
+        model = build_model(config, pairing_sign=pairing_sign)
+        for index in range(plan.trials):
+            seeded = random_weakly_torelli_word(model, plan, 100 * n + index)
+            products = _bounding_pair_product(model, rng)
+            handle = model.basis_vector((rng.choice(("qa", "qb")), 0))
+            q_twist = TwistWord(
+                [TwistFactor(handle + _circle_span_class(model, rng), rng.choice((-2, -1, 1, 2)), LOCUS_Q)]
+            )
+            assert _reference_weakly_torelli_delta(model, products)[0]
+            for word in (seeded, products, concat(products, seeded), concat(q_twist, seeded)):
+                weakly, expected = _reference_weakly_torelli_delta(model, word)
+                assert is_weakly_torelli(model, word) == weakly
+                if not weakly:
+                    counts["not_weakly_torelli"] += 1
+                    with pytest.raises(NotWeaklyTorelli):
+                        delta_difference(model, word)
+                    continue
+                delta = delta_difference(model, word)
+                assert delta.matrix == expected
+                counts["not_reducible"] += not is_completely_reducible(model, delta)
+    # the words reach both branches the seeded generator alone never does
+    assert counts["not_weakly_torelli"] >= len(configs) * plan.trials
+    assert counts["not_reducible"] > 0
