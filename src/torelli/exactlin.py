@@ -7,6 +7,7 @@ module is safe for concurrent use.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -22,7 +23,7 @@ class IntVector:
     entries: tuple[int, ...]
 
     def __init__(self, entries: Iterable[int]):
-        object.__setattr__(self, "entries", tuple(int(e) for e in entries))
+        object.__setattr__(self, "entries", tuple(map(operator.index, entries)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -78,7 +79,7 @@ class IntMatrix:
     cols: int
 
     def __init__(self, rows_data: Iterable[Iterable[int]], *, cols: Optional[int] = None):
-        data = tuple(tuple(int(e) for e in row) for row in rows_data)
+        data = tuple(tuple(map(operator.index, row)) for row in rows_data)
         if data:
             ncols = len(data[0])
             if any(len(row) != ncols for row in data):

@@ -10,7 +10,7 @@ a failing case can be re-run standalone through the command line.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 from torelli import criteria, realization
@@ -426,15 +426,7 @@ def _check_correction_round_trip(plan, index, model_factory):
 
 def _check_three_circle_guarantee(plan, index, model_factory):
     rng = random.Random(_subseed(plan.seed, 22, index))
-    small = TrialPlan(
-        seed=plan.seed,
-        trials=plan.trials,
-        max_q_genus=plan.max_q_genus,
-        max_component_genus=plan.max_component_genus,
-        max_boundary_count=min(3, plan.max_boundary_count),
-        max_components=plan.max_components,
-        exponent_bound=plan.exponent_bound,
-    )
+    small = replace(plan, max_boundary_count=min(3, plan.max_boundary_count))
     config = random_config(small, index)
     model = model_factory(config)
     word = random_weakly_torelli_word(model, small, index)

@@ -17,7 +17,15 @@ Basis order (used for all coordinates, including the JSON word schema):
 Q-handle pairs a_0, b_0, ..., then for each component its handle pairs,
 then for each component its circles 1..n_j-1, then the matching duals.
 Circle 0 of each component is distinguished: its class is minus the sum
-of the others, so it never appears as a basis vector.
+of the others, so it never appears as a basis vector.  0-chain coordinates
+list circles 0..n_j-1 of each component in turn; reduced coordinates drop
+circle 0.
+
+Every position the model hands out is computed from this order.  With
+k = k0_rank and start_j = block_ranges[j][0], circle (j, i >= 1) is basis
+index rank - 2k + start_j + i - 1, its dual is basis index
+rank - k + start_j + i - 1, its reduced coordinate is start_j + i - 1 and
+its 0-chain coordinate is start_j + j + i.
 """
 
 from __future__ import annotations
@@ -118,7 +126,7 @@ class HomologyModel:
     reduced_order: tuple[tuple[int, int], ...]
     block_ranges: tuple[tuple[int, int], ...]
 
-    # -- index helpers ---------------------------------------------------
+    # -- index helpers (arithmetic on the basis order; see module docstring)
 
     @property
     def n_circles(self) -> int:
@@ -133,6 +141,9 @@ class HomologyModel:
         return len(self.reduced_order)
 
     def label_index(self, label: tuple) -> int:
+        if len(label) == 3 and label[0] in ("circle", "dual"):
+            offset = 2 * self.k0_rank if label[0] == "circle" else self.k0_rank
+            return self.rank - offset + self.reduced_index(label[1], label[2])
         return self.labels.index(label)
 
     def basis_vector(self, label: tuple) -> IntVector:
@@ -140,23 +151,27 @@ class HomologyModel:
 
     def circle_index(self, j: int, i: int) -> int:
         """Position of circle (j, i) in the 0-chain coordinate order."""
-        return self.circle_order.index((j, i))
+        if not (0 <= j < self.n_components and 0 <= i < self.config.components[j].boundary_count):
+            raise ValueError(f"no circle {(j, i)} in the configuration")
+        return self.block_ranges[j][0] + j + i
 
     def reduced_index(self, j: int, i: int) -> int:
         """Position of circle (j, i >= 1) in the reduced coordinate order."""
-        return self.reduced_order.index((j, i))
+        if i < 1:
+            raise ValueError(f"circle {(j, i)} has no reduced coordinate")
+        return self.circle_index(j, i) - j - 1
 
     def circle_class(self, j: int, i: int) -> IntVector:
         """Ambient class of circle i of component j (i = 0 is the dependent one)."""
-        comp = self.config.components[j]
-        if not (0 <= i < comp.boundary_count):
+        if not (0 <= j < self.n_components and 0 <= i < self.config.components[j].boundary_count):
             raise DimensionMismatch(f"component {j} has no circle {i}")
         if i >= 1:
             return self.basis_vector(("circle", j, i))
-        total = IntVector.zeros(self.rank)
-        for k in range(1, comp.boundary_count):
-            total = total - self.basis_vector(("circle", j, k))
-        return total
+        start, stop = self.block_ranges[j]
+        base = self.rank - 2 * self.k0_rank
+        out = [0] * self.rank
+        out[base + start:base + stop] = [-1] * (stop - start)
+        return IntVector(out)
 
     # -- pairings and maps -----------------------------------------------
 
@@ -187,27 +202,27 @@ class HomologyModel:
         if len(b) != self.n_circles:
             raise DimensionMismatch(f"expected length {self.n_circles}, got {len(b)}")
         out = []
-        for (j, i) in self.reduced_order:
-            out.append(b[self.circle_index(j, i)] - b[self.circle_index(j, 0)])
+        for j, (start, stop) in enumerate(self.block_ranges):
+            first = start + j  # 0-chain position of circle (j, 0)
+            out += [b[c] - b[first] for c in range(first + 1, stop + j + 1)]
         return IntVector(out)
 
     def lift_h1bar(self, v: IntVector) -> IntVector:
         """Canonical lift of a reduced class: coefficients on circles 1..n_j-1."""
         if len(v) != self.k0_rank:
             raise DimensionMismatch(f"expected length {self.k0_rank}, got {len(v)}")
-        out = [0] * self.n_circles
-        for pos, (j, i) in enumerate(self.reduced_order):
-            out[self.circle_index(j, i)] = v[pos]
+        out = []
+        for start, stop in self.block_ranges:
+            out += [0, *v[start:stop]]
         return IntVector(out)
 
     def lift_k0(self, theta: IntVector) -> IntVector:
         """Expand coordinates over the two-point basis classes into 0-chain coordinates."""
         if len(theta) != self.k0_rank:
             raise DimensionMismatch(f"expected length {self.k0_rank}, got {len(theta)}")
-        out = [0] * self.n_circles
-        for pos, (j, i) in enumerate(self.reduced_order):
-            out[self.circle_index(j, i)] += theta[pos]
-            out[self.circle_index(j, 0)] -= theta[pos]
+        out = []
+        for start, stop in self.block_ranges:
+            out += [-sum(theta[start:stop]), *theta[start:stop]]
         return IntVector(out)
 
     def k0_coords(self, theta: IntVector) -> IntVector:
@@ -218,11 +233,13 @@ class HomologyModel:
         """
         if len(theta) != self.n_circles:
             raise DimensionMismatch(f"expected length {self.n_circles}, got {len(theta)}")
-        for j, comp in enumerate(self.config.components):
-            total = sum(theta[self.circle_index(j, i)] for i in range(comp.boundary_count))
+        out = []
+        for j, (start, stop) in enumerate(self.block_ranges):
+            total = sum(theta[start + j:stop + j + 1])
             if total != 0:
                 raise ValueError(f"class does not bound on both sides (component {j} sums to {total})")
-        return IntVector(theta[self.circle_index(j, i)] for (j, i) in self.reduced_order)
+            out += theta[start + j + 1:stop + j + 1]
+        return IntVector(out)
 
     def induced_pairing(self, theta: IntVector, v: IntVector) -> int:
         """Pairing of a two-sided 0-class with a reduced circle class.
@@ -236,23 +253,17 @@ class HomologyModel:
         """Reduced coordinates of an ambient class lying in the circle span."""
         if len(v) != self.rank:
             raise DimensionMismatch(f"expected length {self.rank}, got {len(v)}")
-        coords = [0] * self.k0_rank
-        for idx, label in enumerate(self.labels):
-            if v[idx] == 0:
-                continue
-            if label[0] != "circle":
-                raise ValueError(f"class has a nonzero {label} coordinate, not in the circle span")
-            coords[self.reduced_index(label[1], label[2])] = v[idx]
-        return IntVector(coords)
+        lo, hi = self.rank - 2 * self.k0_rank, self.rank - self.k0_rank  # the circle block
+        outside = [self.labels[idx] for idx, x in enumerate(v) if x and not lo <= idx < hi]
+        if outside:
+            raise ValueError(f"class has a nonzero {outside[0]} coordinate, not in the circle span")
+        return IntVector(v[lo:hi])
 
     def ambient_from_h1bar(self, v: IntVector) -> IntVector:
         """Ambient class of a reduced circle class (canonical basis circles)."""
         if len(v) != self.k0_rank:
             raise DimensionMismatch(f"expected length {self.k0_rank}, got {len(v)}")
-        out = IntVector.zeros(self.rank)
-        for pos, (j, i) in enumerate(self.reduced_order):
-            out = out + v[pos] * self.basis_vector(("circle", j, i))
-        return out
+        return IntVector([0] * (self.rank - 2 * self.k0_rank) + list(v) + [0] * self.k0_rank)
 
 
 def build_model(config: SubsurfaceConfig, *, pairing_sign: int = 1) -> HomologyModel:
@@ -272,9 +283,9 @@ def build_model(config: SubsurfaceConfig, *, pairing_sign: int = 1) -> HomologyM
         labels.append(("qa", i))
         labels.append(("qb", i))
     for j, comp in enumerate(comps):
-        for k in range(comp.genus):
-            labels.append(("pa", j, k))
-            labels.append(("pb", j, k))
+        for g in range(comp.genus):
+            labels.append(("pa", j, g))
+            labels.append(("pb", j, g))
     for j, comp in enumerate(comps):
         for i in range(1, comp.boundary_count):
             labels.append(("circle", j, i))
@@ -286,65 +297,44 @@ def build_model(config: SubsurfaceConfig, *, pairing_sign: int = 1) -> HomologyM
     genus = config.genus
     assert rank == 2 * genus
 
-    index = {label: pos for pos, label in enumerate(labels)}
-    form = [[0] * rank for _ in range(rank)]
-    for i in range(h):
-        a, b = index[("qa", i)], index[("qb", i)]
-        form[a][b] = pairing_sign
-        form[b][a] = -pairing_sign
-    for j, comp in enumerate(comps):
-        for k in range(comp.genus):
-            a, b = index[("pa", j, k)], index[("pb", j, k)]
-            form[a][b] = pairing_sign
-            form[b][a] = -pairing_sign
-        for i in range(1, comp.boundary_count):
-            c, d = index[("circle", j, i)], index[("dual", j, i)]
-            form[d][c] = pairing_sign
-            form[c][d] = -pairing_sign
-    intersection_form = IntMatrix(form, cols=rank)
-
     circle_order = tuple((j, i) for j, comp in enumerate(comps) for i in range(comp.boundary_count))
     reduced_order = tuple((j, i) for j, comp in enumerate(comps) for i in range(1, comp.boundary_count))
+    k = len(reduced_order)
+    circles = range(rank - 2 * k, rank - k)  # dual of the circle at c sits at c + k
 
     block_ranges = []
     start = 0
-    for j, comp in enumerate(comps):
+    for comp in comps:
         stop = start + comp.boundary_count - 1
         block_ranges.append((start, stop))
         start = stop
 
-    def unit(label: tuple) -> IntVector:
-        return IntVector.unit(rank, index[label])
+    form = [[0] * rank for _ in range(rank)]
+    for a in range(0, rank - 2 * k, 2):  # handle pairs a, b sit side by side
+        form[a][a + 1] = pairing_sign
+        form[a + 1][a] = -pairing_sign
+    for c in circles:
+        form[c + k][c] = pairing_sign
+        form[c][c + k] = -pairing_sign
+    intersection_form = IntMatrix(form, cols=rank)
 
-    q_cols = [unit(("qa", i)) for i in range(h)] + [unit(("qb", i)) for i in range(h)]
-    circle_cols = [unit(("circle", j, i)) for (j, i) in reduced_order]
-    q_image = IntMatrix.from_columns(q_cols + circle_cols, rows=rank)
-    circle_span = IntMatrix.from_columns(circle_cols, rows=rank)
+    q_cols = [*range(0, 2 * h, 2), *range(1, 2 * h, 2), *circles]
+    q_image = IntMatrix(([int(r == c) for c in q_cols] for r in range(rank)), cols=len(q_cols))
+    circle_span = IntMatrix(([int(r == c) for c in circles] for r in range(rank)), cols=k)
 
-    n = len(circle_order)
-    circle_pos = {ji: pos for pos, ji in enumerate(circle_order)}
-    k0_cols = []
-    for (j, i) in reduced_order:
-        col = [0] * n
-        col[circle_pos[(j, i)]] = 1
-        col[circle_pos[(j, 0)]] = -1
-        k0_cols.append(IntVector(col))
-    k0_basis = IntMatrix.from_columns(k0_cols, rows=n)
+    # Column o_{j,i} = o_i - o_0 is +1 on circle (j, i) and -1 on circle (j, 0).
+    k0_rows = []
+    for start, stop in block_ranges:
+        k0_rows.append([-int(start <= c < stop) for c in range(k)])
+        k0_rows += ([int(c == p) for c in range(k)] for p in range(start, stop))
+    k0_basis = IntMatrix(k0_rows, cols=k)
 
-    # Row for circle C: the functional a -> <a, [C]>.
-    circle_classes = {}
-    for (j, i) in circle_order:
-        if i >= 1:
-            circle_classes[(j, i)] = unit(("circle", j, i))
-    for j, comp in enumerate(comps):
-        total = IntVector.zeros(rank)
-        for i in range(1, comp.boundary_count):
-            total = total - circle_classes[(j, i)]
-        circle_classes[(j, 0)] = total
-    boundary_rows = []
-    for ji in circle_order:
-        boundary_rows.append(intersection_form.apply(circle_classes[ji]).to_list())
-    boundary_matrix = IntMatrix(boundary_rows, cols=rank)
+    # Row for circle C: the functional a -> <a, [C]>.  <dual, circle> is the
+    # pairing sign and circle 0 is minus the others, so it is the sign times
+    # C's row of k0_basis, read on the duals.
+    boundary_matrix = IntMatrix(
+        ([0] * (rank - k) + [pairing_sign * x for x in row] for row in k0_rows), cols=rank
+    )
 
     return HomologyModel(
         config=config,

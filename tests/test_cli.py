@@ -1,9 +1,11 @@
 """Command-line surface: schemas, exit codes, and the analyze/realize loop."""
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 from torelli import cli
 
@@ -11,8 +13,11 @@ FOUR_CIRCLE_CONFIG = {"q_genus": 1, "components": [{"genus": 1, "boundary_count"
 
 
 def run_cli(args):
+    """``torelli`` in a child process that imports the same package as this one."""
     cmd = [sys.executable, "-m", "torelli.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 def run_main(capsys, args):
@@ -171,6 +176,135 @@ def test_realize_single_indicator_block(tmp_path):
     assert len(word["factors"]) == 1
     assert word["factors"][0]["exponent"] == 1
     assert word["factors"][0]["locus"] == "Q"
+
+
+# The rank-28 ladder rung (q_genus 2, two components of genus 1 with six
+# circles) and one fixed block map with a factor in each component.
+LADDER_28_CONFIG = {
+    "q_genus": 2,
+    "components": [{"genus": 1, "boundary_count": 6}, {"genus": 1, "boundary_count": 6}],
+}
+LADDER_28_BLOCKS = {
+    "0": [[1] * 5 for _ in range(5)],
+    "1": [[-2 if r == c == 2 else 0 for c in range(5)] for r in range(5)],
+}
+LADDER_28_REALIZE_STDOUT = """\
+{
+  "factors": [
+    {
+      "class": [
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        1,
+        1,
+        1,
+        1,
+        1,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0
+      ],
+      "exponent": 1,
+      "locus": "Q"
+    },
+    {
+      "class": [
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        1,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0,
+        0
+      ],
+      "exponent": -2,
+      "locus": "Q"
+    }
+  ]
+}
+"""
+LADDER_28_ANALYZE_TEXT = """\
+weakly_torelli: true
+symmetric: true
+completely_reducible: true
+extension_by_identity_torelli: false
+extendable_to_torelli: true
+multitwist_correctable: [-1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0]
+delta:
+  [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
+  [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
+  [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
+  [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
+  [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
+  [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+  [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+  [0, 0, 0, 0, 0, 0, 0, -2, 0, 0]
+  [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+  [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+component_matrices:
+  component 0:
+    [1, 1, 1, 1, 1]
+    [1, 1, 1, 1, 1]
+    [1, 1, 1, 1, 1]
+    [1, 1, 1, 1, 1]
+    [1, 1, 1, 1, 1]
+  component 1:
+    [0, 0, 0, 0, 0]
+    [0, 0, 0, 0, 0]
+    [0, 0, -2, 0, 0]
+    [0, 0, 0, 0, 0]
+    [0, 0, 0, 0, 0]
+"""
+
+
+def test_pinned_stdout_for_two_component_config(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json", LADDER_28_CONFIG)
+    delta = write_json(tmp_path / "delta.json", {"blocks": LADDER_28_BLOCKS})
+    code, out, err = run_main(capsys, ["realize", "--config", config, "--delta", delta])
+    assert (code, out, err) == (0, LADDER_28_REALIZE_STDOUT, "")
+    word = tmp_path / "word.json"
+    word.write_text(out, encoding="utf-8")
+    args = ["analyze", "--config", config, "--word", str(word), "--format", "text"]
+    assert run_main(capsys, args) == (0, LADDER_28_ANALYZE_TEXT, "")
 
 
 def test_realize_asymmetric_exits_4(tmp_path):

@@ -49,6 +49,16 @@ def assert_smith_contract(a, snf):
                 assert snf.D[i, j] == 0
 
 
+def test_entries_must_be_integers():
+    assert IntVector([True, 2]).entries == (1, 2)
+    assert type(IntMatrix([[False]]).entries[0][0]) is int
+    for bad in (2.7, -0.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            IntVector([bad])
+        with pytest.raises(TypeError):
+            IntMatrix([[0, bad]])
+
+
 def test_snf_zero_matrix():
     a = IntMatrix([[0]])
     snf = smith_normal_form(a)

@@ -1,6 +1,7 @@
 """Model invariants: form unimodularity, rank law, pairing duality,
 orthogonal complements, boundary-map image, and the adjunction identity."""
 
+import random
 from itertools import product
 
 import pytest
@@ -159,6 +160,46 @@ def test_project_h1bar_examples():
     assert projected_base == IntVector([-1, -1])
 
 
+def test_positions_agree_with_basis_order():
+    for config in small_configs(max_genus=1, max_circles=4, max_components=3):
+        model = build_model(config)
+        for label in model.labels:
+            assert model.label_index(label) == model.labels.index(label)
+        for j, i in model.circle_order:
+            assert model.circle_index(j, i) == model.circle_order.index((j, i))
+        for j, i in model.reduced_order:
+            assert model.reduced_index(j, i) == model.reduced_order.index((j, i))
+
+
+def test_coordinate_round_trips():
+    rng = random.Random(3)
+    for config in small_configs(max_genus=1, max_circles=4, max_components=3):
+        model = build_model(config)
+        for _ in range(2):
+            v = IntVector(rng.randint(-3, 3) for _ in range(model.k0_rank))
+            assert model.k0_coords(model.lift_k0(v)) == v
+            assert model.project_h1bar(model.lift_h1bar(v)) == v
+            assert model.h1bar_from_ambient(model.ambient_from_h1bar(v)) == v
+
+
+def test_out_of_range_circles_rejected():
+    for config in small_configs(max_genus=0, max_circles=3, max_components=3):
+        model = build_model(config)
+        r = model.n_components
+        bad = [(j, i) for j, comp in enumerate(config.components) for i in (-1, comp.boundary_count)]
+        bad += [(r, 0), (r, 1), (-1, 0), (-1, 1)]
+        for j, i in bad:
+            for lookup in (model.circle_index, model.circle_class):
+                with pytest.raises(ValueError):
+                    lookup(j, i)
+        for j, i in bad + [(j, 0) for j in range(r)]:  # circle 0 has no reduced position
+            with pytest.raises(ValueError):
+                model.reduced_index(j, i)
+            for kind in ("circle", "dual"):
+                with pytest.raises(ValueError):
+                    model.label_index((kind, j, i))
+
+
 def test_unimodularity_and_rank_law_exhaustive():
     for config in small_configs(max_genus=2, max_circles=4, max_components=3):
         model = build_model(config)
@@ -174,8 +215,8 @@ def test_unimodularity_and_rank_law_exhaustive():
 
 
 def test_exhaustive_small_model_invariants():
-    for config in small_configs(max_genus=1, max_circles=3, max_components=2):
-        model = build_model(config)
+    for config, sign in product(small_configs(max_genus=1, max_circles=3, max_components=2), (1, -1)):
+        model = build_model(config, pairing_sign=sign)
         # adjunction on all basis/circle pairs
         for idx in range(model.rank):
             a = IntVector.unit(model.rank, idx)
