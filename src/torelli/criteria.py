@@ -15,6 +15,7 @@ Torelli, and its difference map.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -44,7 +45,7 @@ class DiagonalMap:
     exponents: tuple[int, ...]
 
     def __init__(self, exponents):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in exponents))
+        object.__setattr__(self, "exponents", tuple(map(operator.index, exponents)))
 
     def __len__(self) -> int:
         return len(self.exponents)

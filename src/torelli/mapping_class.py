@@ -114,7 +114,7 @@ def difference_map_from_matrix(model: HomologyModel, matrix: IntMatrix) -> Diffe
 
 
 def _check_locus(model: HomologyModel, factor: TwistFactor, position: int) -> None:
-    z = factor.curve_class
+    z = factor.curve_class.entries
     if len(z) != model.rank:
         raise DimensionMismatch(
             f"factor {position}: class has length {len(z)}, model rank is {model.rank}"
@@ -122,25 +122,27 @@ def _check_locus(model: HomologyModel, factor: TwistFactor, position: int) -> No
     locus = factor.locus
     if locus == LOCUS_AMBIENT:
         return
+    # A locus permits one range of handles and one slice of the circle block.
     if locus == LOCUS_Q:
-        def permitted(label):
-            return label[0] in ("qa", "qb", "circle")
-
+        handles = (0, 2 * model.config.q_genus)
+        circles = (0, model.k0_rank)
         where = "the subsurface image"
     elif isinstance(locus, tuple) and len(locus) == 2 and locus[0] == "P":
         j = locus[1]
         if not (0 <= j < model.n_components):
             raise LocusViolation(f"factor {position}: no complement component {j}")
-
-        def permitted(label):
-            return label[0] in ("pa", "pb", "circle") and label[1] == j
-
+        comps = model.config.components
+        first = 2 * (model.config.q_genus + sum(c.genus for c in comps[:j]))
+        handles = (first, first + 2 * comps[j].genus)
+        circles = model.block_ranges[j]
         where = f"complement component {j}"
     else:
         raise LocusViolation(f"factor {position}: unknown locus {locus!r}")
-    for idx, label in enumerate(model.labels):
-        if z[idx] != 0 and not permitted(label):
-            raise LocusViolation(f"factor {position}: class meets {label}, outside {where}")
+    lo, hi = (model.rank - 2 * model.k0_rank + c for c in circles)
+    a, b = handles
+    if any(z[:a]) or any(z[b:lo]) or any(z[hi:]):
+        idx = next(i for i, x in enumerate(z) if x and not (a <= i < b or lo <= i < hi))
+        raise LocusViolation(f"factor {position}: class meets {model.labels[idx]}, outside {where}")
 
 
 def transvection_action(model: HomologyModel, word: TwistWord) -> IntMatrix:
@@ -162,26 +164,45 @@ def _require_in_q(model: HomologyModel, word: TwistWord) -> None:
         _check_locus(model, factor, pos)
 
 
-def _basis_images(model: HomologyModel, word: TwistWord) -> list[IntVector]:
-    """Image of every basis vector under the word, factors applied last
-    first, each as the rank-1 update x += m <x, z> z on all images at once.
-    The form is a signed permutation in the model basis, so <x, z> reads
-    only the partners of z's support."""
-    rank = model.rank
+def _sum_sparse(terms) -> dict[int, int]:
+    """Sum of the (coefficient, {index: entry}) terms, zero entries dropped."""
+    total: dict[int, int] = {}
+    for coeff, vec in terms:
+        for r, x in vec.items():
+            total[r] = total.get(r, 0) + coeff * x
+    return {r: x for r, x in total.items() if x}
+
+
+def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]]:
+    """Displacement (image minus itself) of every basis vector under the
+    word, as {coordinate: nonzero entry}.  Factors apply last first, each as
+    the rank-1 update x += m <x, z> z on all images at once.  The form is a
+    signed permutation in the model basis, so <x, z> reads only the partner
+    rows of z's support, and a factor costs |supp z| times their nonzeros."""
     partners = [  # nonzero entries (r, J[r][c]) of each column c of the form
-        [(r, v) for r, v in enumerate(col) if v] for col in model.intersection_form.transpose().entries
+        [(r, v) for r, v in enumerate(col) if v] for col in zip(*model.intersection_form.entries)
     ]
-    rows = [[int(r == c) for c in range(rank)] for r in range(rank)]  # rows[r][c]: coord r of image c
+    rows: list[dict[int, int]] = [{} for _ in range(model.rank)]  # rows[r][c]: coord r of displacement c
     for factor in reversed(word.factors):
         support = [(c, zc) for c, zc in enumerate(factor.curve_class) if zc]
-        pairings = [0] * rank  # m <image c, z> for each basis vector c
+        pairings: dict[int, int] = {}  # m <image c, z> for each basis vector c
         for c, zc in support:
             for r, value in partners[c]:
                 w = factor.exponent * value * zc
-                pairings = [t + w * x for t, x in zip(pairings, rows[r])]
+                pairings[r] = pairings.get(r, 0) + w  # row r of the identity
+                for col, x in rows[r].items():
+                    pairings[col] = pairings.get(col, 0) + w * x
         for c, zc in support:
-            rows[c] = [x + zc * t for x, t in zip(rows[c], pairings)]
-    return [IntVector(image) for image in zip(*rows)]
+            row = rows[c]
+            for col, t in pairings.items():
+                row[col] = row.get(col, 0) + zc * t
+                if not row[col]:
+                    del row[col]
+    moved: list[dict[int, int]] = [{} for _ in range(model.rank)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            moved[c][r] = x
+    return moved
 
 
 def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, Optional[DifferenceMap]]:
@@ -192,25 +213,32 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, O
     (j, i) of the map is that sign times the displacement of dual(j, i).
     The map is then checked against the whole system: for every basis class
     a, the displacement of a lies in the circle span and equals the map
-    applied to the boundary of a.
+    applied to the boundary of a (a sum over its nonzero coordinates).
     """
     _require_in_q(model, word)
-    images = _basis_images(model, word)
-    for col in model.q_image.columns():
-        if sum((v * images[i] for i, v in enumerate(col) if v), IntVector.zeros(model.rank)) != col:
+    moved = _displacements(model, word)
+    for col in zip(*model.q_image.entries):
+        if _sum_sparse((v, moved[i]) for i, v in enumerate(col) if v):
             return False, None
-    boundaries, displacements = [], []  # of each basis class, over the two-point and circle bases
-    for idx, image in enumerate(images):
-        try:
-            displacements.append(model.h1bar_from_ambient(image - IntVector.unit(model.rank, idx)))
-        except ValueError as exc:
-            raise NotWeaklyTorelli(f"displacement of basis class {idx} leaves the circle span: {exc}")
-        boundaries.append(model.k0_coords(model.boundary_matrix.column(idx)))
+    k = model.k0_rank
+    lo, hi = model.rank - 2 * k, model.rank - k  # the circle block
+    for idx, displacement in enumerate(moved):
+        outside = [r for r in displacement if not lo <= r < hi]
+        if outside:
+            raise NotWeaklyTorelli(
+                f"displacement of basis class {idx} leaves the circle span: class has a nonzero "
+                f"{model.labels[min(outside)]} coordinate, not in the circle span"
+            )
+    displacements = [{r - lo: x for r, x in shift.items()} for shift in moved]  # reduced coordinates
+    boundaries = [
+        {p: x for p, x in enumerate(model.k0_coords(IntVector(col))) if x}
+        for col in zip(*model.boundary_matrix.entries)
+    ]
     duals = [model.label_index(("dual", j, i)) for j, i in model.reduced_order]
-    columns = [boundaries[d][pos] * displacements[d] for pos, d in enumerate(duals)]
-    matrix = IntMatrix.from_columns(columns, rows=model.k0_rank)
-    if any(matrix.apply(b) != d for b, d in zip(boundaries, displacements)):
+    columns = [_sum_sparse([(boundaries[d].get(pos, 0), displacements[d])]) for pos, d in enumerate(duals)]
+    if any(_sum_sparse((x, columns[p]) for p, x in b.items()) != d for b, d in zip(boundaries, displacements)):
         raise InconsistentDelta("difference map fails the boundary system")
+    matrix = IntMatrix(([column.get(r, 0) for column in columns] for r in range(k)), cols=k)
     return True, DifferenceMap(matrix, model.block_ranges)
 
 

@@ -117,14 +117,21 @@ def peripheral_class(model: HomologyModel, j: int, subset: Iterable[int]) -> Int
     members = sorted(set(subset))
     if not members:
         raise ValueError("subset of boundary circles must be nonempty")
+    if not 0 <= j < model.n_components:
+        raise DimensionMismatch(f"no complement component {j}")
     comp = model.config.components[j]
     for i in members:
         if not (0 <= i < comp.boundary_count):
             raise ValueError(f"component {j} has no circle {i}")
-    total = IntVector.zeros(model.rank)
+    start, stop = model.block_ranges[j]
+    first = model.rank - 2 * model.k0_rank + start  # basis index of circle (j, 1)
+    out = [0] * model.rank
+    if members[0] == 0:  # circle 0 is minus the sum of the others
+        out[first:first + stop - start] = [-1] * (stop - start)
     for i in members:
-        total = total + model.circle_class(j, i)
-    return total
+        if i:
+            out[first + i - 1] += 1
+    return IntVector(out)
 
 
 def peripheral_twist_delta(

@@ -287,3 +287,10 @@ def test_report_for_non_weakly_torelli_word(four_circle_model):
     assert not report.extendable_to_torelli
     assert report.multitwist_correctable is None
     assert report.component_matrices is None
+
+
+def test_diagonal_map_exponents_must_be_integers():
+    assert DiagonalMap([True, 2]).exponents == (1, 2)
+    for bad in (2.7, 3.0, "3"):
+        with pytest.raises(TypeError):
+            DiagonalMap([0, bad])

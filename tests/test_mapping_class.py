@@ -11,6 +11,7 @@ from torelli.mapping_class import (
     LOCUS_Q,
     LocusViolation,
     NotWeaklyTorelli,
+    _check_locus,
     TwistFactor,
     TwistWord,
     concat,
@@ -22,7 +23,13 @@ from torelli.mapping_class import (
     word_from_json_dict,
     word_to_json_dict,
 )
-from torelli.oracle import TrialPlan, random_config, random_weakly_torelli_word
+from torelli.oracle import (
+    TrialPlan,
+    random_config,
+    random_symmetric_reducible_delta,
+    random_weakly_torelli_word,
+)
+from torelli.realization import realize_delta
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
 
 
@@ -209,6 +216,54 @@ def test_locus_check_agrees_with_lattice_membership(four_circle_model):
         transvection_action(model, TwistWord([TwistFactor(outside, 1, LOCUS_Q)]))
 
 
+def _label_walk_violation(model, factor, position):
+    """The locus check as a walk over ``model.labels``: the message of the
+    first offending label, or None."""
+    if factor.locus == LOCUS_Q:
+        permitted = lambda label: label[0] in ("qa", "qb", "circle")  # noqa: E731
+        where = "the subsurface image"
+    else:
+        j = factor.locus[1]
+        permitted = lambda label: label[0] in ("pa", "pb", "circle") and label[1] == j  # noqa: E731
+        where = f"complement component {j}"
+    for idx, label in enumerate(model.labels):
+        if factor.curve_class[idx] and not permitted(label):
+            return f"factor {position}: class meets {label}, outside {where}"
+    return None
+
+
+def test_locus_ranges_match_label_walk():
+    configs = [  # earlier components carry handles, so the handle offsets matter
+        SubsurfaceConfig(1, [ComplementComponent(1, 3), ComplementComponent(2, 2), ComplementComponent(0, 4)]),
+        SubsurfaceConfig(2, [ComplementComponent(2, 1), ComplementComponent(1, 4)]),
+        SubsurfaceConfig(0, [ComplementComponent(1, 2), ComplementComponent(1, 1), ComplementComponent(1, 3)]),
+    ]
+    rng = random.Random(4242)
+    outcomes = {"raised": 0, "passed": 0}
+    for config in configs:
+        model = build_model(config)
+        for locus in [LOCUS_Q] + [in_complement(j) for j in range(model.n_components)]:
+            units = [TwistFactor(IntVector.unit(model.rank, idx), 1, locus) for idx in range(model.rank)]
+            permitted = [_label_walk_violation(model, unit, 0) is None for unit in units]
+            for position in range(40):
+                entries = [rng.choice((-2, -1, 1, 2)) if rng.random() < 0.3 else 0 for _ in range(model.rank)]
+                if position % 2:  # keep only what the locus permits, then maybe add one stray entry
+                    entries = [x if ok else 0 for x, ok in zip(entries, permitted)]
+                    if rng.random() < 0.5:
+                        entries[rng.randrange(model.rank)] = 1
+                factor = TwistFactor(IntVector(entries), 1, locus)
+                expected = _label_walk_violation(model, factor, position)
+                if expected is None:
+                    _check_locus(model, factor, position)
+                    outcomes["passed"] += 1
+                else:
+                    with pytest.raises(LocusViolation) as info:
+                        _check_locus(model, factor, position)
+                    assert str(info.value) == expected
+                    outcomes["raised"] += 1
+    assert min(outcomes.values()) > 50
+
+
 def test_word_json_round_trip(four_circle_model):
     model = four_circle_model
     word = TwistWord(
@@ -306,3 +361,17 @@ def test_fast_path_matches_dense_reference(pairing_sign):
     # the words reach both branches the seeded generator alone never does
     assert counts["not_weakly_torelli"] >= len(configs) * plan.trials
     assert counts["not_reducible"] > 0
+    # Realized words on the benchmark ladder's rank 10, 16 and 28 rungs, where
+    # the sparse rows stay sparse; the dense reference is O(rank^3) per
+    # factor, which rules out the rank 38 and 56 rungs here.
+    ladder = [
+        SubsurfaceConfig(1, [ComplementComponent(1, 4)]),
+        SubsurfaceConfig(2, [ComplementComponent(1, 3), ComplementComponent(0, 4)]),
+        SubsurfaceConfig(2, [ComplementComponent(1, 6), ComplementComponent(1, 6)]),
+    ]
+    for config in ladder:
+        model = build_model(config, pairing_sign=pairing_sign)
+        delta = random_symmetric_reducible_delta(model, rng)
+        word = realize_delta(model, delta).word
+        assert _reference_weakly_torelli_delta(model, word) == (True, delta.matrix)
+        assert delta_difference(model, word).matrix == delta.matrix

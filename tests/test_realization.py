@@ -2,13 +2,14 @@
 realization of difference maps, and boundary multi-twists."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torelli.criteria import DiagonalMap, NotSymmetric, restriction_of_diagonal
-from torelli.exactlin import IntMatrix
+from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
 from torelli.mapping_class import (
     LOCUS_Q,
     TwistFactor,
@@ -27,6 +28,8 @@ from torelli.realization import (
     sym_basis_change,
 )
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
+
+from test_surface_model import small_configs
 
 
 def symmetric_matrices(max_size=5, bound=2):
@@ -106,6 +109,27 @@ def test_peripheral_delta_zero_exponent(four_circle_model):
 def test_peripheral_delta_requires_nonempty_subset(four_circle_model):
     with pytest.raises(ValueError):
         peripheral_twist_delta(four_circle_model, 0, [], 1)
+
+
+def test_peripheral_class_is_sum_of_circle_classes():
+    for config in small_configs():
+        for sign in (1, -1):
+            model = build_model(config, pairing_sign=sign)
+            for j, comp in enumerate(config.components):
+                circles = range(comp.boundary_count)
+                for size in range(1, comp.boundary_count + 1):
+                    for subset in combinations(circles, size):
+                        expected = IntVector.zeros(model.rank)
+                        for i in subset:
+                            expected = expected + model.circle_class(j, i)
+                        assert peripheral_class(model, j, subset) == expected
+
+
+def test_peripheral_class_rejects_missing_component(four_circle_model):
+    for j in (four_circle_model.n_components, -1):
+        with pytest.raises(DimensionMismatch) as info:
+            peripheral_class(four_circle_model, j, [1])
+        assert str(info.value) == f"no complement component {j}"
 
 
 def test_peripheral_delta_matches_word(four_circle_model):
