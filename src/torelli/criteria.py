@@ -1,7 +1,8 @@
 """Deciders for the extension questions, driven by a word's difference map.
 
 All verdicts are functions of two things only: whether the word is weakly
-Torelli, and its difference map.
+Torelli, and its difference map.  Each reads the map through its component
+blocks, the ``model.block_ranges`` slices; ``analyze`` takes them once.
 
 * identity extension is Torelli  <=>  the difference map vanishes;
 * some Torelli extension exists  <=>  the difference map is completely
@@ -70,14 +71,30 @@ def is_symmetric(model: HomologyModel, delta: DifferenceMap) -> bool:
 
 
 def is_completely_reducible(model: HomologyModel, delta: DifferenceMap) -> bool:
-    """Does the map send each component's block into the same component?"""
+    """Does the map send each component's block into the same component,
+    i.e. does every row of a component's range vanish outside that range?"""
     k = model.k0_rank
     if delta.matrix.rows != k or delta.matrix.cols != k:
         raise DimensionMismatch(f"difference map must be {k}x{k}")
-    component = [j for j, _ in model.reduced_order]
-    return all(
-        component[r] == component[c] for r in range(k) for c in range(k) if delta.matrix[r, c]
+    rows = delta.matrix.entries
+    return not any(
+        any(row[:start]) or any(row[stop:])
+        for start, stop in model.block_ranges
+        for row in rows[start:stop]
     )
+
+
+def _diagonal_exponents(blocks: list[IntMatrix]) -> Optional[DiagonalMap]:
+    """Exponents [base, *(diagonal - base)] per block, in circle order, or
+    None when some block's off-diagonal entries disagree."""
+    exponents = []
+    for block in blocks:
+        rows = block.entries
+        base = rows[0][1] if len(rows) > 1 else 0
+        if any(x != base for r, row in enumerate(rows) for x in row[:r] + row[r + 1:]):
+            return None
+        exponents += [base, *(row[r] - base for r, row in enumerate(rows))]
+    return DiagonalMap(exponents)
 
 
 def matrix_presentation(model: HomologyModel, delta: DifferenceMap, j: int) -> IntMatrix:
@@ -103,40 +120,19 @@ def diagonal_restriction(model: HomologyModel, delta: DifferenceMap) -> Optional
     """
     if not is_completely_reducible(model, delta):
         return None
-    exponents = [0] * model.n_circles
-    for j, comp in enumerate(model.config.components):
-        block = delta.block(j)
-        size = comp.boundary_count - 1
-        if size == 0:
-            continue
-        if size == 1:
-            base = 0
-        else:
-            base = block[0, 1]
-            for r in range(size):
-                for c in range(size):
-                    if r != c and block[r, c] != base:
-                        return None
-        exponents[model.circle_index(j, 0)] = base
-        for i in range(1, comp.boundary_count):
-            exponents[model.circle_index(j, i)] = block[i - 1, i - 1] - base
-    return DiagonalMap(exponents)
+    return _diagonal_exponents([delta.block(j) for j in range(model.n_components)])
 
 
 def restriction_of_diagonal(model: HomologyModel, diagonal: DiagonalMap) -> DifferenceMap:
     """Difference map obtained by restricting a diagonal map."""
     if len(diagonal) != model.n_circles:
         raise DimensionMismatch(f"need {model.n_circles} exponents")
-    k = model.k0_rank
-    matrix = [[0] * k for _ in range(k)]
-    for col, (j, i) in enumerate(model.reduced_order):
-        base = diagonal.exponents[model.circle_index(j, 0)]
+    blocks = {}
+    for j, (start, stop) in enumerate(model.block_ranges):
         # image of o_{j,i} is e_i [C_i] - e_0 [C_0] = (e_i + e_0)[C_i] + e_0 * (others)
-        for row, (j2, i2) in enumerate(model.reduced_order):
-            if j2 != j:
-                continue
-            matrix[row][col] = base + (diagonal.exponents[model.circle_index(j, i)] if i2 == i else 0)
-    return DifferenceMap(IntMatrix(matrix, cols=k), model.block_ranges)
+        base, *diag = diagonal.exponents[start + j:stop + j + 1]
+        blocks[j] = IntMatrix([base + e * (r == c) for c in range(len(diag))] for r, e in enumerate(diag))
+    return delta_from_blocks(model, blocks)
 
 
 def decide_extension_by_identity(model: HomologyModel, word: TwistWord) -> bool:
@@ -173,13 +169,9 @@ def group_ranks(config: SubsurfaceConfig) -> dict[str, int]:
     """Ranks of the two coordinate lattices and of the lattice of
     completely reducible symmetric maps between them."""
     config.validate()
-    n = config.total_boundary
-    r = len(config.components)
-    rank_dc = 0
-    for comp in config.components:
-        size = comp.boundary_count - 1
-        rank_dc += size * (size + 1) // 2
-    return {"rank_K0": n - r, "rank_H1bar": n - r, "rank_Dc": rank_dc}
+    rank = config.total_boundary - len(config.components)
+    rank_dc = sum(c.boundary_count * (c.boundary_count - 1) // 2 for c in config.components)
+    return {"rank_K0": rank, "rank_H1bar": rank, "rank_Dc": rank_dc}
 
 
 @dataclass(frozen=True)
@@ -194,54 +186,37 @@ class AnalysisReport:
     component_matrices: Optional[tuple[IntMatrix, ...]]
 
     def to_json_dict(self) -> dict:
+        delta, correction, blocks = self.delta, self.multitwist_correctable, self.component_matrices
         return {
             "weakly_torelli": self.weakly_torelli,
-            "delta": self.delta.to_json_dict() if self.delta is not None else None,
+            "delta": None if delta is None else delta.to_json_dict(),
             "symmetric": self.symmetric,
             "completely_reducible": self.completely_reducible,
             "extension_by_identity_torelli": self.extension_by_identity_torelli,
             "extendable_to_torelli": self.extendable_to_torelli,
-            "multitwist_correctable": (
-                self.multitwist_correctable.to_json()
-                if self.multitwist_correctable is not None
-                else None
-            ),
-            "component_matrices": (
-                [m.to_lists() for m in self.component_matrices]
-                if self.component_matrices is not None
-                else None
-            ),
+            "multitwist_correctable": None if correction is None else correction.to_json(),
+            "component_matrices": None if blocks is None else [m.to_lists() for m in blocks],
         }
 
 
 def analyze(model: HomologyModel, word: TwistWord) -> AnalysisReport:
     """Run every decider on a subsurface word and collect the verdicts."""
     weakly_torelli, delta = weakly_torelli_delta(model, word)
-    if not weakly_torelli:
-        return AnalysisReport(
-            weakly_torelli=False,
-            delta=None,
-            symmetric=False,
-            completely_reducible=False,
-            extension_by_identity_torelli=False,
-            extendable_to_torelli=False,
-            multitwist_correctable=None,
-            component_matrices=None,
-        )
-    symmetric = is_symmetric(model, delta)
-    reducible = is_completely_reducible(model, delta)
-    correction = diagonal_restriction(model, delta)
-    components = None
+    symmetric = reducible = False
+    correction = components = None
+    if weakly_torelli:
+        symmetric = is_symmetric(model, delta)
+        reducible = is_completely_reducible(model, delta)
     if reducible:
-        components = tuple(
-            matrix_presentation(model, delta, j) for j in range(model.n_components)
-        )
+        blocks = [delta.block(j) for j in range(model.n_components)]
+        components = tuple(block.transpose() for block in blocks)
+        correction = _diagonal_exponents(blocks)
     return AnalysisReport(
-        weakly_torelli=True,
+        weakly_torelli=weakly_torelli,
         delta=delta,
         symmetric=symmetric,
         completely_reducible=reducible,
-        extension_by_identity_torelli=delta.is_zero(),
+        extension_by_identity_torelli=weakly_torelli and delta.is_zero(),
         extendable_to_torelli=reducible,
         multitwist_correctable=-correction if correction is not None else None,
         component_matrices=components,
@@ -259,14 +234,13 @@ def delta_from_blocks(model: HomologyModel, blocks: Mapping[int, IntMatrix]) -> 
     for j, block in blocks.items():
         if not (0 <= j < model.n_components):
             raise DimensionMismatch(f"no complement component {j}")
-        size = model.config.components[j].boundary_count - 1
+        start, stop = model.block_ranges[j]
+        size = stop - start
         if (block.rows, block.cols) != (size, size):
             raise DimensionMismatch(
                 f"component {j} block must be {size}x{size}, got {block.rows}x{block.cols}"
             )
-        start = model.block_ranges[j][0]
-        for r in range(size):
-            for c in range(size):
-                # row-as-input blocks transpose into column-action entries
-                matrix[start + c][start + r] = block[r, c]
+        # row-as-input blocks transpose into column-action rows
+        for row, column in zip(matrix[start:stop], zip(*block.entries)):
+            row[start:stop] = column
     return difference_map_from_matrix(model, IntMatrix(matrix, cols=k))

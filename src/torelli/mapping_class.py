@@ -80,11 +80,10 @@ class DifferenceMap:
     block_ranges: tuple[tuple[int, int], ...]
 
     def block(self, j: int) -> IntMatrix:
+        if not 0 <= j < len(self.block_ranges):
+            raise DimensionMismatch(f"no complement component {j}")
         start, stop = self.block_ranges[j]
-        return IntMatrix(
-            ([self.matrix[r, c] for c in range(start, stop)] for r in range(start, stop)),
-            cols=stop - start,
-        )
+        return IntMatrix(row[start:stop] for row in self.matrix.entries[start:stop])
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()

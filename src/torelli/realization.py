@@ -177,12 +177,8 @@ def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
         raise NotCompletelyReducible("difference map mixes complement components")
     factors = []
     witness = []
-    for j, comp in enumerate(model.config.components):
-        size = comp.boundary_count - 1
-        if size == 0:
-            continue
-        block = delta.block(j)
-        coeffs = sym_basis_change(block, size)
+    for j, (start, stop) in enumerate(model.block_ranges):
+        coeffs = sym_basis_change(delta.block(j), stop - start)
         for (k, l), value in coeffs.items():
             u = peripheral_class(model, j, range(k, l + 1))
             factor = TwistFactor(u, value, LOCUS_Q)

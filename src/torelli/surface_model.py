@@ -30,6 +30,7 @@ its 0-chain coordinate is start_j + j + i.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -45,6 +46,10 @@ class ComplementComponent:
     genus: int
     boundary_count: int
 
+    def __init__(self, genus: int, boundary_count: int):
+        object.__setattr__(self, "genus", operator.index(genus))
+        object.__setattr__(self, "boundary_count", operator.index(boundary_count))
+
 
 @dataclass(frozen=True)
 class SubsurfaceConfig:
@@ -52,7 +57,7 @@ class SubsurfaceConfig:
     components: tuple[ComplementComponent, ...]
 
     def __init__(self, q_genus: int, components: Sequence[ComplementComponent]):
-        object.__setattr__(self, "q_genus", int(q_genus))
+        object.__setattr__(self, "q_genus", operator.index(q_genus))
         object.__setattr__(self, "components", tuple(components))
 
     def validate(self) -> None:

@@ -307,6 +307,80 @@ def test_pinned_stdout_for_two_component_config(tmp_path, capsys):
     assert run_main(capsys, args) == (0, LADDER_28_ANALYZE_TEXT, "")
 
 
+# Edge block sizes: components of 1, 2 and 4 circles give blocks of size 0, 1
+# and 3.  Basis: qa qb | pa pb | circle (1,1), (2,1), (2,2), (2,3) | duals.
+EDGE_CONFIG = {
+    "q_genus": 1,
+    "components": [
+        {"genus": 0, "boundary_count": 1},
+        {"genus": 1, "boundary_count": 2},
+        {"genus": 0, "boundary_count": 4},
+    ],
+}
+EDGE_BLOCKS = {"0": [], "1": [[2]], "2": [[3, -1, -1], [-1, 0, -1], [-1, -1, 4]]}
+
+
+def edge_twist(entries):
+    cls = [0] * 12
+    for index, value in entries.items():
+        cls[index] = value
+    return {"factors": [{"class": cls, "exponent": 1, "locus": "Q"}]}
+
+
+# analyze --format json reports, pinned as the parsed payloads of the stdout.
+EDGE_REPORTS = {
+    # circle (1,1) + circle (2,1): one class across two components
+    "cross": {
+        "completely_reducible": False,
+        "component_matrices": None,
+        "delta": {"matrix": [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
+        "extendable_to_torelli": False,
+        "extension_by_identity_torelli": False,
+        "multitwist_correctable": None,
+        "symmetric": True,
+        "weakly_torelli": True,
+    },
+    # circle (2,0) + circle (2,1) = -(circle (2,2) + circle (2,3))
+    "four_circle": {
+        "completely_reducible": True,
+        "component_matrices": [[], [[0]], [[0, 0, 0], [0, 1, 1], [0, 1, 1]]],
+        "delta": {"matrix": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]},
+        "extendable_to_torelli": True,
+        "extension_by_identity_torelli": False,
+        "multitwist_correctable": None,
+        "symmetric": True,
+        "weakly_torelli": True,
+    },
+    "realized": {
+        "completely_reducible": True,
+        "component_matrices": [[], [[2]], [[3, -1, -1], [-1, 0, -1], [-1, -1, 4]]],
+        "delta": {"matrix": [[2, 0, 0, 0], [0, 3, -1, -1], [0, -1, 0, -1], [0, -1, -1, 4]]},
+        "extendable_to_torelli": True,
+        "extension_by_identity_torelli": False,
+        "multitwist_correctable": [0, 0, -2, 1, -4, -1, -5],
+        "symmetric": True,
+        "weakly_torelli": True,
+    },
+}
+
+
+def test_pinned_stdout_for_edge_block_sizes(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json", EDGE_CONFIG)
+    delta = write_json(tmp_path / "delta.json", {"blocks": EDGE_BLOCKS})
+    code, realized, err = run_main(capsys, ["realize", "--config", config, "--delta", delta])
+    assert (code, err) == (0, "")
+    words = {
+        "cross": edge_twist({4: 1, 5: 1}),
+        "four_circle": edge_twist({6: -1, 7: -1}),
+        "realized": json.loads(realized),
+    }
+    for name, word in words.items():
+        path = write_json(tmp_path / f"{name}.json", word)
+        args = ["analyze", "--config", config, "--word", path, "--format", "json"]
+        expected = json.dumps(EDGE_REPORTS[name], indent=2, sort_keys=True) + "\n"
+        assert run_main(capsys, args) == (0, expected, ""), name
+
+
 def test_realize_asymmetric_exits_4(tmp_path):
     config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
     delta = write_json(tmp_path / "delta.json", {"blocks": {"0": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}})

@@ -2,6 +2,7 @@
 
 import pytest
 
+from torelli import criteria
 from torelli.criteria import (
     DiagonalMap,
     NotCompletelyReducible,
@@ -18,7 +19,7 @@ from torelli.criteria import (
     matrix_presentation,
     restriction_of_diagonal,
 )
-from torelli.exactlin import IntMatrix, IntVector
+from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
 from torelli.mapping_class import (
     LOCUS_Q,
     NotWeaklyTorelli,
@@ -294,3 +295,182 @@ def test_diagonal_map_exponents_must_be_integers():
     for bad in (2.7, 3.0, "3"):
         with pytest.raises(TypeError):
             DiagonalMap([0, bad])
+
+
+def test_block_range_is_checked(two_component_model):
+    model = two_component_model
+    delta = difference_map_from_matrix(model, IntMatrix([[1, 0], [0, 2]]))
+    assert [delta.block(j) for j in range(2)] == [IntMatrix([[1]]), IntMatrix([[2]])]
+    for j in (-1, model.n_components):
+        with pytest.raises(DimensionMismatch, match=f"no complement component {j}"):
+            delta.block(j)
+        with pytest.raises(DimensionMismatch, match=f"no complement component {j}"):
+            matrix_presentation(model, delta, j)
+
+
+def test_analyze_tests_reducibility_once(monkeypatch, two_component_model):
+    model = two_component_model
+    calls = []
+    original = criteria.is_completely_reducible
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(criteria, "is_completely_reducible", counted)
+    word = build_boundary_multitwist(model, DiagonalMap([1, 0, 0, 2]))
+    report = analyze(model, word)
+    assert report.weakly_torelli and report.extendable_to_torelli
+    assert report.multitwist_correctable is not None
+    assert len(calls) == 1
+
+
+# -- entry-wise reference for the block readers --------------------------------
+# The deciders read the map through block_ranges slices.  These are the
+# entry-by-entry definitions they replace: component labels for
+# reducibility, and per-entry circle_index loops for the diagonal readers.
+
+
+def reference_reducible(model, delta):
+    component = [j for j, _ in model.reduced_order]
+    k = model.k0_rank
+    return all(
+        component[r] == component[c] for r in range(k) for c in range(k) if delta.matrix[r, c]
+    )
+
+
+def reference_block(model, delta, j):
+    n = model.config.components[j].boundary_count
+    pos = [model.reduced_index(j, i) for i in range(1, n)]
+    return [[delta.matrix[r, c] for c in pos] for r in pos]
+
+
+def reference_diagonal_restriction(model, delta):
+    if not reference_reducible(model, delta):
+        return None
+    exponents = [0] * model.n_circles
+    for j, comp in enumerate(model.config.components):
+        block = reference_block(model, delta, j)
+        size = comp.boundary_count - 1
+        if size == 0:
+            continue
+        base = block[0][1] if size > 1 else 0
+        for r in range(size):
+            for c in range(size):
+                if r != c and block[r][c] != base:
+                    return None
+        exponents[model.circle_index(j, 0)] = base
+        for i in range(1, comp.boundary_count):
+            exponents[model.circle_index(j, i)] = block[i - 1][i - 1] - base
+    return exponents
+
+
+def reference_restriction_of_diagonal(model, exponents):
+    k = model.k0_rank
+    matrix = [[0] * k for _ in range(k)]
+    for col, (j, i) in enumerate(model.reduced_order):
+        base = exponents[model.circle_index(j, 0)]
+        for row, (j2, i2) in enumerate(model.reduced_order):
+            if j2 == j:
+                matrix[row][col] = base + (exponents[model.circle_index(j, i)] if i2 == i else 0)
+    return matrix
+
+
+# Components of 1, 2, 3 and 4-5 circles, alone and side by side.
+REFERENCE_CONFIGS = (
+    SubsurfaceConfig(
+        1,
+        [
+            ComplementComponent(0, 1),
+            ComplementComponent(1, 2),
+            ComplementComponent(0, 3),
+            ComplementComponent(1, 4),
+        ],
+    ),
+    SubsurfaceConfig(0, [ComplementComponent(0, 5), ComplementComponent(0, 1)]),
+    SubsurfaceConfig(2, [ComplementComponent(1, 3)]),
+    SubsurfaceConfig(0, [ComplementComponent(0, 2), ComplementComponent(0, 2), ComplementComponent(0, 4)]),
+)
+
+
+def reference_maps(model, rng):
+    """Seeded maps of every shape the readers meet: restrictions of
+    diagonal maps, dense maps (cross-block entries), their block-diagonal
+    parts with and without one stray entry, and symmetrized parts."""
+    k = model.k0_rank
+    same_component = [[r[0] == c[0] for c in model.reduced_order] for r in model.reduced_order]
+    for _ in range(12):
+        exponents = [rng.randint(-4, 4) for _ in range(model.n_circles)]
+        yield reference_restriction_of_diagonal(model, exponents)
+        dense = [[rng.choice((0, 0, 1, -2)) for _ in range(k)] for _ in range(k)]
+        yield dense
+        block_diagonal = [
+            [x if keep else 0 for x, keep in zip(row, mask)] for row, mask in zip(dense, same_component)
+        ]
+        yield block_diagonal
+        r, c = rng.randrange(k), rng.randrange(k)
+        stray = [list(row) for row in block_diagonal]
+        stray[r][c] += 1
+        yield stray
+        yield [[x + y for x, y in zip(row, col)] for row, col in zip(block_diagonal, zip(*block_diagonal))]
+
+
+def test_block_readers_match_entrywise_reference():
+    import random
+
+    rng = random.Random(20)
+    for config in REFERENCE_CONFIGS:
+        model = build_model(config)
+        for _ in range(12):
+            exponents = [rng.randint(-4, 4) for _ in range(model.n_circles)]
+            expected = reference_restriction_of_diagonal(model, exponents)
+            assert restriction_of_diagonal(model, DiagonalMap(exponents)).matrix.to_lists() == expected
+        for matrix in reference_maps(model, rng):
+            delta = difference_map_from_matrix(model, IntMatrix(matrix, cols=model.k0_rank))
+            reducible = reference_reducible(model, delta)
+            assert is_completely_reducible(model, delta) == reducible
+            restriction = diagonal_restriction(model, delta)
+            expected = reference_diagonal_restriction(model, delta)
+            assert (None if restriction is None else list(restriction.exponents)) == expected
+            for j in range(model.n_components):
+                if reducible:
+                    presentation = matrix_presentation(model, delta, j)
+                    assert presentation.transpose().to_lists() == reference_block(model, delta, j)
+                else:
+                    with pytest.raises(NotCompletelyReducible):
+                        matrix_presentation(model, delta, j)
+
+
+def test_analyze_matches_entrywise_reference():
+    import random
+
+    rng = random.Random(21)
+    for config in REFERENCE_CONFIGS:
+        for sign in (1, -1):
+            model = build_model(config, pairing_sign=sign)
+            n = model.n_circles
+            words = [
+                build_boundary_multitwist(model, DiagonalMap([rng.randint(-3, 3) for _ in range(n)]))
+                for _ in range(4)
+            ]
+            for _ in range(6):  # twists about sums of circles, often across components
+                circles = [
+                    model.circle_class(j, i) for j, i in model.circle_order if rng.random() < 0.4
+                ]
+                if circles:
+                    cls = sum(circles[1:], circles[0])
+                    words.append(TwistWord([TwistFactor(cls, rng.choice((-2, 1, 3)), LOCUS_Q)]))
+            for word in words:
+                report = analyze(model, word)
+                delta = report.delta
+                assert report.weakly_torelli
+                reducible = reference_reducible(model, delta)
+                assert report.completely_reducible == report.extendable_to_torelli == reducible
+                expected = reference_diagonal_restriction(model, delta)
+                correction = report.multitwist_correctable
+                assert (None if correction is None else [-e for e in correction.exponents]) == expected
+                if reducible:
+                    blocks = [reference_block(model, delta, j) for j in range(model.n_components)]
+                    assert [m.transpose().to_lists() for m in report.component_matrices] == blocks
+                else:
+                    assert report.component_matrices is None

@@ -182,6 +182,22 @@ def test_coordinate_round_trips():
             assert model.h1bar_from_ambient(model.ambient_from_h1bar(v)) == v
 
 
+def test_config_integers_must_be_integers():
+    config = SubsurfaceConfig(True, [ComplementComponent(0, 2)])
+    assert (config.q_genus, config.components[0]) == (1, ComplementComponent(0, 2))
+    for bad in (2.7, 3.0, "3"):
+        with pytest.raises(TypeError):
+            SubsurfaceConfig(bad, [ComplementComponent(0, 2)])
+        with pytest.raises(TypeError):
+            ComplementComponent(bad, 2)
+        with pytest.raises(TypeError):
+            ComplementComponent(0, bad)
+    with pytest.raises(InvalidConfig, match="must be an integer"):
+        SubsurfaceConfig.from_json_dict(
+            {"q_genus": 1, "components": [{"genus": 0, "boundary_count": 3.5}]}
+        )
+
+
 def test_out_of_range_circles_rejected():
     for config in small_configs(max_genus=0, max_circles=3, max_components=3):
         model = build_model(config)
