@@ -95,6 +95,11 @@ def _load_delta(path: str, model):
         raise _ParseFailure(f"{path}: delta must be a JSON object")
     if "blocks" in data and "matrix" in data:
         raise _ParseFailure(f"{path}: delta has both 'blocks' and 'matrix'; give one")
+    if "blocks" not in data and "matrix" not in data:
+        raise _ParseFailure(f"{path}: delta needs a 'blocks' or 'matrix' field")
+    for key in data:
+        if key not in ("blocks", "matrix"):
+            raise _ParseFailure(f"{path}: delta has unknown field {key!r}")
     try:
         if "blocks" in data:
             if not isinstance(data["blocks"], Mapping):
@@ -107,13 +112,11 @@ def _load_delta(path: str, model):
                         raise ValueError
                 except ValueError:
                     raise _ParseFailure(f"{path}: block key {key!r} is not a component index")
-                blocks[j] = _int_matrix(block, f"blocks[{key}]")
+                blocks[j] = _int_matrix(block, f"{path}: blocks[{key}]")
             return delta_from_blocks(model, blocks)
-        if "matrix" in data:
-            return difference_map_from_matrix(model, _int_matrix(data["matrix"], "matrix"))
+        return difference_map_from_matrix(model, _int_matrix(data["matrix"], f"{path}: matrix"))
     except DimensionMismatch as exc:
         raise _ParseFailure(f"{path}: {exc}")
-    raise _ParseFailure(f"{path}: delta needs a 'blocks' or 'matrix' field")
 
 
 def _emit(payload: object) -> None:
@@ -152,17 +155,15 @@ def _cmd_analyze(args) -> int:
     config = _load_config(args.config)
     model = build_model(config)
     word = _load_word(args.word, model.rank)
-    for pos, factor in enumerate(word.factors):
-        content = 0
-        for entry in factor.curve_class:
-            content = gcd(content, entry)
+    report = analyze(model, word)
+    for pos, factor in enumerate(word.factors):  # notes only for a word that analyze accepted
+        content = gcd(*factor.curve_class)
         if content > 1:
             print(
                 f"note: factor {pos} class is non-primitive (content {content}); "
                 "treated as a transvection",
                 file=sys.stderr,
             )
-    report = analyze(model, word)
     if args.format == "json":
         _emit(report.to_json_dict())
     else:

@@ -44,9 +44,6 @@ class IntVector:
             raise DimensionMismatch(f"vector lengths {len(self)} != {len(other)}")
         return IntVector(a - b for a, b in zip(self.entries, other.entries))
 
-    def __neg__(self) -> "IntVector":
-        return IntVector(-a for a in self.entries)
-
     def __rmul__(self, scalar: int) -> "IntVector":
         return IntVector(scalar * a for a in self.entries)
 
@@ -115,9 +112,6 @@ class IntMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> IntVector:
-        return IntVector(self.entries[i])
-
     def column(self, j: int) -> IntVector:
         return IntVector(row[j] for row in self.entries)
 
@@ -135,14 +129,6 @@ class IntMatrix:
             raise DimensionMismatch("matrix shapes differ")
         return IntMatrix(
             ((a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return IntMatrix(
-            ((a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
             cols=self.cols,
         )
 
@@ -172,11 +158,6 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-
-def outer(u: IntVector, v: IntVector) -> IntMatrix:
-    """Outer product u vᵗ."""
-    return IntMatrix(((a * b for b in v.entries) for a in u.entries), cols=len(v))
 
 
 @dataclass(frozen=True)

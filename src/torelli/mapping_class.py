@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-from torelli.exactlin import (
-    DimensionMismatch,
-    IntMatrix,
-    IntVector,
-    outer,
-)
+from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
 from torelli.surface_model import HomologyModel
 
 #: Locus of a twist factor: the subsurface, one complement component, or
@@ -147,11 +142,13 @@ def _check_locus(model: HomologyModel, factor: TwistFactor, position: int) -> No
 def transvection_action(model: HomologyModel, word: TwistWord) -> IntMatrix:
     """Dense product of the factor transvections x -> x + m <x, z> z, in
     composition order; the reference the fast path is checked against."""
-    result = IntMatrix.identity(model.rank)
+    n = model.rank
+    result = IntMatrix.identity(n)
     for pos, factor in enumerate(word.factors):
         _check_locus(model, factor, pos)
-        jz = model.intersection_form.apply(factor.curve_class)
-        step = IntMatrix.identity(model.rank) + factor.exponent * outer(factor.curve_class, jz)
+        z = factor.curve_class.entries
+        mjz = [factor.exponent * x for x in model.intersection_form.apply(factor.curve_class)]
+        step = IntMatrix(([(r == c) + z[r] * mjz[c] for c in range(n)] for r in range(n)), cols=n)
         result = result * step
     return result
 
@@ -316,6 +313,9 @@ def word_from_json_dict(data: Mapping, rank: int) -> TwistWord:
         raise WordParseError("word must be a JSON object")
     if "factors" not in data:
         raise WordParseError("word is missing field 'factors'")
+    for key in data:
+        if key != "factors":
+            raise WordParseError(f"word has unknown field {key!r}")
     if not isinstance(data["factors"], list):
         raise WordParseError("field 'factors' must be a list")
     factors = []
@@ -325,6 +325,9 @@ def word_from_json_dict(data: Mapping, rank: int) -> TwistWord:
         for field in ("class", "exponent", "locus"):
             if field not in item:
                 raise WordParseError(f"factors[{pos}] is missing field '{field}'")
+        for key in item:
+            if key not in ("class", "exponent", "locus"):
+                raise WordParseError(f"factors[{pos}] has unknown field {key!r}")
         cls = item["class"]
         if not isinstance(cls, list) or any(
             not isinstance(e, int) or isinstance(e, bool) for e in cls

@@ -67,38 +67,23 @@ def indicator_matrix(size: int, members: Iterable[int]) -> IntMatrix:
 def sym_basis_change(matrix: IntMatrix, size: int) -> SymBasisCoefficients:
     """Expand a symmetric matrix over the contiguous-indicator basis.
 
-    Works entry by entry through the elementary symmetric matrices e(k, l):
-    e(k,k) = m(k,k); e(k,k+1) = m(k,k+1) - m(k,k) - m(k+1,k+1); and for
-    l > k+1, e(k,l) = m(k,l) - m(k+1,l) - m(k,l-1) + m(k+1,l-1).
+    The coefficient of m(k, l) is the second difference
+    c(k, l) = M[k,l] - M[k-1,l] - M[k,l+1] + M[k-1,l+1] (1-based), with
+    entries outside the matrix read as 0; zero coefficients are dropped.
+    Summed over k <= i and l >= j it telescopes back to M[i, j].
     """
     if (matrix.rows, matrix.cols) != (size, size):
         raise DimensionMismatch(f"expected a {size}x{size} matrix")
     if matrix != matrix.transpose():
         raise NotSymmetric("matrix is not symmetric")
+    padded = [(0,) * (size + 1)] + [(*row, 0) for row in matrix.entries]  # padded[k][l-1] = M[k,l]
     coeffs: dict[tuple[int, int], int] = {}
-
-    def add(k: int, l: int, value: int) -> None:
-        if value:
-            coeffs[(k, l)] = coeffs.get((k, l), 0) + value
-            if coeffs[(k, l)] == 0:
-                del coeffs[(k, l)]
-
     for k in range(1, size + 1):
+        above, row = padded[k - 1], padded[k]
         for l in range(k, size + 1):
-            e = matrix[k - 1, l - 1]
-            if e == 0:
-                continue
-            if k == l:
-                add(k, k, e)
-            elif l == k + 1:
-                add(k, l, e)
-                add(k, k, -e)
-                add(l, l, -e)
-            else:
-                add(k, l, e)
-                add(k + 1, l, -e)
-                add(k, l - 1, -e)
-                add(k + 1, l - 1, e)
+            c = row[l - 1] - above[l - 1] - row[l] + above[l]
+            if c:
+                coeffs[(k, l)] = c
     return SymBasisCoefficients(size=size, coefficients=coeffs)
 
 

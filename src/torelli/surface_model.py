@@ -95,6 +95,9 @@ class SubsurfaceConfig:
         for field in ("q_genus", "components"):
             if field not in data:
                 raise InvalidConfig(f"config is missing field '{field}'")
+        for key in data:
+            if key not in ("q_genus", "components"):
+                raise InvalidConfig(f"config has unknown field {key!r}")
         if not isinstance(data["q_genus"], int) or isinstance(data["q_genus"], bool):
             raise InvalidConfig("field 'q_genus' must be an integer")
         if not isinstance(data["components"], list):
@@ -108,6 +111,9 @@ class SubsurfaceConfig:
                     raise InvalidConfig(f"components[{j}] is missing field '{field}'")
                 if not isinstance(item[field], int) or isinstance(item[field], bool):
                     raise InvalidConfig(f"components[{j}].{field} must be an integer")
+            for key in item:
+                if key not in ("genus", "boundary_count"):
+                    raise InvalidConfig(f"components[{j}] has unknown field {key!r}")
             comps.append(ComplementComponent(item["genus"], item["boundary_count"]))
         config = SubsurfaceConfig(data["q_genus"], comps)
         config.validate()

@@ -1,11 +1,18 @@
 """Command-line surface: schemas, exit codes, and the analyze/realize loop."""
 
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torelli import cli
 
@@ -455,6 +462,162 @@ def test_realize_rejects_ambiguous_delta_files(tmp_path, capsys):
     canonical = write_json(tmp_path / "canonical.json", {"blocks": {"0": zero}})
     code, out, _ = run_main(capsys, ["realize", "--config", config, "--delta", canonical])
     assert code == 0 and json.loads(out) == {"factors": []}
+
+
+ZERO_BLOCK = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+FOUR_CIRCLE_WORD = {"factors": [{"class": four_circle_class([0, 1]), "exponent": 1, "locus": "Q"}]}
+
+
+@pytest.mark.parametrize(
+    "config, word, delta, key",
+    [
+        ({**FOUR_CIRCLE_CONFIG, "y": 2}, None, None, "'y'"),
+        ({"q_genus": 1, "components": [{"genus": 1, "boundary_count": 4, "x": 1}]}, None, None, "'x'"),
+        (FOUR_CIRCLE_CONFIG, {"factors": [], "extra": 1}, None, "'extra'"),
+        (FOUR_CIRCLE_CONFIG, {"factors": [{**FOUR_CIRCLE_WORD["factors"][0], "junk": 1}]}, None, "'junk'"),
+        (FOUR_CIRCLE_CONFIG, None, {"blocks": {"0": ZERO_BLOCK}, "junk": 2}, "'junk'"),
+    ],
+    ids=["config", "component", "word", "factor", "delta"],
+)
+def test_unknown_keys_exit_2(tmp_path, capsys, config, word, delta, key):
+    args = ["--config", write_json(tmp_path / "config.json", config)]
+    if delta is None:
+        word_path = write_json(tmp_path / "word.json", word or FOUR_CIRCLE_WORD)
+        args = ["analyze", *args, "--word", word_path]
+    else:
+        args = ["realize", *args, "--delta", write_json(tmp_path / "delta.json", delta)]
+    assert_parse_error(capsys, args, f"unknown field {key}")
+
+
+def test_analyze_notes_only_on_success(tmp_path, capsys):
+    # non-primitive, and it meets the dual of circle 1, outside the subsurface image
+    config = write_json(
+        tmp_path / "config.json", {"q_genus": 1, "components": [{"genus": 0, "boundary_count": 3}]}
+    )
+    word = write_json(
+        tmp_path / "word.json",
+        {"factors": [{"class": [2, 0, 0, 0, 2, 0], "exponent": 1, "locus": "Q"}]},
+    )
+    code, out, err = run_main(capsys, ["analyze", "--config", config, "--word", word])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and "note:" not in err
+
+
+@pytest.mark.parametrize(
+    "delta, needle",
+    [
+        ({"blocks": {"0": [[1, 2, 3], [4, 5]]}}, "blocks[0]: ragged rows"),
+        ({"matrix": 5}, "matrix must be a list of rows"),
+        ({"matrix": [[1.5]]}, "matrix entries must be integers"),
+    ],
+)
+def test_delta_matrix_errors_name_the_file(tmp_path, capsys, delta, needle):
+    config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
+    path = write_json(tmp_path / "delta.json", delta)
+    args = ["realize", "--config", config, "--delta", path]
+    assert_parse_error(capsys, args, f"error: {path}: {needle}")
+
+
+# Arbitrary JSON that keeps every integer small, so no mutation asks for a
+# large model (build_model allocates a dense rank x rank form).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-4, 4) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def valid_documents(rng):
+    """A configuration (genus and circle counts <= 6), a word of up to three
+    twists and a delta document in block or full-matrix form."""
+    q_genus = rng.randint(0, 2)
+    comps = [(rng.randint(0, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 2))]
+    config = {"q_genus": q_genus, "components": [{"genus": g, "boundary_count": n} for g, n in comps]}
+    k = sum(n - 1 for _, n in comps)
+    rank = 2 * (q_genus + sum(g for g, _ in comps)) + 2 * k
+    q_support = list(range(2 * q_genus)) + list(range(rank - 2 * k, rank - k))  # Q handles, circles
+    factors = []
+    for _ in range(rng.randint(0, 3)):
+        cls = [0] * rank
+        for i in rng.sample(q_support, min(len(q_support), rng.randint(1, 3))):
+            cls[i] = rng.randint(-2, 2)
+        locus = rng.choice(["Q", "Q", "Q", "S", {"P": rng.randint(0, len(comps))}])
+        factors.append({"class": cls, "exponent": rng.randint(-2, 2), "locus": locus})
+
+    def square(size):  # symmetric, save for one entry now and then
+        upper = {(r, c): rng.randint(-2, 2) for r in range(size) for c in range(r, size)}
+        matrix = [[upper[min(r, c), max(r, c)] for c in range(size)] for r in range(size)]
+        if size and rng.random() < 0.2:
+            matrix[0][-1] += 1
+        return matrix
+
+    if rng.random() < 0.7:
+        delta = {"blocks": {str(j): square(n - 1) for j, (_, n) in enumerate(comps)}}
+    else:
+        delta = {"matrix": square(k)}
+    return {"config": config, "word": {"factors": factors}, "delta": delta}
+
+
+def _containers(doc):
+    if isinstance(doc, (dict, list)):
+        yield doc
+        for child in doc.values() if isinstance(doc, dict) else doc:
+            yield from _containers(child)
+
+
+@st.composite
+def malformed_documents(draw):
+    """Valid documents with up to two edits: a key dropped, a key added,
+    or a value (or a whole document) swapped for arbitrary JSON."""
+    docs = valid_documents(random.Random(draw(st.integers(0, 2**32))))
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(sorted(docs)))
+        if draw(st.integers(0, 9)) == 0:
+            docs[name] = draw(JSON_VALUES)
+            continue
+        containers = list(_containers(docs[name]))
+        if not containers:
+            continue
+        target = draw(st.sampled_from(containers))
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        edit = draw(st.sampled_from(["drop", "add", "swap"] if keys else ["add"]))
+        if edit == "add" and isinstance(target, dict):
+            target[draw(st.text(max_size=3))] = draw(JSON_VALUES)
+        elif edit == "add":
+            target.append(draw(JSON_VALUES))
+        elif edit == "drop":
+            del target[draw(st.sampled_from(keys))]
+        else:
+            target[draw(st.sampled_from(keys))] = draw(JSON_VALUES)
+    return docs
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+)
+@given(malformed_documents())
+def test_malformed_documents_end_in_a_documented_exit(docs):
+    with tempfile.TemporaryDirectory() as work:
+        paths = {}
+        for name, payload in docs.items():
+            paths[name] = write_json(Path(work) / f"{name}.json", payload)
+        cfg = ["--config", paths["config"]]
+        for args in (
+            ["analyze", *cfg, "--word", paths["word"]],
+            ["realize", *cfg, "--delta", paths["delta"]],
+            ["ranks", *cfg],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(args)
+            assert code in (0, 2, 3, 4, 5), args
+            if code:
+                assert out.getvalue() == "", args
+                assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), args
+            else:
+                json.loads(out.getvalue())
 
 
 def test_ranks_command(tmp_path):
