@@ -74,6 +74,8 @@ def _load_word(path: str, rank: int):
         return word_from_json_dict(_load_json(path), rank)
     except WordParseError as exc:
         raise _ParseFailure(f"{path}: {exc}")
+    except DimensionMismatch as exc:
+        raise DimensionMismatch(f"{path}: {exc}")
 
 
 def _int_matrix(data, where: str) -> IntMatrix:

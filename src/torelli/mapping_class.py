@@ -16,6 +16,7 @@ questions answered in :mod:`torelli.criteria`.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -156,85 +157,66 @@ def transvection_action(model: HomologyModel, word: TwistWord) -> IntMatrix:
 def _require_in_q(model: HomologyModel, word: TwistWord) -> None:
     for pos, factor in enumerate(word.factors):
         if factor.locus != LOCUS_Q:
-            raise LocusViolation(f"factor {pos}: locus must be 'Q', got {factor.locus!r}")
+            got = json.dumps(_locus_to_json(factor.locus), default=repr)
+            raise LocusViolation(f'factor {pos}: locus must be "Q", got {got}')
         _check_locus(model, factor, pos)
 
 
-def _sum_sparse(terms) -> dict[int, int]:
-    """Sum of the (coefficient, {index: entry}) terms, zero entries dropped."""
-    total: dict[int, int] = {}
-    for coeff, vec in terms:
-        for r, x in vec.items():
-            total[r] = total.get(r, 0) + coeff * x
-    return {r: x for r, x in total.items() if x}
-
-
 def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]]:
-    """Displacement (image minus itself) of every basis vector under the
-    word, as {coordinate: nonzero entry}.  Factors apply last first, each as
-    the rank-1 update x += m <x, z> z on all images at once.  The form is a
-    signed permutation in the model basis, so <x, z> reads only the partner
-    rows of z's support, and a factor costs |supp z| times their nonzeros."""
-    partners = [  # nonzero entries (r, J[r][c]) of each column c of the form
-        [(r, v) for r, v in enumerate(col) if v] for col in zip(*model.intersection_form.entries)
-    ]
-    rows: list[dict[int, int]] = [{} for _ in range(model.rank)]  # rows[r][c]: coord r of displacement c
+    """Displacements (image minus itself) of the basis vectors under the
+    word, as rows[r][c]: nonzero coordinate r of class c's displacement.
+    Factors apply last first, each as the rank-1 update x += m <x, z> z on
+    all images at once.  The form is a signed permutation in the model
+    basis, so <x, z> reads only the partner rows of z's support, and a
+    factor costs |supp z| times their nonzeros."""
+    rows: list[dict[int, int]] = [{} for _ in range(model.rank)]
     for factor in reversed(word.factors):
         support = [(c, zc) for c, zc in enumerate(factor.curve_class) if zc]
         pairings: dict[int, int] = {}  # m <image c, z> for each basis vector c
         for c, zc in support:
-            for r, value in partners[c]:
-                w = factor.exponent * value * zc
-                pairings[r] = pairings.get(r, 0) + w  # row r of the identity
-                for col, x in rows[r].items():
-                    pairings[col] = pairings.get(col, 0) + w * x
+            r, value = model.partner(c)
+            w = factor.exponent * value * zc
+            pairings[r] = pairings.get(r, 0) + w  # row r of the identity
+            for col, x in rows[r].items():
+                pairings[col] = pairings.get(col, 0) + w * x
         for c, zc in support:
             row = rows[c]
             for col, t in pairings.items():
                 row[col] = row.get(col, 0) + zc * t
                 if not row[col]:
                     del row[col]
-    moved: list[dict[int, int]] = [{} for _ in range(model.rank)]
-    for r, row in enumerate(rows):
-        for c, x in row.items():
-            moved[c][r] = x
-    return moved
+    return rows
 
 
 def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, Optional[DifferenceMap]]:
     """Whether the word is weakly Torelli and, if so, its difference map,
     from one pass of the word over the basis.
 
-    The boundary of dual(j, i) is the pairing sign times o_{j,i}, so column
-    (j, i) of the map is that sign times the displacement of dual(j, i).
-    The map is then checked against the whole system: for every basis class
-    a, the displacement of a lies in the circle span and equals the map
-    applied to the boundary of a (a sum over its nonzero coordinates).
+    The word is weakly Torelli when no Q handle and no circle (the basis of
+    the subsurface image) moves; every displacement must then lie in the
+    circle span.  Dual(j, i) has boundary pairing_sign * o_{j,i} and every
+    other basis class boundary 0, so column (j, i) of the map is the sign
+    times the displacement of dual(j, i), which solves the duals' equations
+    of the boundary system; the rest say no class before the duals moves.
     """
     _require_in_q(model, word)
-    moved = _displacements(model, word)
-    for col in zip(*model.q_image.entries):
-        if _sum_sparse((v, moved[i]) for i, v in enumerate(col) if v):
-            return False, None
+    rows = _displacements(model, word)
     k = model.k0_rank
     lo, hi = model.rank - 2 * k, model.rank - k  # the circle block
-    for idx, displacement in enumerate(moved):
-        outside = [r for r in displacement if not lo <= r < hi]
-        if outside:
-            raise NotWeaklyTorelli(
-                f"displacement of basis class {idx} leaves the circle span: class has a nonzero "
-                f"{model.labels[min(outside)]} coordinate, not in the circle span"
-            )
-    displacements = [{r - lo: x for r, x in shift.items()} for shift in moved]  # reduced coordinates
-    boundaries = [
-        {p: x for p, x in enumerate(model.k0_coords(IntVector(col))) if x}
-        for col in zip(*model.boundary_matrix.entries)
-    ]
-    duals = [model.label_index(("dual", j, i)) for j, i in model.reduced_order]
-    columns = [_sum_sparse([(boundaries[d].get(pos, 0), displacements[d])]) for pos, d in enumerate(duals)]
-    if any(_sum_sparse((x, columns[p]) for p, x in b.items()) != d for b, d in zip(boundaries, displacements)):
+    moved = set().union(*rows)
+    if any(c < 2 * model.config.q_genus or lo <= c < hi for c in moved):
+        return False, None
+    outside = [(c, r) for r, row in enumerate(rows) if not lo <= r < hi for c in row]
+    if outside:
+        idx, r = min(outside)
+        raise NotWeaklyTorelli(
+            f"displacement of basis class {idx} leaves the circle span: class has a nonzero "
+            f"{model.labels[r]} coordinate, not in the circle span"
+        )
+    if any(c < hi for c in moved):
         raise InconsistentDelta("difference map fails the boundary system")
-    matrix = IntMatrix(([column.get(r, 0) for column in columns] for r in range(k)), cols=k)
+    s = model.pairing_sign
+    matrix = IntMatrix(([s * rows[lo + r].get(hi + p, 0) for p in range(k)] for r in range(k)), cols=k)
     return True, DifferenceMap(matrix, model.block_ranges)
 
 
@@ -277,9 +259,9 @@ class WordParseError(ValueError):
 
 
 def _locus_to_json(locus: Locus):
-    if locus == LOCUS_Q or locus == LOCUS_AMBIENT:
-        return locus
-    return {"P": locus[1]}
+    if isinstance(locus, tuple) and len(locus) == 2 and locus[0] == "P":
+        return {"P": locus[1]}
+    return locus
 
 
 def _locus_from_json(data, position: int) -> Locus:

@@ -26,6 +26,12 @@ k = k0_rank and start_j = block_ranges[j][0], circle (j, i >= 1) is basis
 index rank - 2k + start_j + i - 1, its dual is basis index
 rank - k + start_j + i - 1, its reduced coordinate is start_j + i - 1 and
 its 0-chain coordinate is start_j + j + i.
+
+The form J (J[r][c] = <e_r, e_c>) has sign s = pairing_sign: <a, b> = s
+for each handle pair and <dual, circle> = s for each circle.  So column c
+of J has one nonzero entry (r, J[r][c]), which ``partner`` computes:
+(a + 1, -s) for a handle at even index a, (a, s) for its partner at a + 1,
+(c + k, s) for a circle c and (d - k, -s) for a dual d.
 """
 
 from __future__ import annotations
@@ -127,6 +133,7 @@ class HomologyModel:
     config: SubsurfaceConfig
     genus: int
     rank: int
+    pairing_sign: int
     labels: tuple[tuple, ...]
     intersection_form: IntMatrix
     q_image: IntMatrix
@@ -156,6 +163,13 @@ class HomologyModel:
             offset = 2 * self.k0_rank if label[0] == "circle" else self.k0_rank
             return self.rank - offset + self.reduced_index(label[1], label[2])
         return self.labels.index(label)
+
+    def partner(self, c: int) -> tuple[int, int]:
+        """The single nonzero entry (r, J[r][c]) of column c of the form."""
+        k, s = self.k0_rank, self.pairing_sign
+        if c < self.rank - 2 * k:  # handle pairs a, b sit side by side
+            return (c + 1, -s) if c % 2 == 0 else (c - 1, s)
+        return (c + k, s) if c < self.rank - k else (c - k, -s)
 
     def basis_vector(self, label: tuple) -> IntVector:
         return IntVector.unit(self.rank, self.label_index(label))
@@ -351,6 +365,7 @@ def build_model(config: SubsurfaceConfig, *, pairing_sign: int = 1) -> HomologyM
         config=config,
         genus=genus,
         rank=rank,
+        pairing_sign=pairing_sign,
         labels=tuple(labels),
         intersection_form=intersection_form,
         q_image=q_image,

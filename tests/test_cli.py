@@ -137,6 +137,29 @@ def test_analyze_rejects_ambient_factor(tmp_path):
     assert "locus" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "locus, shown", [({"P": 0}, '{"P": 0}'), ("S", '"S"')], ids=["complement", "ambient"]
+)
+def test_locus_diagnostic_quotes_the_document(tmp_path, capsys, locus, shown):
+    config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
+    word = write_json(
+        tmp_path / "word.json", {"factors": [{"class": [0] * 10, "exponent": 1, "locus": locus}]}
+    )
+    code, out, err = run_main(capsys, ["analyze", "--config", config, "--word", word])
+    assert (code, out) == (3, "")
+    assert err == f'error: factor 0: locus must be "Q", got {shown}\n'
+
+
+def test_class_length_error_names_the_word_file(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
+    word = write_json(
+        tmp_path / "word.json", {"factors": [{"class": [0, 1], "exponent": 1, "locus": "Q"}]}
+    )
+    code, out, err = run_main(capsys, ["analyze", "--config", config, "--word", word])
+    assert (code, out) == (3, "")
+    assert err == f"error: {word}: factors[0].class has length 2, model rank is 10\n"
+
+
 def test_analyze_parse_errors(tmp_path):
     config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
     bad_word = tmp_path / "word.json"

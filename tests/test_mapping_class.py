@@ -28,6 +28,7 @@ from torelli.oracle import (
     random_config,
     random_symmetric_reducible_delta,
     random_weakly_torelli_word,
+    verify_all,
 )
 from torelli.realization import realize_delta
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
@@ -187,22 +188,34 @@ def test_residuals_in_circle_span_iff_weakly_torelli():
         assert in_span == is_weakly_torelli(model, word)
 
 
-def test_inconsistent_system_is_reported(four_circle_model):
-    # A zeroed boundary matrix breaks the linear system relating
-    # displacements to boundaries for any word with a nonzero difference map.
+def test_inconsistent_system_is_reported(four_circle_model, monkeypatch):
+    # The fast path reads the form's layout, not the dense boundary matrix,
+    # so a zeroed boundary matrix is caught by the oracle's model and
+    # functional-equation invariants; a broken layout, where a circle pairs
+    # with a P handle and so moves it, breaks the boundary system itself.
     import dataclasses
 
     from torelli.exactlin import IntMatrix as _IM
     from torelli.mapping_class import InconsistentDelta
+    from torelli.surface_model import HomologyModel
+
+    def zeroed_boundary(config):
+        model = build_model(config)
+        return dataclasses.replace(model, boundary_matrix=_IM.zeros(model.n_circles, model.rank))
+
+    reports = verify_all(TrialPlan(seed=4, trials=8), model_factory=zeroed_boundary)
+    failing = {r["invariant"] for r in reports if r["failures"]}
+    assert {"model_boundary_image", "model_adjunction", "delta_functional_equation"} <= failing
 
     model = four_circle_model
-    broken = dataclasses.replace(
-        model, boundary_matrix=_IM.zeros(model.n_circles, model.rank)
+    circle, handle = model.label_index(("circle", 0, 1)), model.label_index(("pa", 0, 0))
+    layout = HomologyModel.partner
+    monkeypatch.setattr(
+        HomologyModel, "partner", lambda self, c: (handle, 1) if c == circle else layout(self, c)
     )
-    cls = model.circle_class(0, 0) + model.circle_class(0, 1)
-    word = TwistWord([TwistFactor(cls, 1, LOCUS_Q)])
+    word = TwistWord([TwistFactor(model.circle_class(0, 1), 1, LOCUS_Q)])
     with pytest.raises(InconsistentDelta):
-        delta_difference(broken, word)
+        delta_difference(model, word)
 
 
 def test_locus_check_agrees_with_lattice_membership(four_circle_model):

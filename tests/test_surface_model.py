@@ -171,6 +171,15 @@ def test_positions_agree_with_basis_order():
             assert model.reduced_index(j, i) == model.reduced_order.index((j, i))
 
 
+def test_partner_is_the_form_column():
+    for config, sign in product(small_configs(max_genus=1, max_circles=4, max_components=3), (1, -1)):
+        model = build_model(config, pairing_sign=sign)
+        assert model.pairing_sign == sign
+        form = model.intersection_form.entries
+        for c in range(model.rank):
+            assert [(r, form[r][c]) for r in range(model.rank) if form[r][c]] == [model.partner(c)]
+
+
 def test_coordinate_round_trips():
     rng = random.Random(3)
     for config in small_configs(max_genus=1, max_circles=4, max_components=3):
