@@ -137,7 +137,7 @@ def _check_locus(model: HomologyModel, factor: TwistFactor, position: int) -> No
     a, b = handles
     if any(z[:a]) or any(z[b:lo]) or any(z[hi:]):
         idx = next(i for i, x in enumerate(z) if x and not (a <= i < b or lo <= i < hi))
-        raise LocusViolation(f"factor {position}: class meets {model.labels[idx]}, outside {where}")
+        raise LocusViolation(f"factor {position}: class meets {model.describe_index(idx)}, outside {where}")
 
 
 def transvection_action(model: HomologyModel, word: TwistWord) -> IntMatrix:
@@ -210,8 +210,8 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, O
     if outside:
         idx, r = min(outside)
         raise NotWeaklyTorelli(
-            f"displacement of basis class {idx} leaves the circle span: class has a nonzero "
-            f"{model.labels[r]} coordinate, not in the circle span"
+            f"displacement of {model.describe_index(idx)} leaves the circle span: "
+            f"it has a nonzero coordinate at {model.describe_index(r)}"
         )
     if any(c < hi for c in moved):
         raise InconsistentDelta("difference map fails the boundary system")

@@ -13,6 +13,11 @@ boundary circles, and the lattices that control the extension problem:
 * ``boundary_matrix`` is the Mayer-Vietoris boundary map, sending an
   ambient class a to the 0-chain class sum_C <a, [C]> o_C.
 
+``build_model`` computes only the basis layout, in O(rank).  These three
+matrices, the form ``intersection_form`` and the subsurface image
+``q_image`` are dense views built from the layout on first access and
+cached on the model; the first access pays O(rank^2) time and memory.
+
 Basis order (used for all coordinates, including the JSON word schema):
 Q-handle pairs a_0, b_0, ..., then for each component its handle pairs,
 then for each component its circles 1..n_j-1, then the matching duals.
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
@@ -128,18 +134,18 @@ class SubsurfaceConfig:
 
 @dataclass(frozen=True)
 class HomologyModel:
-    """Explicit basis data for the split surface; immutable after build."""
+    """Explicit basis data for the split surface; immutable after build.
+
+    The fields are the O(rank) basis layout.  The five dense matrices are
+    cached views, not fields: repr, equality, hash and dataclasses.replace
+    leave them out, and each is built on its first access.
+    """
 
     config: SubsurfaceConfig
     genus: int
     rank: int
     pairing_sign: int
     labels: tuple[tuple, ...]
-    intersection_form: IntMatrix
-    q_image: IntMatrix
-    circle_span: IntMatrix
-    k0_basis: IntMatrix
-    boundary_matrix: IntMatrix
     circle_order: tuple[tuple[int, int], ...]
     reduced_order: tuple[tuple[int, int], ...]
     block_ranges: tuple[tuple[int, int], ...]
@@ -171,6 +177,15 @@ class HomologyModel:
             return (c + 1, -s) if c % 2 == 0 else (c - 1, s)
         return (c + k, s) if c < self.rank - k else (c - k, -s)
 
+    def describe_index(self, idx: int) -> str:
+        """Basis index idx with its README name, e.g. ``basis index 2 (a_{0,0})``."""
+        kind, *at = self.labels[idx]
+        if kind in ("circle", "dual"):
+            name = f"{'dual of ' * (kind == 'dual')}circle ({at[0]}, {at[1]})"
+        else:
+            name = f"{kind[1]}_{at[0]}" if kind[0] == "q" else f"{kind[1]}_{{{at[0]},{at[1]}}}"
+        return f"basis index {idx} ({name})"
+
     def basis_vector(self, label: tuple) -> IntVector:
         return IntVector.unit(self.rank, self.label_index(label))
 
@@ -198,16 +213,60 @@ class HomologyModel:
         out[base + start:base + stop] = [-1] * (stop - start)
         return IntVector(out)
 
+    # -- dense views, built from the basis order on first access ----------
+
+    @cached_property
+    def intersection_form(self) -> IntMatrix:
+        rank, k, s = self.rank, self.k0_rank, self.pairing_sign
+        form = [[0] * rank for _ in range(rank)]
+        for a in range(0, rank - 2 * k, 2):  # handle pairs a, b sit side by side
+            form[a][a + 1] = s
+            form[a + 1][a] = -s
+        for c in range(rank - 2 * k, rank - k):  # dual of the circle at c sits at c + k
+            form[c + k][c] = s
+            form[c][c + k] = -s
+        return IntMatrix(form, cols=rank)
+
+    @cached_property
+    def q_image(self) -> IntMatrix:
+        h2, lo = 2 * self.config.q_genus, self.rank - 2 * self.k0_rank
+        q_cols = [*range(0, h2, 2), *range(1, h2, 2), *range(lo, lo + self.k0_rank)]
+        return IntMatrix(([int(r == c) for c in q_cols] for r in range(self.rank)), cols=len(q_cols))
+
+    @cached_property
+    def circle_span(self) -> IntMatrix:
+        circles = range(self.rank - 2 * self.k0_rank, self.rank - self.k0_rank)
+        return IntMatrix(([int(r == c) for c in circles] for r in range(self.rank)), cols=self.k0_rank)
+
+    @cached_property
+    def k0_basis(self) -> IntMatrix:
+        # Column o_{j,i} = o_i - o_0 is +1 on circle (j, i) and -1 on circle (j, 0).
+        k, rows = self.k0_rank, []
+        for start, stop in self.block_ranges:
+            rows.append([-int(start <= c < stop) for c in range(k)])
+            rows += ([int(c == p) for c in range(k)] for p in range(start, stop))
+        return IntMatrix(rows, cols=k)
+
+    @cached_property
+    def boundary_matrix(self) -> IntMatrix:
+        # Row for circle C: the functional a -> <a, [C]>.  <dual, circle> is the
+        # pairing sign and circle 0 is minus the others, so it is the sign times
+        # C's row of k0_basis, read on the duals.
+        pad, s = [0] * (self.rank - self.k0_rank), self.pairing_sign
+        return IntMatrix((pad + [s * x for x in row] for row in self.k0_basis.entries), cols=self.rank)
+
     # -- pairings and maps -----------------------------------------------
 
     def pair(self, a: IntVector, b: IntVector) -> int:
-        """Ambient intersection number of two classes."""
+        """Ambient intersection number of two classes, through the dense form
+        (the first call on a model pays O(rank^2) to build it)."""
         if len(a) != self.rank or len(b) != self.rank:
             raise DimensionMismatch("classes must have the ambient rank")
         return a.dot(self.intersection_form.apply(b))
 
     def mv_boundary(self, a: IntVector) -> IntVector:
-        """Mayer-Vietoris boundary of an ambient class, as a 0-chain class."""
+        """Mayer-Vietoris boundary of an ambient class, as a 0-chain class,
+        through the dense boundary matrix (the first call pays O(rank^2))."""
         if len(a) != self.rank:
             raise DimensionMismatch(f"expected length {self.rank}, got {len(a)}")
         return self.boundary_matrix.apply(a)
@@ -279,9 +338,10 @@ class HomologyModel:
         if len(v) != self.rank:
             raise DimensionMismatch(f"expected length {self.rank}, got {len(v)}")
         lo, hi = self.rank - 2 * self.k0_rank, self.rank - self.k0_rank  # the circle block
-        outside = [self.labels[idx] for idx, x in enumerate(v) if x and not lo <= idx < hi]
+        outside = [idx for idx, x in enumerate(v) if x and not lo <= idx < hi]
         if outside:
-            raise ValueError(f"class has a nonzero {outside[0]} coordinate, not in the circle span")
+            where = self.describe_index(outside[0])
+            raise ValueError(f"class has a nonzero coordinate at {where}, not in the circle span")
         return IntVector(v[lo:hi])
 
     def ambient_from_h1bar(self, v: IntVector) -> IntVector:
@@ -324,8 +384,6 @@ def build_model(config: SubsurfaceConfig, *, pairing_sign: int = 1) -> HomologyM
 
     circle_order = tuple((j, i) for j, comp in enumerate(comps) for i in range(comp.boundary_count))
     reduced_order = tuple((j, i) for j, comp in enumerate(comps) for i in range(1, comp.boundary_count))
-    k = len(reduced_order)
-    circles = range(rank - 2 * k, rank - k)  # dual of the circle at c sits at c + k
 
     block_ranges = []
     start = 0
@@ -334,45 +392,7 @@ def build_model(config: SubsurfaceConfig, *, pairing_sign: int = 1) -> HomologyM
         block_ranges.append((start, stop))
         start = stop
 
-    form = [[0] * rank for _ in range(rank)]
-    for a in range(0, rank - 2 * k, 2):  # handle pairs a, b sit side by side
-        form[a][a + 1] = pairing_sign
-        form[a + 1][a] = -pairing_sign
-    for c in circles:
-        form[c + k][c] = pairing_sign
-        form[c][c + k] = -pairing_sign
-    intersection_form = IntMatrix(form, cols=rank)
-
-    q_cols = [*range(0, 2 * h, 2), *range(1, 2 * h, 2), *circles]
-    q_image = IntMatrix(([int(r == c) for c in q_cols] for r in range(rank)), cols=len(q_cols))
-    circle_span = IntMatrix(([int(r == c) for c in circles] for r in range(rank)), cols=k)
-
-    # Column o_{j,i} = o_i - o_0 is +1 on circle (j, i) and -1 on circle (j, 0).
-    k0_rows = []
-    for start, stop in block_ranges:
-        k0_rows.append([-int(start <= c < stop) for c in range(k)])
-        k0_rows += ([int(c == p) for c in range(k)] for p in range(start, stop))
-    k0_basis = IntMatrix(k0_rows, cols=k)
-
-    # Row for circle C: the functional a -> <a, [C]>.  <dual, circle> is the
-    # pairing sign and circle 0 is minus the others, so it is the sign times
-    # C's row of k0_basis, read on the duals.
-    boundary_matrix = IntMatrix(
-        ([0] * (rank - k) + [pairing_sign * x for x in row] for row in k0_rows), cols=rank
-    )
-
     return HomologyModel(
-        config=config,
-        genus=genus,
-        rank=rank,
-        pairing_sign=pairing_sign,
-        labels=tuple(labels),
-        intersection_form=intersection_form,
-        q_image=q_image,
-        circle_span=circle_span,
-        k0_basis=k0_basis,
-        boundary_matrix=boundary_matrix,
-        circle_order=circle_order,
-        reduced_order=reduced_order,
-        block_ranges=tuple(block_ranges),
+        config=config, genus=genus, rank=rank, pairing_sign=pairing_sign, labels=tuple(labels),
+        circle_order=circle_order, reduced_order=reduced_order, block_ranges=tuple(block_ranges),
     )

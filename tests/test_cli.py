@@ -150,6 +150,18 @@ def test_locus_diagnostic_quotes_the_document(tmp_path, capsys, locus, shown):
     assert err == f'error: factor 0: locus must be "Q", got {shown}\n'
 
 
+@pytest.mark.parametrize(
+    "index, shown", [(2, "a_{0,0}"), (7, "dual of circle (0, 1)")], ids=["handle", "dual"]
+)
+def test_locus_violation_names_the_basis_index(tmp_path, capsys, index, shown):
+    config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
+    cls = [int(i == index) for i in range(10)]
+    word = write_json(tmp_path / "word.json", {"factors": [{"class": cls, "exponent": 1, "locus": "Q"}]})
+    code, out, err = run_main(capsys, ["analyze", "--config", config, "--word", word])
+    assert (code, out) == (3, "")
+    assert err == f"error: factor 0: class meets basis index {index} ({shown}), outside the subsurface image\n"
+
+
 def test_class_length_error_names_the_word_file(tmp_path, capsys):
     config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
     word = write_json(

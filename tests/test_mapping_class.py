@@ -193,15 +193,14 @@ def test_inconsistent_system_is_reported(four_circle_model, monkeypatch):
     # so a zeroed boundary matrix is caught by the oracle's model and
     # functional-equation invariants; a broken layout, where a circle pairs
     # with a P handle and so moves it, breaks the boundary system itself.
-    import dataclasses
-
     from torelli.exactlin import IntMatrix as _IM
     from torelli.mapping_class import InconsistentDelta
     from torelli.surface_model import HomologyModel
 
     def zeroed_boundary(config):
-        model = build_model(config)
-        return dataclasses.replace(model, boundary_matrix=_IM.zeros(model.n_circles, model.rank))
+        model = build_model(config)  # seed the cached view with the tampered matrix
+        model.__dict__["boundary_matrix"] = _IM.zeros(model.n_circles, model.rank)
+        return model
 
     reports = verify_all(TrialPlan(seed=4, trials=8), model_factory=zeroed_boundary)
     failing = {r["invariant"] for r in reports if r["failures"]}
@@ -241,7 +240,12 @@ def _label_walk_violation(model, factor, position):
         where = f"complement component {j}"
     for idx, label in enumerate(model.labels):
         if factor.curve_class[idx] and not permitted(label):
-            return f"factor {position}: class meets {label}, outside {where}"
+            kind, *at = label
+            if kind in ("circle", "dual"):
+                name = ("dual of " if kind == "dual" else "") + f"circle ({at[0]}, {at[1]})"
+            else:  # ("qa", i) is a_i, ("pb", j, g) is b_{j,g}
+                name = kind[1] + "_" + (str(at[0]) if len(at) == 1 else "{%d,%d}" % tuple(at))
+            return f"factor {position}: class meets basis index {idx} ({name}), outside {where}"
     return None
 
 

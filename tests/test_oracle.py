@@ -1,6 +1,5 @@
 """Harness determinism, generator soundness, fault injection, regression."""
 
-import dataclasses
 import json
 
 import pytest
@@ -78,8 +77,9 @@ def test_invalid_plans_rejected():
 
 def test_fault_injection_breaks_adjunction():
     def tampered_factory(config):
-        model = build_model(config)
-        return dataclasses.replace(model, intersection_form=-model.intersection_form)
+        model = build_model(config)  # seed the cached view with the tampered matrix
+        model.__dict__["intersection_form"] = -model.intersection_form
+        return model
 
     plan = TrialPlan(seed=4, trials=8)
     reports = verify_all(plan, model_factory=tampered_factory)

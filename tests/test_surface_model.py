@@ -14,12 +14,16 @@ from torelli.exactlin import (
     lattice_membership,
     lattices_equal,
 )
+from torelli.criteria import analyze, delta_from_blocks
+from torelli.realization import realize_delta
 from torelli.surface_model import (
     ComplementComponent,
     InvalidConfig,
     SubsurfaceConfig,
     build_model,
 )
+
+VIEW_NAMES = ("intersection_form", "q_image", "circle_span", "k0_basis", "boundary_matrix")
 
 
 def small_configs(max_genus=1, max_circles=4, max_components=2):
@@ -178,6 +182,75 @@ def test_partner_is_the_form_column():
         form = model.intersection_form.entries
         for c in range(model.rank):
             assert [(r, form[r][c]) for r in range(model.rank) if form[r][c]] == [model.partner(c)]
+
+
+def _reference_views(model):
+    """The five dense views, built from ``model.labels`` by the pairing rules:
+    <a, b> = s on each handle pair, <dual, circle> = s on each circle, and
+    circle 0 of a component is minus the sum of its other circles."""
+    s, labels = model.pairing_sign, model.labels
+
+    def positive(x, y):  # the ordered pairs with <x, y> = s
+        return (x[0], y[0]) in (("qa", "qb"), ("pa", "pb"), ("dual", "circle")) and x[1:] == y[1:]
+
+    def pairing(x, y):
+        return s if positive(x, y) else -s if positive(y, x) else 0
+
+    def unit_columns(cols):
+        return IntMatrix(([int(x == c) for c in cols] for x in labels), cols=len(cols))
+
+    kinds = {kind: [x for x in labels if x[0] == kind] for kind in ("qa", "qb", "circle")}
+    k0_rows = [
+        [int((j, i) == col) - int(i == 0 and j == col[0]) for col in model.reduced_order]
+        for j, i in model.circle_order
+    ]
+    boundary_rows = [  # row for circle C: a -> <a, [C]>, with [C_{j,0}] = -sum of the others
+        [pairing(x, ("circle", j, i)) if i else -sum(pairing(x, c) for c in kinds["circle"] if c[1] == j)
+         for x in labels]
+        for j, i in model.circle_order
+    ]
+    return {
+        "intersection_form": IntMatrix([[pairing(x, y) for y in labels] for x in labels], cols=len(labels)),
+        "q_image": unit_columns(kinds["qa"] + kinds["qb"] + kinds["circle"]),
+        "circle_span": unit_columns(kinds["circle"]),
+        "k0_basis": IntMatrix(k0_rows, cols=model.k0_rank),
+        "boundary_matrix": IntMatrix(boundary_rows, cols=model.rank),
+    }
+
+
+def test_dense_views_match_the_pairing_rules():
+    for config, sign in product(small_configs(max_genus=1, max_circles=4, max_components=3), (1, -1)):
+        model = build_model(config, pairing_sign=sign)
+        for name, reference in _reference_views(model).items():
+            assert getattr(model, name) == reference, (config, sign, name)
+
+
+def test_build_model_and_the_fast_path_build_no_dense_view():
+    # rank 2016: q_genus 10 and two genus-0 components with 500 circles each
+    config = SubsurfaceConfig(10, [ComplementComponent(0, 500), ComplementComponent(0, 500)])
+    model = build_model(config)
+    assert model.rank == 2016
+
+    def block(entries):  # a symmetric block supported on the first two circles
+        return IntMatrix([[entries.get((r, c), 0) for c in range(499)] for r in range(499)])
+
+    blocks = {0: block({(0, 0): 2, (0, 1): -1, (1, 0): -1}), 1: block({(1, 1): 3})}
+    delta = delta_from_blocks(model, blocks)
+    report = analyze(model, realize_delta(model, delta).word)
+    assert report.delta == delta and report.to_json_dict()["completely_reducible"]
+    built = [name for name in VIEW_NAMES if name in model.__dict__]
+    assert built == [], f"{built} built on the O(rank) path"
+
+
+def test_describe_index_uses_readme_names():
+    model = build_model(SubsurfaceConfig(1, [ComplementComponent(1, 3), ComplementComponent(0, 2)]))
+    names = ["a_0", "b_0", "a_{0,0}", "b_{0,0}", "circle (0, 1)", "circle (0, 2)", "circle (1, 1)",
+             "dual of circle (0, 1)", "dual of circle (0, 2)", "dual of circle (1, 1)"]
+    assert [model.describe_index(idx) for idx in range(model.rank)] == [
+        f"basis index {idx} ({name})" for idx, name in enumerate(names)
+    ]
+    with pytest.raises(ValueError, match=r"nonzero coordinate at basis index 3 \(b_\{0,0\}\),"):
+        model.h1bar_from_ambient(IntVector.unit(model.rank, 3))
 
 
 def test_coordinate_round_trips():
