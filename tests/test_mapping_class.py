@@ -244,7 +244,7 @@ def _label_walk_violation(model, factor, position):
             if kind in ("circle", "dual"):
                 name = ("dual of " if kind == "dual" else "") + f"circle ({at[0]}, {at[1]})"
             else:  # ("qa", i) is a_i, ("pb", j, g) is b_{j,g}
-                name = kind[1] + "_" + (str(at[0]) if len(at) == 1 else "{%d,%d}" % tuple(at))
+                name = f"{kind[1]}_{at[0]}" if len(at) == 1 else f"{kind[1]}_{{{at[0]},{at[1]}}}"
             return f"factor {position}: class meets basis index {idx} ({name}), outside {where}"
     return None
 

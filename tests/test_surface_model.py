@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from torelli.criteria import analyze, delta_from_blocks
 from torelli.exactlin import (
     IntMatrix,
     IntVector,
@@ -14,7 +15,6 @@ from torelli.exactlin import (
     lattice_membership,
     lattices_equal,
 )
-from torelli.criteria import analyze, delta_from_blocks
 from torelli.realization import realize_delta
 from torelli.surface_model import (
     ComplementComponent,
@@ -22,8 +22,6 @@ from torelli.surface_model import (
     SubsurfaceConfig,
     build_model,
 )
-
-VIEW_NAMES = ("intersection_form", "q_image", "circle_span", "k0_basis", "boundary_matrix")
 
 
 def small_configs(max_genus=1, max_circles=4, max_components=2):
@@ -219,7 +217,10 @@ def _reference_views(model):
 
 
 def test_dense_views_match_the_pairing_rules():
-    for config, sign in product(small_configs(max_genus=1, max_circles=4, max_components=3), (1, -1)):
+    # q_genus 2 tells the qa-then-qb column order of q_image from the basis order
+    configs = [*small_configs(max_genus=1, max_circles=4, max_components=3),
+               *small_configs(max_genus=2, max_circles=3, max_components=1)]
+    for config, sign in product(configs, (1, -1)):
         model = build_model(config, pairing_sign=sign)
         for name, reference in _reference_views(model).items():
             assert getattr(model, name) == reference, (config, sign, name)
@@ -238,7 +239,8 @@ def test_build_model_and_the_fast_path_build_no_dense_view():
     delta = delta_from_blocks(model, blocks)
     report = analyze(model, realize_delta(model, delta).word)
     assert report.delta == delta and report.to_json_dict()["completely_reducible"]
-    built = [name for name in VIEW_NAMES if name in model.__dict__]
+    views = ("intersection_form", "q_image", "circle_span", "k0_basis", "boundary_matrix")
+    built = [name for name in views if name in model.__dict__]
     assert built == [], f"{built} built on the O(rank) path"
 
 
