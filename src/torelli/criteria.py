@@ -67,7 +67,8 @@ def is_symmetric(model: HomologyModel, delta: DifferenceMap) -> bool:
     k = model.k0_rank
     if delta.matrix.rows != k or delta.matrix.cols != k:
         raise DimensionMismatch(f"difference map must be {k}x{k}")
-    return delta.matrix == delta.matrix.transpose()
+    entries = delta.matrix.entries
+    return entries == tuple(zip(*entries))
 
 
 def is_completely_reducible(model: HomologyModel, delta: DifferenceMap) -> bool:

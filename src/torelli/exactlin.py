@@ -119,10 +119,8 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            ((self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-            cols=self.rows,
-        )
+        # zip of no rows yields nothing, so a 0 x n matrix lists its n empty rows
+        return IntMatrix(zip(*self.entries) if self.rows else [()] * self.cols, cols=self.rows)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -155,11 +155,16 @@ def transvection_action(model: HomologyModel, word: TwistWord) -> IntMatrix:
 
 
 def _require_in_q(model: HomologyModel, word: TwistWord) -> None:
+    """Every factor has locus Q and a class in the subsurface image: Q
+    handles plus the circle block.  ``_check_locus`` words the error."""
+    h2, lo, hi = 2 * model.config.q_genus, model.rank - 2 * model.k0_rank, model.rank - model.k0_rank
     for pos, factor in enumerate(word.factors):
         if factor.locus != LOCUS_Q:
             got = json.dumps(_locus_to_json(factor.locus), default=repr)
             raise LocusViolation(f'factor {pos}: locus must be "Q", got {got}')
-        _check_locus(model, factor, pos)
+        z = factor.curve_class.entries
+        if len(z) != model.rank or any(z[h2:lo]) or any(z[hi:]):
+            _check_locus(model, factor, pos)
 
 
 def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]]:
@@ -189,22 +194,40 @@ def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]
 
 
 def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, Optional[DifferenceMap]]:
-    """Whether the word is weakly Torelli and, if so, its difference map,
-    from one pass of the word over the basis.
+    """Whether the word is weakly Torelli and, if so, its difference map.
 
-    The word is weakly Torelli when no Q handle and no circle (the basis of
-    the subsurface image) moves; every displacement must then lie in the
-    circle span.  Dual(j, i) has boundary pairing_sign * o_{j,i} and every
-    other basis class boundary 0, so column (j, i) of the map is the sign
-    times the displacement of dual(j, i), which solves the duals' equations
-    of the boundary system; the rest say no class before the duals moves.
+    A word whose classes all lie in the circle span (no Q-handle
+    coordinate) is read directly.  The span is isotropic when each circle
+    pairs only with its dual, so such twists commute, move only the duals,
+    and the word's map is sum m * u u^T over its factors, u being the
+    class's slice of the circle block (the paper's a -> m <a, [U]> [U]).
+
+    Any other word takes one pass over the basis.  It is weakly Torelli
+    when no Q handle and no circle (the basis of the subsurface image)
+    moves; every displacement must then lie in the circle span.
+    Dual(j, i) has boundary pairing_sign * o_{j,i} and every other basis
+    class boundary 0, so column (j, i) of the map is the sign times the
+    displacement of dual(j, i), which solves the duals' equations of the
+    boundary system; the rest say no class before the duals moves.
     """
     _require_in_q(model, word)
-    rows = _displacements(model, word)
     k = model.k0_rank
     lo, hi = model.rank - 2 * k, model.rank - k  # the circle block
+    h2, s = 2 * model.config.q_genus, model.pairing_sign
+    if not any(any(f.curve_class.entries[:h2]) for f in word.factors) and all(
+        model.partner(lo + p) == (hi + p, s) for p in range(k)
+    ):
+        matrix = [[0] * k for _ in range(k)]
+        for factor in word.factors:
+            support = [(p, x) for p, x in enumerate(factor.curve_class.entries[lo:hi]) if x]
+            for r, x in support:
+                row, mx = matrix[r], factor.exponent * x
+                for p, y in support:
+                    row[p] += mx * y
+        return True, DifferenceMap(IntMatrix(matrix, cols=k), model.block_ranges)
+    rows = _displacements(model, word)
     moved = set().union(*rows)
-    if any(c < 2 * model.config.q_genus or lo <= c < hi for c in moved):
+    if any(c < h2 or lo <= c < hi for c in moved):
         return False, None
     outside = [(c, r) for r, row in enumerate(rows) if not lo <= r < hi for c in row]
     if outside:
@@ -215,7 +238,6 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, O
         )
     if any(c < hi for c in moved):
         raise InconsistentDelta("difference map fails the boundary system")
-    s = model.pairing_sign
     matrix = IntMatrix(([s * rows[lo + r].get(hi + p, 0) for p in range(k)] for r in range(k)), cols=k)
     return True, DifferenceMap(matrix, model.block_ranges)
 

@@ -26,6 +26,8 @@ from torelli.exactlin import (
 from torelli.mapping_class import (
     LOCUS_AMBIENT,
     LOCUS_Q,
+    InconsistentDelta,
+    NotWeaklyTorelli,
     TwistFactor,
     TwistWord,
     concat,
@@ -109,6 +111,26 @@ def random_weakly_torelli_word(model: HomologyModel, plan: TrialPlan, index: int
     return TwistWord(
         [_random_circle_factor(model, rng, plan.exponent_bound) for _ in range(length)]
     )
+
+
+def random_bounding_pair_product(model: HomologyModel, rng: random.Random) -> TwistWord:
+    """B(z1, c) B(z2, c) B(z1 + z2, c)^-1 with B(z, c) = T_z T_{z+c}^-1, for
+    Q-handle classes z1, z2 and a circle-span class c.  Each B shifts the
+    subsurface image by x -> x - <x, z> c and the shifts add, so the product
+    is weakly Torelli; its difference map is in general not completely
+    reducible (the homological shadow of bounding-pair maps)."""
+    h2, lo, k = 2 * model.config.q_genus, model.rank - 2 * model.k0_rank, model.k0_rank
+
+    def handle_class():
+        return IntVector([rng.randint(-2, 2) for _ in range(h2)] + [0] * (model.rank - h2))
+
+    c = IntVector([0] * lo + [rng.randint(-1, 1) for _ in range(k)] + [0] * k)
+
+    def shift(z):
+        return TwistWord([TwistFactor(z, 1, LOCUS_Q), TwistFactor(z + c, -1, LOCUS_Q)])
+
+    z1, z2 = handle_class(), handle_class()
+    return concat(shift(z1), concat(shift(z2), invert(shift(z1 + z2))))
 
 
 def _random_ambient_word(model: HomologyModel, rng: random.Random, bound: int) -> TwistWord:
@@ -333,24 +355,30 @@ def _check_delta_additive(plan, index, model_factory):
     return None
 
 
-def _check_functional_equation(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
-    word = random_weakly_torelli_word(model, plan, index)
-    action = transvection_action(model, word)
-    delta = delta_difference(model, word)
+def _functional_equation_failure(model: HomologyModel, action: IntMatrix, delta) -> Optional[int]:
+    """First basis index whose displacement under the dense action differs
+    from delta applied to its boundary, or None."""
     for idx in range(model.rank):
         e = IntVector.unit(model.rank, idx)
         residual = action.apply(e) - e
         boundary = model.k0_coords(model.mv_boundary(e))
-        expected = model.ambient_from_h1bar(delta.matrix.apply(boundary))
-        if residual != expected:
-            return _model_witness(
-                config,
-                word=word_to_json_dict(word),
-                basis_index=idx,
-                problem="displacement != difference of boundary",
-            )
+        if residual != model.ambient_from_h1bar(delta.matrix.apply(boundary)):
+            return idx
+    return None
+
+
+def _check_functional_equation(plan, index, model_factory):
+    config = random_config(plan, index)
+    model = model_factory(config)
+    word = random_weakly_torelli_word(model, plan, index)
+    idx = _functional_equation_failure(model, transvection_action(model, word), delta_difference(model, word))
+    if idx is not None:
+        return _model_witness(
+            config,
+            word=word_to_json_dict(word),
+            basis_index=idx,
+            problem="displacement != difference of boundary",
+        )
     return None
 
 
@@ -535,6 +563,37 @@ def _check_generators(plan, index, model_factory):
     return None
 
 
+def _check_bounding_pair_products(plan, index, model_factory):
+    config = random_config(plan, index)
+    model = model_factory(config)
+    rng = random.Random(_subseed(plan.seed, 27, index))
+    word = TwistWord()
+    for _ in range(rng.randint(1, 2)):  # one circle class c per product
+        word = concat(word, random_bounding_pair_product(model, rng))
+    if rng.random() < 0.5:  # Q-handle factors between circle runs
+        word = concat(word, random_weakly_torelli_word(model, plan, index))
+    try:
+        delta = delta_difference(model, word)
+    except (NotWeaklyTorelli, InconsistentDelta) as exc:
+        return _model_witness(config, word=word_to_json_dict(word), problem=f"product rejected: {exc}")
+    idx = _functional_equation_failure(model, transvection_action(model, word), delta)
+    if idx is not None:
+        return _model_witness(
+            config, word=word_to_json_dict(word), basis_index=idx,
+            problem="displacement != difference of boundary",
+        )
+    owner = [j for j, _ in model.reduced_order]
+    reducible = all(
+        x == 0 for r, row in enumerate(delta.matrix.entries) for c, x in enumerate(row) if owner[r] != owner[c]
+    )
+    if criteria.analyze(model, word).completely_reducible != reducible:
+        return _model_witness(
+            config, word=word_to_json_dict(word), delta=delta.matrix.to_lists(),
+            problem=f"reducibility verdict differs from the entry-wise test ({reducible})",
+        )
+    return None
+
+
 INVARIANTS: tuple[tuple[str, Check], ...] = (
     ("exactlin_smith_form", _check_smith_form),
     ("exactlin_solver", _check_solver),
@@ -558,6 +617,7 @@ INVARIANTS: tuple[tuple[str, Check], ...] = (
     ("peripheral_twist_formula", _check_peripheral_formula),
     ("sign_flip_invariance", _check_sign_flip),
     ("generator_soundness", _check_generators),
+    ("bounding_pair_products", _check_bounding_pair_products),
 )
 
 

@@ -12,6 +12,7 @@ from itertools import product
 
 from torelli.criteria import (
     DiagonalMap,
+    analyze,
     decide_extendable,
     decide_multitwist_correctable,
     diagonal_restriction,
@@ -25,7 +26,13 @@ from torelli.exactlin import (
     kernel_basis,
     lattices_equal,
 )
-from torelli.mapping_class import concat, delta_difference, invert, transvection_action
+from torelli.mapping_class import (
+    concat,
+    delta_difference,
+    invert,
+    transvection_action,
+    word_from_json_dict,
+)
 from torelli.oracle import (
     TrialPlan,
     paper_example_4,
@@ -210,3 +217,42 @@ def test_criterion_10_ranks():
     with criterion(10, "rank of the symmetric-map lattice on one four-circle component is 6"):
         ranks = group_ranks(SubsurfaceConfig(0, [ComplementComponent(0, 4)]))
         assert ranks == {"rank_K0": 3, "rank_H1bar": 3, "rank_Dc": 6}
+
+
+def test_criterion_11_bounding_pair_product_fixture():
+    # B(a_0, c) B(b_0, c) B(a_0 + b_0, c)^-1 with B(z, c) = T_z T_{z+c}^-1 and
+    # c = [circle (0, 1)] + [circle (1, 1)]: weakly Torelli, with an entry that
+    # crosses components.  Basis: a_0, b_0, circles (0,1), (1,1), (1,2), duals.
+    with criterion(11, "pinned bounding-pair product is weakly Torelli and not completely reducible"):
+        config = SubsurfaceConfig.from_json_dict(
+            {"q_genus": 1, "components": [{"genus": 0, "boundary_count": 2}, {"genus": 0, "boundary_count": 3}]}
+        )
+        model = build_model(config)
+        classes_and_exponents = [
+            ([1, 0, 0, 0, 0, 0, 0, 0], 1),
+            ([1, 0, 1, 1, 0, 0, 0, 0], -1),
+            ([0, 1, 0, 0, 0, 0, 0, 0], 1),
+            ([0, 1, 1, 1, 0, 0, 0, 0], -1),
+            ([1, 1, 1, 1, 0, 0, 0, 0], 1),
+            ([1, 1, 0, 0, 0, 0, 0, 0], -1),
+        ]
+        word = word_from_json_dict(
+            {"factors": [{"class": z, "exponent": m, "locus": "Q"} for z, m in classes_and_exponents]},
+            model.rank,
+        )
+        delta = [[-2, -2, 0], [-2, -2, 0], [0, 0, 0]]
+        assert analyze(model, word).to_json_dict() == {
+            "weakly_torelli": True,
+            "delta": {"matrix": delta},
+            "symmetric": True,
+            "completely_reducible": False,
+            "extension_by_identity_torelli": False,
+            "extendable_to_torelli": False,
+            "multitwist_correctable": None,
+            "component_matrices": None,
+        }
+        action = transvection_action(model, word)
+        for idx in range(model.rank):
+            e = IntVector.unit(model.rank, idx)
+            boundary = model.k0_coords(model.mv_boundary(e))
+            assert model.h1bar_from_ambient(action.apply(e) - e) == IntMatrix(delta).apply(boundary)

@@ -1,5 +1,7 @@
 """Extension deciders: symmetry, reducibility, diagonal restriction, ranks."""
 
+import random
+
 import pytest
 
 from torelli import criteria
@@ -67,6 +69,26 @@ def test_asymmetric_matrix_detected():
     delta = difference_map_from_matrix(model, IntMatrix([[0, 1], [0, 0]]))
     assert not is_symmetric(model, delta)
 
+
+
+def test_symmetry_test_matches_matrix_transpose():
+    # Seeded matrices, half of them symmetrized and some of those broken in
+    # one entry, against the definition M == M^T.
+    rng = random.Random(808)
+    outcomes = set()
+    for k in range(5):
+        model = build_model(SubsurfaceConfig(0, [ComplementComponent(0, k + 1)]))
+        for trial in range(30):
+            entries = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+            if trial % 2:
+                entries = [[entries[min(r, c)][max(r, c)] for c in range(k)] for r in range(k)]
+                if k and trial % 3 == 0:
+                    entries[rng.randrange(k)][rng.randrange(k)] += 1
+            matrix = IntMatrix(entries, cols=k)
+            expected = matrix == matrix.transpose()
+            assert is_symmetric(model, difference_map_from_matrix(model, matrix)) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 def test_pairing_symmetry_equals_matrix_symmetry():
     # The two-point and circle bases are dual under the induced pairing, so

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from torelli.criteria import is_completely_reducible
+from torelli import mapping_class
+from torelli.criteria import DiagonalMap, analyze, is_completely_reducible
 from torelli.exactlin import IntMatrix, IntVector, lattice_membership, solve_integer
 from torelli.mapping_class import (
     LOCUS_AMBIENT,
@@ -14,6 +15,7 @@ from torelli.mapping_class import (
     _check_locus,
     TwistFactor,
     TwistWord,
+    _displacements,
     concat,
     delta_difference,
     in_complement,
@@ -25,13 +27,16 @@ from torelli.mapping_class import (
 )
 from torelli.oracle import (
     TrialPlan,
+    random_bounding_pair_product,
     random_config,
     random_symmetric_reducible_delta,
     random_weakly_torelli_word,
     verify_all,
 )
-from torelli.realization import realize_delta
+from torelli.realization import build_boundary_multitwist, realize_delta
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
+
+from test_surface_model import small_configs
 
 
 @pytest.fixture
@@ -315,30 +320,11 @@ def _reference_weakly_torelli_delta(model, word):
     return True, IntMatrix((row.to_list() for row in rows), cols=k)
 
 
-def _handle_class(model, rng):
-    cls = IntVector.zeros(model.rank)
-    for i in range(model.config.q_genus):
-        cls = cls + rng.randint(-2, 2) * model.basis_vector(("qa", i))
-        cls = cls + rng.randint(-2, 2) * model.basis_vector(("qb", i))
-    return cls
-
-
 def _circle_span_class(model, rng):
     cls = IntVector.zeros(model.rank)
     for j, i in model.circle_order:
         cls = cls + rng.randint(-1, 1) * model.circle_class(j, i)
     return cls
-
-
-def _bounding_pair_product(model, rng):
-    """B(z1, c) B(z2, c) B(z1 + z2, c)^-1 with B(z, c) = T_z T_{z+c}^-1:
-    weakly Torelli, and in general not completely reducible."""
-
-    def shift(z, c):
-        return TwistWord([TwistFactor(z, 1, LOCUS_Q), TwistFactor(z + c, -1, LOCUS_Q)])
-
-    z1, z2, c = _handle_class(model, rng), _handle_class(model, rng), _circle_span_class(model, rng)
-    return concat(shift(z1, c), concat(shift(z2, c), invert(shift(z1 + z2, c))))
 
 
 @pytest.mark.parametrize("pairing_sign", [1, -1])
@@ -358,7 +344,7 @@ def test_fast_path_matches_dense_reference(pairing_sign):
         model = build_model(config, pairing_sign=pairing_sign)
         for index in range(plan.trials):
             seeded = random_weakly_torelli_word(model, plan, 100 * n + index)
-            products = _bounding_pair_product(model, rng)
+            products = random_bounding_pair_product(model, rng)
             handle = model.basis_vector((rng.choice(("qa", "qb")), 0))
             q_twist = TwistWord(
                 [TwistFactor(handle + _circle_span_class(model, rng), rng.choice((-2, -1, 1, 2)), LOCUS_Q)]
@@ -392,3 +378,62 @@ def test_fast_path_matches_dense_reference(pairing_sign):
         word = realize_delta(model, delta).word
         assert _reference_weakly_torelli_delta(model, word) == (True, delta.matrix)
         assert delta_difference(model, word).matrix == delta.matrix
+
+
+def _read_off(model, word):
+    """The general pass's map: the sign times the duals' displacements,
+    with every other basis class fixed."""
+    rows = _displacements(model, word)
+    k = model.k0_rank
+    lo, hi = model.rank - 2 * k, model.rank - k
+    assert all(hi <= c for row in rows for c in row)
+    return tuple(tuple(model.pairing_sign * rows[lo + r].get(hi + p, 0) for p in range(k)) for r in range(k))
+
+
+@pytest.mark.parametrize("pairing_sign", [1, -1])
+def test_circle_run_matches_the_general_pass(pairing_sign):
+    plan = TrialPlan(seed=31, trials=1)
+    rng = random.Random(3100 + pairing_sign)
+    nonzero = 0
+    for index, config in enumerate(small_configs()):
+        model = build_model(config, pairing_sign=pairing_sign)
+        exponents = DiagonalMap(rng.randint(-2, 2) for _ in range(model.n_circles))
+        words = [
+            TwistWord(),
+            random_weakly_torelli_word(model, plan, index),
+            realize_delta(model, random_symmetric_reducible_delta(model, rng)).word,
+            build_boundary_multitwist(model, exponents),
+        ]
+        for word in words:
+            delta = delta_difference(model, word)
+            assert delta.matrix.entries == _read_off(model, word)
+            nonzero += not delta.is_zero()
+    assert nonzero > 300
+
+
+def test_circle_runs_skip_the_word_pass(monkeypatch):
+    calls = []
+
+    def spy(model, word):
+        calls.append(len(word))
+        return _displacements(model, word)
+
+    monkeypatch.setattr(mapping_class, "_displacements", spy)
+    ladder = [  # the benchmark ladder's rungs of rank 10, 16, 28, 38 and 56
+        SubsurfaceConfig(1, [ComplementComponent(1, 4)]),
+        SubsurfaceConfig(2, [ComplementComponent(1, 3), ComplementComponent(0, 4)]),
+        SubsurfaceConfig(2, [ComplementComponent(1, 6), ComplementComponent(1, 6)]),
+        SubsurfaceConfig(2, [ComplementComponent(2, 8), ComplementComponent(1, 8)]),
+        SubsurfaceConfig(3, [ComplementComponent(2, 12), ComplementComponent(1, 12)]),
+    ]
+    rng = random.Random(56)
+    for config in ladder:
+        model = build_model(config)
+        delta = random_symmetric_reducible_delta(model, rng)
+        word = realize_delta(model, delta).word
+        assert analyze(model, word).delta.matrix == delta.matrix
+        assert calls == []
+        handle = TwistFactor(model.basis_vector(("qa", 0)), 1, LOCUS_Q)
+        assert not analyze(model, concat(TwistWord([handle]), word)).weakly_torelli
+        assert calls == [len(word) + 1]
+        calls.clear()
