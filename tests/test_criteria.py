@@ -70,7 +70,6 @@ def test_asymmetric_matrix_detected():
     assert not is_symmetric(model, delta)
 
 
-
 def test_symmetry_test_matches_matrix_transpose():
     # Seeded matrices, half of them symmetrized and some of those broken in
     # one entry, against the definition M == M^T.
@@ -89,6 +88,7 @@ def test_symmetry_test_matches_matrix_transpose():
             assert is_symmetric(model, difference_map_from_matrix(model, matrix)) == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
+
 
 def test_pairing_symmetry_equals_matrix_symmetry():
     # The two-point and circle bases are dual under the induced pairing, so

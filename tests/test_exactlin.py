@@ -59,7 +59,6 @@ def test_entries_must_be_integers():
             IntMatrix([[0, bad]])
 
 
-
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3)])
 def test_transpose_shapes(rows, cols):
     a = IntMatrix(([10 * r + c for c in range(cols)] for r in range(rows)), cols=cols)
@@ -67,6 +66,7 @@ def test_transpose_shapes(rows, cols):
     assert (t.rows, t.cols) == (cols, rows)
     assert t.entries == tuple(tuple(a[r, c] for r in range(rows)) for c in range(cols))
     assert t.transpose() == a
+
 
 def test_snf_zero_matrix():
     a = IntMatrix([[0]])
