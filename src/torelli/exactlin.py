@@ -25,6 +25,14 @@ class IntVector:
     def __init__(self, entries: Iterable[int]):
         object.__setattr__(self, "entries", tuple(map(operator.index, entries)))
 
+    @classmethod
+    def _of_ints(cls, entries: list[int]) -> "IntVector":
+        """Wrap a list the library built from ints itself, skipping the
+        per-entry ``operator.index`` check of the public constructor."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "entries", tuple(entries))
+        return vector
+
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import add
 from typing import Mapping, Optional, Sequence, Union
 
 from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
@@ -154,17 +156,23 @@ def transvection_action(model: HomologyModel, word: TwistWord) -> IntMatrix:
     return result
 
 
-def _require_in_q(model: HomologyModel, word: TwistWord) -> None:
+def _require_in_q(model: HomologyModel, word: TwistWord) -> bool:
     """Every factor has locus Q and a class in the subsurface image: Q
-    handles plus the circle block.  ``_check_locus`` words the error."""
+    handles plus the circle block.  ``_check_locus`` words the error.
+    Returns whether every class lies in the circle block alone."""
     h2, lo, hi = 2 * model.config.q_genus, model.rank - 2 * model.k0_rank, model.rank - model.k0_rank
+    in_block = True
     for pos, factor in enumerate(word.factors):
         if factor.locus != LOCUS_Q:
             got = json.dumps(_locus_to_json(factor.locus), default=repr)
             raise LocusViolation(f'factor {pos}: locus must be "Q", got {got}')
         z = factor.curve_class.entries
+        if len(z) == model.rank and not any(z[:lo]) and not any(z[hi:]):
+            continue
+        in_block = False
         if len(z) != model.rank or any(z[h2:lo]) or any(z[hi:]):
             _check_locus(model, factor, pos)
+    return in_block
 
 
 def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]]:
@@ -193,14 +201,59 @@ def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]
     return rows
 
 
+def _sum_of_runs(word: TwistWord, lo: int, hi: int) -> list[list[int]]:
+    """Sum m * u u^T over the factors, u being each class's slice [lo, hi).
+
+    u splits into maximal runs u[a:b] = v of one nonzero value, so u u^T is
+    a sum of constant rectangles [a:b) x [c:d) of v * w.  Each rectangle
+    adds its four corners to a difference array, and one 2D prefix sum
+    turns the array into the matrix.
+    """
+    k = hi - lo
+    corners = [[0] * (k + 1) for _ in range(k + 1)]
+    positions = range(k)
+    for factor in word.factors:
+        u = factor.curve_class.entries[lo:hi]
+        at = list(compress(positions, u))
+        if not at:
+            continue
+        a, b, v = at[0], at[-1] + 1, u[at[0]]
+        if u.count(v) == b - a == len(at):  # one interval, as every realized class
+            runs = [(a, b, v)]
+        else:
+            runs = []
+            for p in at:
+                if runs and runs[-1][1] == p and runs[-1][2] == u[p]:
+                    runs[-1][1] = p + 1
+                else:
+                    runs.append([p, p + 1, u[p]])
+        m = factor.exponent
+        for a, b, v in runs:
+            top, bottom, mv = corners[a], corners[b], m * v
+            for c, d, w in runs:
+                t = mv * w
+                top[c] += t
+                top[d] -= t
+                bottom[c] -= t
+                bottom[d] += t
+    matrix, above = [], [0] * k
+    for row in corners[:k]:
+        above = list(map(add, above, accumulate(row[:k])))
+        matrix.append(above)
+    return matrix
+
+
 def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, Optional[DifferenceMap]]:
     """Whether the word is weakly Torelli and, if so, its difference map.
 
-    A word whose classes all lie in the circle span (no Q-handle
+    A word whose classes all lie in the circle block (no Q-handle
     coordinate) is read directly.  The span is isotropic when each circle
     pairs only with its dual, so such twists commute, move only the duals,
     and the word's map is sum m * u u^T over its factors, u being the
     class's slice of the circle block (the paper's a -> m <a, [U]> [U]).
+    Each u is cut into runs of one value and the products u u^T are summed
+    as rectangles on a difference array, so a realized class, a single
+    interval, costs O(1) updates after its slice is scanned.
 
     Any other word takes one pass over the basis.  It is weakly Torelli
     when no Q handle and no circle (the basis of the subsurface image)
@@ -210,21 +263,12 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, O
     displacement of dual(j, i), which solves the duals' equations of the
     boundary system; the rest say no class before the duals moves.
     """
-    _require_in_q(model, word)
+    in_block = _require_in_q(model, word)
     k = model.k0_rank
     lo, hi = model.rank - 2 * k, model.rank - k  # the circle block
     h2, s = 2 * model.config.q_genus, model.pairing_sign
-    if not any(any(f.curve_class.entries[:h2]) for f in word.factors) and all(
-        model.partner(lo + p) == (hi + p, s) for p in range(k)
-    ):
-        matrix = [[0] * k for _ in range(k)]
-        for factor in word.factors:
-            support = [(p, x) for p, x in enumerate(factor.curve_class.entries[lo:hi]) if x]
-            for r, x in support:
-                row, mx = matrix[r], factor.exponent * x
-                for p, y in support:
-                    row[p] += mx * y
-        return True, DifferenceMap(IntMatrix(matrix, cols=k), model.block_ranges)
+    if in_block and all(model.partner(lo + p) == (hi + p, s) for p in range(k)):
+        return True, DifferenceMap(IntMatrix(_sum_of_runs(word, lo, hi), cols=k), model.block_ranges)
     rows = _displacements(model, word)
     moved = set().union(*rows)
     if any(c < h2 or lo <= c < hi for c in moved):

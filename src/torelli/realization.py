@@ -15,6 +15,7 @@ word extends to a Torelli map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from torelli.criteria import (
@@ -141,10 +142,23 @@ def peripheral_twist_delta(
 
 @dataclass(frozen=True)
 class Realization:
-    """A realizing word plus the bi-twist witness of its Torelli extension."""
+    """A realizing word plus the bi-twist witness of its Torelli extension.
+
+    ``components[i]`` is the complement component whose circles factor i
+    twists about.  The witness interleaves each factor with an opposite
+    twist about the same class on that component's side, so its ambient
+    action is trivial; it is built from the word on first access.
+    """
 
     word: TwistWord
-    torelli_witness: TwistWord
+    components: tuple[int, ...]
+
+    @cached_property
+    def torelli_witness(self) -> TwistWord:
+        witness = []
+        for factor, j in zip(self.word.factors, self.components):
+            witness += factor, TwistFactor(factor.curve_class, -factor.exponent, in_complement(j))
+        return TwistWord(witness)
 
 
 def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
@@ -153,24 +167,23 @@ def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
     Requires the map to be symmetric and completely reducible.  Factors are
     peripheral twists about contiguous unions of circles, one per nonzero
     basis coefficient, components in order and index pairs lexicographic.
-    The witness interleaves each factor with an opposite twist about the
-    same class on the complement side, so its ambient action is trivial.
+    The class of the union of circles k..l (k >= 1) is the constant
+    interval of ones over their basis indices, so each is written as one
+    slice.
     """
     if not is_symmetric(model, delta):
         raise NotSymmetric("difference map is not symmetric")
     if not is_completely_reducible(model, delta):
         raise NotCompletelyReducible("difference map mixes complement components")
-    factors = []
-    witness = []
+    factors, components = [], []
     for j, (start, stop) in enumerate(model.block_ranges):
-        coeffs = sym_basis_change(delta.block(j), stop - start)
-        for (k, l), value in coeffs.items():
-            u = peripheral_class(model, j, range(k, l + 1))
-            factor = TwistFactor(u, value, LOCUS_Q)
-            factors.append(factor)
-            witness.append(factor)
-            witness.append(TwistFactor(u, -value, in_complement(j)))
-    return Realization(word=TwistWord(factors), torelli_witness=TwistWord(witness))
+        before = model.rank - 2 * model.k0_rank + start - 1  # circle (j, i) sits at before + i
+        for (k, l), value in sym_basis_change(delta.block(j), stop - start).items():
+            out = [0] * model.rank
+            out[before + k:before + l + 1] = [1] * (l - k + 1)
+            factors.append(TwistFactor(IntVector._of_ints(out), value, LOCUS_Q))
+            components.append(j)
+    return Realization(word=TwistWord(factors), components=tuple(components))
 
 
 def build_boundary_multitwist(model: HomologyModel, exponents: DiagonalMap) -> TwistWord:

@@ -354,8 +354,10 @@ class HomologyModel:
 def build_model(config: SubsurfaceConfig, *, pairing_sign: int = 1) -> HomologyModel:
     """Construct the homology model for a configuration.
 
-    ``pairing_sign`` flips the global sign of the intersection form; the
-    deciders are invariant under the flip (exercised by the test suite).
+    ``pairing_sign`` flips the global sign of the intersection form.  The
+    verdicts on a word of circle-span twists do not depend on it (the
+    oracle's ``sign_flip_invariance``).  A word with a Q-handle coordinate
+    is another product under the flip, and its verdicts can differ.
     """
     config.validate()
     if pairing_sign not in (1, -1):

@@ -256,3 +256,16 @@ def test_criterion_11_bounding_pair_product_fixture():
             e = IntVector.unit(model.rank, idx)
             boundary = model.k0_coords(model.mv_boundary(e))
             assert model.h1bar_from_ambient(action.apply(e) - e) == IntMatrix(delta).apply(boundary)
+        # The sign flip is no symmetry of words with a Q-handle coordinate:
+        # under pairing_sign -1 the same coordinates give the trivial map.
+        flipped = build_model(config, pairing_sign=-1)
+        assert analyze(flipped, word).to_json_dict() == {
+            "weakly_torelli": True,
+            "delta": {"matrix": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]},
+            "symmetric": True,
+            "completely_reducible": True,
+            "extension_by_identity_torelli": True,
+            "extendable_to_torelli": True,
+            "multitwist_correctable": [0, 0, 0, 0, 0],
+            "component_matrices": [[[0]], [[0, 0], [0, 0]]],
+        }

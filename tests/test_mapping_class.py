@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from torelli import mapping_class
+from torelli import mapping_class, realization
 from torelli.criteria import DiagonalMap, analyze, is_completely_reducible
 from torelli.exactlin import IntMatrix, IntVector, lattice_membership, solve_integer
 from torelli.mapping_class import (
@@ -411,6 +411,16 @@ def test_circle_run_matches_the_general_pass(pairing_sign):
     assert nonzero > 300
 
 
+# the benchmark ladder's rungs of rank 10, 16, 28, 38 and 56
+LADDER = [
+    SubsurfaceConfig(1, [ComplementComponent(1, 4)]),
+    SubsurfaceConfig(2, [ComplementComponent(1, 3), ComplementComponent(0, 4)]),
+    SubsurfaceConfig(2, [ComplementComponent(1, 6), ComplementComponent(1, 6)]),
+    SubsurfaceConfig(2, [ComplementComponent(2, 8), ComplementComponent(1, 8)]),
+    SubsurfaceConfig(3, [ComplementComponent(2, 12), ComplementComponent(1, 12)]),
+]
+
+
 def test_circle_runs_skip_the_word_pass(monkeypatch):
     calls = []
 
@@ -419,15 +429,8 @@ def test_circle_runs_skip_the_word_pass(monkeypatch):
         return _displacements(model, word)
 
     monkeypatch.setattr(mapping_class, "_displacements", spy)
-    ladder = [  # the benchmark ladder's rungs of rank 10, 16, 28, 38 and 56
-        SubsurfaceConfig(1, [ComplementComponent(1, 4)]),
-        SubsurfaceConfig(2, [ComplementComponent(1, 3), ComplementComponent(0, 4)]),
-        SubsurfaceConfig(2, [ComplementComponent(1, 6), ComplementComponent(1, 6)]),
-        SubsurfaceConfig(2, [ComplementComponent(2, 8), ComplementComponent(1, 8)]),
-        SubsurfaceConfig(3, [ComplementComponent(2, 12), ComplementComponent(1, 12)]),
-    ]
     rng = random.Random(56)
-    for config in ladder:
+    for config in LADDER:
         model = build_model(config)
         delta = random_symmetric_reducible_delta(model, rng)
         word = realize_delta(model, delta).word
@@ -437,3 +440,99 @@ def test_circle_runs_skip_the_word_pass(monkeypatch):
         assert not analyze(model, concat(TwistWord([handle]), word)).weakly_torelli
         assert calls == [len(word) + 1]
         calls.clear()
+
+
+def test_realize_and_analyze_build_classes_by_slices(monkeypatch):
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(realization, "peripheral_class", spy("peripheral_class", realization.peripheral_class))
+    monkeypatch.setattr(mapping_class, "_displacements", spy("_displacements", _displacements))
+    monkeypatch.setattr(IntVector, "__init__", spy("IntVector.__init__", IntVector.__init__))
+    rng = random.Random(57)
+    for config in LADDER:
+        model = build_model(config)
+        delta = random_symmetric_reducible_delta(model, rng)
+        realized = realize_delta(model, delta)
+        assert analyze(model, realized.word).delta == delta
+        assert calls == [], f"rank {model.rank}: {sorted(set(calls))}"
+
+
+def _entrywise_sum_of_squares(model, word):
+    """Sum m * u u^T over the factors entry by entry, u being each class's
+    slice of the circle block: the reference for the rectangle sums."""
+    k = model.k0_rank
+    lo = model.rank - 2 * k
+    matrix = [[0] * k for _ in range(k)]
+    for factor in word.factors:
+        support = [(p, x) for p, x in enumerate(factor.curve_class.entries[lo:lo + k]) if x]
+        for r, x in support:
+            row, mx = matrix[r], factor.exponent * x
+            for p, y in support:
+                row[p] += mx * y
+    return tuple(map(tuple, matrix))
+
+
+def _runs(values):
+    """Maximal runs of one nonzero value, as (start, stop, value)."""
+    runs = []
+    for p, x in enumerate(values):
+        if x and runs and runs[-1][1] == p and runs[-1][2] == x:
+            runs[-1][1] = p + 1
+        elif x:
+            runs.append([p, p + 1, x])
+    return runs
+
+
+def _run_class(model, rng):
+    """A circle-span class with several runs: weighted unions of circles,
+    circle 0 (minus the whole component) among them, plus at times an
+    alternating-sign pattern over the whole circle block."""
+    cls = IntVector.zeros(model.rank)
+    for _ in range(rng.randint(1, 3)):
+        j = rng.randrange(model.n_components)
+        count = model.config.components[j].boundary_count
+        subset = rng.sample(range(count), rng.randint(1, count))
+        cls = cls + rng.choice((-2, -1, 1, 2, 3)) * realization.peripheral_class(model, j, subset)
+    if rng.random() < 0.25:
+        k = model.k0_rank
+        lo = model.rank - 2 * k
+        cls = cls + IntVector([0] * lo + [(-1) ** p for p in range(k)] + [0] * k)
+    return cls
+
+
+@pytest.mark.parametrize("pairing_sign", [1, -1])
+def test_rectangle_sums_match_the_entrywise_sum(pairing_sign):
+    configs = [
+        *small_configs(),
+        SubsurfaceConfig(0, [ComplementComponent(0, 9)]),
+        SubsurfaceConfig(1, [ComplementComponent(1, 7), ComplementComponent(0, 6)]),
+        SubsurfaceConfig(2, [ComplementComponent(0, 5), ComplementComponent(1, 1), ComplementComponent(0, 8)]),
+    ]
+    rng = random.Random(4100 + pairing_sign)
+    shapes = {"runs": 0, "gaps": 0, "repeats": 0, "alternating": 0, "zero_exponent": 0}
+    for config in configs:
+        model = build_model(config, pairing_sign=pairing_sign)
+        k, lo = model.k0_rank, model.rank - 2 * model.k0_rank
+        for length in (0, 1, 2, 5):
+            factors = [
+                TwistFactor(_run_class(model, rng), rng.choice((-2, -1, 0, 1, 3)), LOCUS_Q)
+                for _ in range(length)
+            ]
+            word = TwistWord(factors)
+            assert delta_difference(model, word).matrix.entries == _entrywise_sum_of_squares(model, word)
+            for factor in factors:
+                u = factor.curve_class.entries[lo:lo + k]
+                runs = _runs(u)
+                values = [v for _, _, v in runs]
+                shapes["runs"] += len(runs) >= 3
+                shapes["gaps"] += any(b < c for (_, b, _), (c, _, _) in zip(runs, runs[1:]))
+                shapes["repeats"] += len(set(values)) < len(values)
+                shapes["alternating"] += any(v * w < 0 for v, w in zip(values, values[1:]))
+                shapes["zero_exponent"] += factor.exponent == 0
+    assert min(shapes.values()) >= 20, shapes

@@ -8,13 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torelli.criteria import DiagonalMap, NotSymmetric, restriction_of_diagonal
+from torelli.criteria import (
+    DiagonalMap,
+    NotSymmetric,
+    analyze,
+    delta_from_blocks,
+    restriction_of_diagonal,
+)
 from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
 from torelli.mapping_class import (
     LOCUS_Q,
     TwistFactor,
     TwistWord,
     delta_difference,
+    in_complement,
     transvection_action,
 )
 from torelli.oracle import TrialPlan, random_config, random_symmetric_reducible_delta
@@ -157,6 +164,55 @@ def test_realize_single_indicator():
     assert factor.exponent == 1
     assert factor.curve_class == model.circle_class(0, 1) + model.circle_class(0, 2)
     assert delta_difference(model, realized.word).matrix == delta.matrix
+
+
+def test_realized_classes_are_the_peripheral_classes():
+    # realize_delta writes each class as one slice and builds the witness
+    # lazily; peripheral_class and the eager interleaving are the references.
+    rng = random.Random(1313)
+    factors = 0
+    for config in small_configs():
+        for sign in (1, -1):
+            model = build_model(config, pairing_sign=sign)
+            delta = random_symmetric_reducible_delta(model, rng)
+            realized = realize_delta(model, delta)
+            assert "torelli_witness" not in realized.__dict__
+            intervals = [
+                (j, k, l)
+                for j, (start, stop) in enumerate(model.block_ranges)
+                for (k, l), _ in sym_basis_change(delta.block(j), stop - start).items()
+            ]
+            assert len(intervals) == len(realized.word)
+            eager = []
+            for (j, k, l), factor in zip(intervals, realized.word.factors):
+                assert factor.curve_class == peripheral_class(model, j, range(k, l + 1))
+                eager.append(factor)
+                eager.append(TwistFactor(factor.curve_class, -factor.exponent, in_complement(j)))
+            assert realized.torelli_witness == TwistWord(eager)
+            assert "torelli_witness" in realized.__dict__
+            factors += len(intervals)
+    assert factors > 500
+
+
+def test_realize_then_analyze_at_rank_496():
+    # q_genus 10 and two genus-0 components of 120 circles: blocks of size 119
+    model = build_model(
+        SubsurfaceConfig(10, [ComplementComponent(0, 120), ComplementComponent(0, 120)])
+    )
+    assert model.rank == 496
+    rng = random.Random(496)
+
+    def block(size):
+        entries = [[0] * size for _ in range(size)]
+        for r in range(size):
+            for c in range(r, size):
+                entries[r][c] = entries[c][r] = rng.choice((-1, 1))
+        return IntMatrix(entries, cols=size)
+
+    delta = delta_from_blocks(model, {0: block(119), 1: block(119)})
+    word = realize_delta(model, delta).word
+    assert len(word) > 8000  # most of the 2 * 7140 interval coefficients are nonzero
+    assert analyze(model, word).delta == delta
 
 
 def test_realization_round_trip_random():
