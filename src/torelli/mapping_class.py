@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from operator import add
+from operator import add, sub
 from typing import Mapping, Optional, Sequence, Union
 
 from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
@@ -204,41 +204,27 @@ def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]
 def _sum_of_runs(word: TwistWord, lo: int, hi: int) -> list[list[int]]:
     """Sum m * u u^T over the factors, u being each class's slice [lo, hi).
 
-    u splits into maximal runs u[a:b] = v of one nonzero value, so u u^T is
-    a sum of constant rectangles [a:b) x [c:d) of v * w.  Each rectangle
-    adds its four corners to a difference array, and one 2D prefix sum
-    turns the array into the matrix.
+    The 2D difference array of u u^T is d d^T, d being u's first difference
+    (d[0] = u[0], d[i] = u[i] - u[i-1]).  d is nonzero only where a run
+    of one value starts or ends, so an interval class adds at most four
+    corner updates.  One 2D prefix sum turns the summed difference arrays
+    into the matrix.
     """
     k = hi - lo
-    corners = [[0] * (k + 1) for _ in range(k + 1)]
+    corners = [[0] * k for _ in range(k)]
     positions = range(k)
     for factor in word.factors:
         u = factor.curve_class.entries[lo:hi]
-        at = list(compress(positions, u))
-        if not at:
-            continue
-        a, b, v = at[0], at[-1] + 1, u[at[0]]
-        if u.count(v) == b - a == len(at):  # one interval, as every realized class
-            runs = [(a, b, v)]
-        else:
-            runs = []
-            for p in at:
-                if runs and runs[-1][1] == p and runs[-1][2] == u[p]:
-                    runs[-1][1] = p + 1
-                else:
-                    runs.append([p, p + 1, u[p]])
+        d = [*map(sub, u, (0,) + u)]
+        at = [*compress(positions, d)]  # where the runs of one value start or end
         m = factor.exponent
-        for a, b, v in runs:
-            top, bottom, mv = corners[a], corners[b], m * v
-            for c, d, w in runs:
-                t = mv * w
-                top[c] += t
-                top[d] -= t
-                bottom[c] -= t
-                bottom[d] += t
+        for i in at:
+            row, md = corners[i], m * d[i]
+            for j in at:
+                row[j] += md * d[j]
     matrix, above = [], [0] * k
-    for row in corners[:k]:
-        above = list(map(add, above, accumulate(row[:k])))
+    for row in corners:
+        above = list(map(add, above, accumulate(row)))
         matrix.append(above)
     return matrix
 
@@ -251,9 +237,10 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, O
     pairs only with its dual, so such twists commute, move only the duals,
     and the word's map is sum m * u u^T over its factors, u being the
     class's slice of the circle block (the paper's a -> m <a, [U]> [U]).
-    Each u is cut into runs of one value and the products u u^T are summed
-    as rectangles on a difference array, so a realized class, a single
-    interval, costs O(1) updates after its slice is scanned.
+    Each u u^T is a sum of constant rectangles, one per pair of runs of one
+    value in u, and is added to a difference array at the runs' edges, so a
+    realized class, a single interval, costs O(1) updates after its slice
+    is scanned.
 
     Any other word takes one pass over the basis.  It is weakly Torelli
     when no Q handle and no circle (the basis of the subsurface image)
