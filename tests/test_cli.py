@@ -554,6 +554,115 @@ def test_delta_matrix_errors_name_the_file(tmp_path, capsys, delta, needle):
     assert_parse_error(capsys, args, f"error: {path}: {needle}")
 
 
+# One document per diagnostic of the three readers, each with a single fault,
+# and the exact stderr line and exit code it ends in.  ``{path}`` stands for
+# the faulty file.  Configs run through ``ranks``, words through ``analyze``
+# on FOUR_CIRCLE_CONFIG (rank 10), deltas through ``realize`` on
+# DELTA_CONFIG (blocks of size 1 and 2, k0 3).
+DELTA_CONFIG = {"q_genus": 0, "components": [{"genus": 0, "boundary_count": 2}, {"genus": 1, "boundary_count": 3}]}
+COMPONENT = {"genus": 1, "boundary_count": 4}
+FACTOR = FOUR_CIRCLE_WORD["factors"][0]
+BLOCKS = {"0": [[1]], "1": [[0, 2], [2, 0]]}
+READER_DIAGNOSTICS = [
+    ("config", [], 2, "{path}: config must be a JSON object"),
+    ("config", {"components": [COMPONENT]}, 2, "{path}: config is missing field 'q_genus'"),
+    ("config", {"q_genus": 1}, 2, "{path}: config is missing field 'components'"),
+    ("config", {**FOUR_CIRCLE_CONFIG, "x": 1}, 2, "{path}: config has unknown field 'x'"),
+    ("config", {"q_genus": True, "components": [COMPONENT]}, 2, "{path}: field 'q_genus' must be an integer"),
+    ("config", {"q_genus": 1.0, "components": [COMPONENT]}, 2, "{path}: field 'q_genus' must be an integer"),
+    ("config", {"q_genus": 1, "components": {}}, 2, "{path}: field 'components' must be a list"),
+    ("config", {"q_genus": 1, "components": [3]}, 2, "{path}: components[0] must be an object"),
+    ("config", {"q_genus": 1, "components": [{"boundary_count": 4}]}, 2,
+     "{path}: components[0] is missing field 'genus'"),
+    ("config", {"q_genus": 1, "components": [COMPONENT, {"genus": 0}]}, 2,
+     "{path}: components[1] is missing field 'boundary_count'"),
+    ("config", {"q_genus": 1, "components": [{"genus": "1", "boundary_count": 4}]}, 2,
+     "{path}: components[0].genus must be an integer"),
+    ("config", {"q_genus": 1, "components": [{"genus": 1, "boundary_count": False}]}, 2,
+     "{path}: components[0].boundary_count must be an integer"),
+    ("config", {"q_genus": 1, "components": [{**COMPONENT, "x": 0}]}, 2,
+     "{path}: components[0] has unknown field 'x'"),
+    ("config", {"q_genus": -1, "components": [COMPONENT]}, 2, "{path}: q_genus must be nonnegative"),
+    ("config", {"q_genus": 1, "components": []}, 2, "{path}: components must be nonempty"),
+    ("config", {"q_genus": 1, "components": [{"genus": -1, "boundary_count": 4}]}, 2,
+     "{path}: components[0].genus must be nonnegative"),
+    ("config", {"q_genus": 1, "components": [{"genus": 1, "boundary_count": 0}]}, 2,
+     "{path}: components[0].boundary_count must be positive"),
+    ("word", [], 2, "{path}: word must be a JSON object"),
+    ("word", {}, 2, "{path}: word is missing field 'factors'"),
+    ("word", {"factors": [], "x": 1}, 2, "{path}: word has unknown field 'x'"),
+    ("word", {"factors": {}}, 2, "{path}: field 'factors' must be a list"),
+    ("word", {"factors": [FACTOR, 1]}, 2, "{path}: factors[1] must be an object"),
+    ("word", {"factors": [{"exponent": 1, "locus": "Q"}]}, 2, "{path}: factors[0] is missing field 'class'"),
+    ("word", {"factors": [{"class": FACTOR["class"], "locus": "Q"}]}, 2,
+     "{path}: factors[0] is missing field 'exponent'"),
+    ("word", {"factors": [{"class": FACTOR["class"], "exponent": 1}]}, 2,
+     "{path}: factors[0] is missing field 'locus'"),
+    ("word", {"factors": [{**FACTOR, "x": 1}]}, 2, "{path}: factors[0] has unknown field 'x'"),
+    ("word", {"factors": [{**FACTOR, "class": "1"}]}, 2, "{path}: factors[0].class must be a list of integers"),
+    ("word", {"factors": [{**FACTOR, "class": [0] * 9 + [True]}]}, 2,
+     "{path}: factors[0].class must be a list of integers"),
+    ("word", {"factors": [{**FACTOR, "class": [0] * 8 + [1.0, 0]}]}, 2,
+     "{path}: factors[0].class must be a list of integers"),
+    ("word", {"factors": [{**FACTOR, "class": [0] * 5 + [[1]] + [0] * 4}]}, 2,
+     "{path}: factors[0].class must be a list of integers"),
+    ("word", {"factors": [{**FACTOR, "class": [0, 1]}]}, 3,
+     "{path}: factors[0].class has length 2, model rank is 10"),
+    ("word", {"factors": [{**FACTOR, "exponent": True}]}, 2, "{path}: factors[0].exponent must be an integer"),
+    ("word", {"factors": [{**FACTOR, "exponent": 1.5}]}, 2, "{path}: factors[0].exponent must be an integer"),
+    ("word", {"factors": [{**FACTOR, "locus": "X"}]}, 2,
+     '{path}: factors[0].locus must be "Q", "S" or {"P": j}'),
+    ("word", {"factors": [{**FACTOR, "locus": {"P": 0, "x": 1}}]}, 2,
+     '{path}: factors[0].locus must be "Q", "S" or {"P": j}'),
+    ("word", {"factors": [{**FACTOR, "locus": {"P": "0"}}]}, 2, "{path}: factors[0].locus.P must be an integer"),
+    ("delta", [], 2, "{path}: delta must be a JSON object"),
+    ("delta", {"blocks": BLOCKS, "matrix": []}, 2, "{path}: delta has both 'blocks' and 'matrix'; give one"),
+    ("delta", {}, 2, "{path}: delta needs a 'blocks' or 'matrix' field"),
+    ("delta", {"blocks": BLOCKS, "x": 1}, 2, "{path}: delta has unknown field 'x'"),
+    ("delta", {"blocks": []}, 2, "{path}: field 'blocks' must be an object"),
+    ("delta", {"blocks": {"a": [[1]]}}, 2, "{path}: block key 'a' is not a component index"),
+    ("delta", {"blocks": {"0": 5}}, 2, "{path}: blocks[0] must be a list of rows"),
+    ("delta", {"blocks": {"0": [[1]], "1": [[0, 0], 5]}}, 2, "{path}: blocks[1] must be a list of rows"),
+    ("delta", {"blocks": {"1": [[0, True], [0, 0]]}}, 2, "{path}: blocks[1] entries must be integers"),
+    ("delta", {"blocks": {"1": [[0, 0], [0, "0"]]}}, 2, "{path}: blocks[1] entries must be integers"),
+    ("delta", {"blocks": {"1": [[0, 0], [0]]}}, 2, "{path}: blocks[1]: ragged rows"),
+    ("delta", {"blocks": {"2": [[0]]}}, 2, "{path}: no complement component 2"),
+    ("delta", {"blocks": {"1": [[0]]}}, 2, "{path}: component 1 block must be 2x2, got 1x1"),
+    ("delta", {"matrix": 5}, 2, "{path}: matrix must be a list of rows"),
+    ("delta", {"matrix": [[0, 0, 0], [0, 0.5, 0], [0, 0, 0]]}, 2, "{path}: matrix entries must be integers"),
+    ("delta", {"matrix": [[0, 0, 0], [0, 0], [0, 0, 0]]}, 2, "{path}: matrix: ragged rows"),
+    ("delta", {"matrix": [[0, 0], [0, 0]]}, 2, "{path}: difference map must be 3x3"),
+    ("delta", {"matrix": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}, 4, "difference map is not symmetric"),
+    ("delta", {"matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}, 5, "difference map mixes complement components"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, document, code, line",
+    READER_DIAGNOSTICS,
+    ids=[f"{kind}-{n}" for n, (kind, *_) in enumerate(READER_DIAGNOSTICS)],
+)
+def test_reader_diagnostics_are_pinned(tmp_path, capsys, kind, document, code, line):
+    path = write_json(tmp_path / f"{kind}.json", document)
+    if kind == "config":
+        args = ["ranks", "--config", path]
+    elif kind == "word":
+        args = ["analyze", "--config", write_json(tmp_path / "c.json", FOUR_CIRCLE_CONFIG), "--word", path]
+    else:
+        args = ["realize", "--config", write_json(tmp_path / "c.json", DELTA_CONFIG), "--delta", path]
+    assert run_main(capsys, args) == (code, "", "error: " + line.replace("{path}", path) + "\n")
+
+
+def test_reader_diagnostics_documents_are_one_fault_from_valid(tmp_path, capsys):
+    config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
+    assert run_main(capsys, ["ranks", "--config", config])[0] == 0
+    word = write_json(tmp_path / "word.json", {"factors": [FACTOR]})
+    assert run_main(capsys, ["analyze", "--config", config, "--word", word])[0] == 0
+    config = write_json(tmp_path / "config.json", DELTA_CONFIG)
+    delta = write_json(tmp_path / "delta.json", {"blocks": BLOCKS})
+    assert run_main(capsys, ["realize", "--config", config, "--delta", delta])[0] == 0
+
+
 # Arbitrary JSON that keeps every integer small, so no mutation asks for a
 # large model (build_model allocates a dense rank x rank form).
 JSON_VALUES = st.recursive(
