@@ -18,6 +18,7 @@ import sys
 from math import gcd
 from typing import Mapping
 
+from torelli._schema import Reader
 from torelli.criteria import (
     NotCompletelyReducible,
     NotSymmetric,
@@ -25,7 +26,7 @@ from torelli.criteria import (
     delta_from_blocks,
     group_ranks,
 )
-from torelli.exactlin import DimensionMismatch, IntMatrix
+from torelli.exactlin import DimensionMismatch
 from torelli.mapping_class import (
     LocusViolation,
     NotWeaklyTorelli,
@@ -78,47 +79,28 @@ def _load_word(path: str, rank: int):
         raise DimensionMismatch(f"{path}: {exc}")
 
 
-def _int_matrix(data, where: str) -> IntMatrix:
-    if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
-        raise _ParseFailure(f"{where} must be a list of rows")
-    for row in data:
-        for e in row:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise _ParseFailure(f"{where} entries must be integers")
-    try:
-        return IntMatrix(data, cols=len(data[0]) if data else 0)
-    except DimensionMismatch as exc:
-        raise _ParseFailure(f"{where}: {exc}")
-
-
 def _load_delta(path: str, model):
     data = _load_json(path)
-    if not isinstance(data, Mapping):
-        raise _ParseFailure(f"{path}: delta must be a JSON object")
-    if "blocks" in data and "matrix" in data:
-        raise _ParseFailure(f"{path}: delta has both 'blocks' and 'matrix'; give one")
-    if "blocks" not in data and "matrix" not in data:
-        raise _ParseFailure(f"{path}: delta needs a 'blocks' or 'matrix' field")
-    for key in data:
-        if key not in ("blocks", "matrix"):
-            raise _ParseFailure(f"{path}: delta has unknown field {key!r}")
+    read = Reader(lambda message: _ParseFailure(f"{path}: {message}"))
+    if isinstance(data, Mapping) and ("blocks" in data) == ("matrix" in data):
+        both = "blocks" in data
+        raise read.error("delta has both 'blocks' and 'matrix'; give one" if both else "delta needs a 'blocks' or 'matrix' field")
+    blocks, matrix = read.fields(data, "delta", ("blocks", "matrix"), required=(), what="a JSON object")
     try:
-        if "blocks" in data:
-            if not isinstance(data["blocks"], Mapping):
-                raise _ParseFailure(f"{path}: field 'blocks' must be an object")
-            blocks = {}
-            for key, block in data["blocks"].items():
-                try:
-                    j = int(key)
-                    if str(j) != key:  # only canonical decimal keys, not " 0" or "+0"
-                        raise ValueError
-                except ValueError:
-                    raise _ParseFailure(f"{path}: block key {key!r} is not a component index")
-                blocks[j] = _int_matrix(block, f"{path}: blocks[{key}]")
-            return delta_from_blocks(model, blocks)
-        return difference_map_from_matrix(model, _int_matrix(data["matrix"], f"{path}: matrix"))
+        if "matrix" in data:
+            return difference_map_from_matrix(model, read.int_rows(matrix, "matrix"))
+        parsed = {}
+        for key, block in read.expect(blocks, Mapping, "field 'blocks'", "an object").items():
+            try:
+                j = int(key)
+                if str(j) != key:  # only canonical decimal keys, not " 0" or "+0"
+                    raise ValueError
+            except ValueError:
+                raise read.error(f"block key {key!r} is not a component index")
+            parsed[j] = read.int_rows(block, f"blocks[{key}]")
+        return delta_from_blocks(model, parsed)
     except DimensionMismatch as exc:
-        raise _ParseFailure(f"{path}: {exc}")
+        raise read.error(str(exc))
 
 
 def _emit(payload: object) -> None:

@@ -244,4 +244,4 @@ def delta_from_blocks(model: HomologyModel, blocks: Mapping[int, IntMatrix]) -> 
         # row-as-input blocks transpose into column-action rows
         for row, column in zip(matrix[start:stop], zip(*block.entries)):
             row[start:stop] = column
-    return difference_map_from_matrix(model, IntMatrix(matrix, cols=k))
+    return difference_map_from_matrix(model, IntMatrix._of_rows(matrix, k))

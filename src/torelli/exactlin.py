@@ -3,13 +3,19 @@
 Everything runs on Python's arbitrary-precision integers.  Matrices and
 vectors are immutable; every operation returns a fresh value, so the whole
 module is safe for concurrent use.
+
+The trust rule: ``IntVector(...)`` and ``IntMatrix(...)`` check every entry
+with ``operator.index`` and the shape; ``IntVector._of_ints`` and
+``IntMatrix._of_rows`` check nothing, and are only for values the library
+built from ints it had already checked.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from itertools import repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -26,7 +32,7 @@ class IntVector:
         object.__setattr__(self, "entries", tuple(map(operator.index, entries)))
 
     @classmethod
-    def _of_ints(cls, entries: list[int]) -> "IntVector":
+    def _of_ints(cls, entries: Iterable[int]) -> "IntVector":
         """Wrap a list the library built from ints itself, skipping the
         per-entry ``operator.index`` check of the public constructor."""
         vector = object.__new__(cls)
@@ -45,15 +51,15 @@ class IntVector:
     def __add__(self, other: "IntVector") -> "IntVector":
         if len(self) != len(other):
             raise DimensionMismatch(f"vector lengths {len(self)} != {len(other)}")
-        return IntVector(a + b for a, b in zip(self.entries, other.entries))
+        return IntVector._of_ints(map(operator.add, self.entries, other.entries))
 
     def __sub__(self, other: "IntVector") -> "IntVector":
         if len(self) != len(other):
             raise DimensionMismatch(f"vector lengths {len(self)} != {len(other)}")
-        return IntVector(a - b for a, b in zip(self.entries, other.entries))
+        return IntVector._of_ints(map(operator.sub, self.entries, other.entries))
 
     def __rmul__(self, scalar: int) -> "IntVector":
-        return IntVector(scalar * a for a in self.entries)
+        return IntVector._of_ints(map(operator.mul, repeat(operator.index(scalar)), self.entries))
 
     def dot(self, other: "IntVector") -> int:
         if len(self) != len(other):
@@ -65,11 +71,11 @@ class IntVector:
 
     @staticmethod
     def zeros(n: int) -> "IntVector":
-        return IntVector([0] * n)
+        return IntVector._of_ints([0] * n)
 
     @staticmethod
     def unit(n: int, i: int) -> "IntVector":
-        return IntVector([1 if k == i else 0 for k in range(n)])
+        return IntVector._of_ints([1 if k == i else 0 for k in range(n)])
 
     def to_list(self) -> list[int]:
         return list(self.entries)
@@ -85,25 +91,33 @@ class IntMatrix:
 
     def __init__(self, rows_data: Iterable[Iterable[int]], *, cols: Optional[int] = None):
         data = tuple(tuple(map(operator.index, row)) for row in rows_data)
-        if data:
-            ncols = len(data[0])
-            if any(len(row) != ncols for row in data):
-                raise DimensionMismatch("ragged rows")
-            if cols is not None and cols != ncols:
-                raise DimensionMismatch(f"declared cols {cols} != row length {ncols}")
-        else:
-            ncols = 0 if cols is None else cols
+        ncols = len(data[0]) if data else 0 if cols is None else cols
+        if any(len(row) != ncols for row in data):
+            raise DimensionMismatch("ragged rows")
+        if cols is not None and cols != ncols:
+            raise DimensionMismatch(f"declared cols {cols} != row length {ncols}")
         object.__setattr__(self, "entries", data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", ncols)
 
+    @classmethod
+    def _of_rows(cls, rows: Iterable[Sequence[int]], cols: int) -> "IntMatrix":
+        """Wrap rows of ints the library built itself, each of length
+        ``cols``, skipping the public constructor's entry and shape checks."""
+        matrix = object.__new__(cls)
+        entries = tuple(map(tuple, rows))
+        object.__setattr__(matrix, "entries", entries)
+        object.__setattr__(matrix, "rows", len(entries))
+        object.__setattr__(matrix, "cols", cols)
+        return matrix
+
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(([1 if i == j else 0 for j in range(n)] for i in range(n)), cols=n)
+        return IntMatrix._of_rows(([1 if i == j else 0 for j in range(n)] for i in range(n)), n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(([0] * cols for _ in range(rows)), cols=cols)
+        return IntMatrix._of_rows(repeat((0,) * cols, rows), cols)
 
     @staticmethod
     def from_columns(columns: Iterable[IntVector], rows: int) -> "IntMatrix":
@@ -111,53 +125,49 @@ class IntMatrix:
         for c in cols:
             if len(c) != rows:
                 raise DimensionMismatch(f"column length {len(c)} != {rows}")
-        return IntMatrix(
-            ([c[i] for c in cols] for i in range(rows)),
-            cols=len(cols),
-        )
+        return IntMatrix._of_rows(zip(*(c.entries for c in cols)) if cols else repeat((), rows), len(cols))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i][j]
 
     def column(self, j: int) -> IntVector:
-        return IntVector(row[j] for row in self.entries)
+        return IntVector._of_ints(row[j] for row in self.entries)
 
     def columns(self) -> list[IntVector]:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
         # zip of no rows yields nothing, so a 0 x n matrix lists its n empty rows
-        return IntMatrix(zip(*self.entries) if self.rows else [()] * self.cols, cols=self.rows)
+        return IntMatrix._of_rows(zip(*self.entries) if self.rows else repeat((), self.cols), self.rows)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return IntMatrix(
-            ((a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-            cols=self.cols,
+        return IntMatrix._of_rows(
+            (map(operator.add, r1, r2) for r1, r2 in zip(self.entries, other.entries)), self.cols
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(((-a for a in row) for row in self.entries), cols=self.cols)
+        return IntMatrix._of_rows((map(operator.neg, row) for row in self.entries), self.cols)
 
     def __rmul__(self, scalar: int) -> "IntMatrix":
-        return IntMatrix(((scalar * a for a in row) for row in self.entries), cols=self.cols)
+        scalar = operator.index(scalar)
+        return IntMatrix._of_rows(((scalar * a for a in row) for row in self.entries), self.cols)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         ot = other.transpose().entries
-        return IntMatrix(
-            ((sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.entries),
-            cols=other.cols,
+        return IntMatrix._of_rows(
+            ((sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.entries), other.cols
         )
 
     def apply(self, v: IntVector) -> IntVector:
         """Matrix-vector product."""
         if self.cols != len(v):
             raise DimensionMismatch(f"cannot apply {self.rows}x{self.cols} to length-{len(v)} vector")
-        return IntVector(sum(a * b for a, b in zip(row, v.entries)) for row in self.entries)
+        return IntVector._of_ints(sum(a * b for a, b in zip(row, v.entries)) for row in self.entries)
 
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.entries for a in row)
@@ -305,9 +315,9 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
         t += 1
 
     return SNFResult(
-        U=IntMatrix(u, cols=m),
-        D=IntMatrix(a, cols=n),
-        V=IntMatrix(v, cols=n),
+        U=IntMatrix._of_rows(u, m),
+        D=IntMatrix._of_rows(a, n),
+        V=IntMatrix._of_rows(v, n),
     )
 
 
@@ -348,7 +358,7 @@ def solve_integer(A: IntMatrix, b: IntVector) -> Optional[IntVector]:
     if A.rows != len(b):
         raise DimensionMismatch(f"matrix has {A.rows} rows, vector has length {len(b)}")
     if A.cols == 0:
-        return IntVector(()) if b.is_zero() else None
+        return IntVector._of_ints(()) if b.is_zero() else None
     snf = smith_normal_form(A)
     rhs = snf.U.apply(b)
     y = [0] * A.cols
@@ -362,7 +372,7 @@ def solve_integer(A: IntMatrix, b: IntVector) -> Optional[IntVector]:
             if rhs[i] % d != 0:
                 return None
             y[i] = rhs[i] // d
-    return snf.V.apply(IntVector(y))
+    return snf.V.apply(IntVector._of_ints(y))
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:

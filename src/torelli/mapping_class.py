@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from operator import add, sub
+from operator import add, index, sub
 from typing import Mapping, Optional, Sequence, Union
 
+from torelli._schema import Reader
 from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
 from torelli.surface_model import HomologyModel
 
@@ -54,6 +55,11 @@ class TwistFactor:
     exponent: int
     locus: Locus
 
+    def __init__(self, curve_class: IntVector, exponent: int, locus: Locus):
+        object.__setattr__(self, "curve_class", curve_class)
+        object.__setattr__(self, "exponent", index(exponent))  # the difference maps trust it
+        object.__setattr__(self, "locus", locus)
+
 
 @dataclass(frozen=True)
 class TwistWord:
@@ -81,7 +87,7 @@ class DifferenceMap:
         if not 0 <= j < len(self.block_ranges):
             raise DimensionMismatch(f"no complement component {j}")
         start, stop = self.block_ranges[j]
-        return IntMatrix(row[start:stop] for row in self.matrix.entries[start:stop])
+        return IntMatrix._of_rows((row[start:stop] for row in self.matrix.entries[start:stop]), stop - start)
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -96,11 +102,6 @@ class DifferenceMap:
 
     def to_json_dict(self) -> dict:
         return {"matrix": self.matrix.to_lists()}
-
-
-def zero_difference_map(model: HomologyModel) -> DifferenceMap:
-    k = model.k0_rank
-    return DifferenceMap(IntMatrix.zeros(k, k), model.block_ranges)
 
 
 def difference_map_from_matrix(model: HomologyModel, matrix: IntMatrix) -> DifferenceMap:
@@ -255,7 +256,7 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, O
     lo, hi = model.rank - 2 * k, model.rank - k  # the circle block
     h2, s = 2 * model.config.q_genus, model.pairing_sign
     if in_block and all(model.partner(lo + p) == (hi + p, s) for p in range(k)):
-        return True, DifferenceMap(IntMatrix(_sum_of_runs(word, lo, hi), cols=k), model.block_ranges)
+        return True, DifferenceMap(IntMatrix._of_rows(_sum_of_runs(word, lo, hi), k), model.block_ranges)
     rows = _displacements(model, word)
     moved = set().union(*rows)
     if any(c < h2 or lo <= c < hi for c in moved):
@@ -269,7 +270,7 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, O
         )
     if any(c < hi for c in moved):
         raise InconsistentDelta("difference map fails the boundary system")
-    matrix = IntMatrix(([s * rows[lo + r].get(hi + p, 0) for p in range(k)] for r in range(k)), cols=k)
+    matrix = IntMatrix._of_rows(([s * rows[lo + r].get(hi + p, 0) for p in range(k)] for r in range(k)), k)
     return True, DifferenceMap(matrix, model.block_ranges)
 
 
@@ -311,6 +312,9 @@ class WordParseError(ValueError):
     """Word JSON violates the schema."""
 
 
+_READ = Reader(WordParseError)
+
+
 def _locus_to_json(locus: Locus):
     if isinstance(locus, tuple) and len(locus) == 2 and locus[0] == "P":
         return {"P": locus[1]}
@@ -321,10 +325,7 @@ def _locus_from_json(data, position: int) -> Locus:
     if data == LOCUS_Q or data == LOCUS_AMBIENT:
         return data
     if isinstance(data, Mapping) and set(data.keys()) == {"P"}:
-        j = data["P"]
-        if not isinstance(j, int) or isinstance(j, bool):
-            raise WordParseError(f"factors[{position}].locus.P must be an integer")
-        return in_complement(j)
+        return in_complement(_READ.integer(data["P"], f"factors[{position}].locus.P"))
     raise WordParseError(
         f"factors[{position}].locus must be \"Q\", \"S\" or {{\"P\": j}}"
     )
@@ -344,36 +345,13 @@ def word_to_json_dict(word: TwistWord) -> dict:
 
 
 def word_from_json_dict(data: Mapping, rank: int) -> TwistWord:
-    if not isinstance(data, Mapping):
-        raise WordParseError("word must be a JSON object")
-    if "factors" not in data:
-        raise WordParseError("word is missing field 'factors'")
-    for key in data:
-        if key != "factors":
-            raise WordParseError(f"word has unknown field {key!r}")
-    if not isinstance(data["factors"], list):
-        raise WordParseError("field 'factors' must be a list")
+    (items,) = _READ.fields(data, "word", ("factors",), what="a JSON object")
     factors = []
-    for pos, item in enumerate(data["factors"]):
-        if not isinstance(item, Mapping):
-            raise WordParseError(f"factors[{pos}] must be an object")
-        for field in ("class", "exponent", "locus"):
-            if field not in item:
-                raise WordParseError(f"factors[{pos}] is missing field '{field}'")
-        for key in item:
-            if key not in ("class", "exponent", "locus"):
-                raise WordParseError(f"factors[{pos}] has unknown field {key!r}")
-        cls = item["class"]
-        if not isinstance(cls, list) or any(
-            not isinstance(e, int) or isinstance(e, bool) for e in cls
-        ):
-            raise WordParseError(f"factors[{pos}].class must be a list of integers")
+    for pos, item in enumerate(_READ.expect(items, list, "field 'factors'", "a list")):
+        cls, exponent, locus = _READ.fields(item, f"factors[{pos}]", ("class", "exponent", "locus"))
+        cls = _READ.integers(cls, f"factors[{pos}].class")
         if len(cls) != rank:
-            raise DimensionMismatch(
-                f"factors[{pos}].class has length {len(cls)}, model rank is {rank}"
-            )
-        if not isinstance(item["exponent"], int) or isinstance(item["exponent"], bool):
-            raise WordParseError(f"factors[{pos}].exponent must be an integer")
-        locus = _locus_from_json(item["locus"], pos)
-        factors.append(TwistFactor(IntVector(cls), item["exponent"], locus))
+            raise DimensionMismatch(f"factors[{pos}].class has length {len(cls)}, model rank is {rank}")
+        _READ.integer(exponent, f"factors[{pos}].exponent")
+        factors.append(TwistFactor(cls, exponent, _locus_from_json(locus, pos)))
     return TwistWord(factors)

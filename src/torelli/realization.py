@@ -72,11 +72,21 @@ def sym_basis_change(matrix: IntMatrix, size: int) -> SymBasisCoefficients:
     c(k, l) = M[k,l] - M[k-1,l] - M[k,l+1] + M[k-1,l+1] (1-based), with
     entries outside the matrix read as 0; zero coefficients are dropped.
     Summed over k <= i and l >= j it telescopes back to M[i, j].
+
+    This checks the shape and the symmetry, then reads the coefficients
+    with the private ``_sym_coefficients``.  ``realize_delta`` calls that
+    reader directly, once it has tested the symmetry of the whole map.
     """
     if (matrix.rows, matrix.cols) != (size, size):
         raise DimensionMismatch(f"expected a {size}x{size} matrix")
-    if matrix != matrix.transpose():
+    if matrix.entries != tuple(zip(*matrix.entries)):
         raise NotSymmetric("matrix is not symmetric")
+    return SymBasisCoefficients(size=size, coefficients=_sym_coefficients(matrix))
+
+
+def _sym_coefficients(matrix: IntMatrix) -> dict[tuple[int, int], int]:
+    """Nonzero second differences of a square matrix, keys in order; no check."""
+    size = matrix.rows
     padded = [(0,) * (size + 1)] + [(*row, 0) for row in matrix.entries]  # padded[k][l-1] = M[k,l]
     coeffs: dict[tuple[int, int], int] = {}
     for k in range(1, size + 1):
@@ -85,7 +95,7 @@ def sym_basis_change(matrix: IntMatrix, size: int) -> SymBasisCoefficients:
             c = row[l - 1] - above[l - 1] - row[l] + above[l]
             if c:
                 coeffs[(k, l)] = c
-    return SymBasisCoefficients(size=size, coefficients=coeffs)
+    return coeffs
 
 
 def reconstruct_from_coefficients(coeffs: SymBasisCoefficients) -> IntMatrix:
@@ -178,7 +188,7 @@ def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
     factors, components = [], []
     for j, (start, stop) in enumerate(model.block_ranges):
         before = model.rank - 2 * model.k0_rank + start - 1  # circle (j, i) sits at before + i
-        for (k, l), value in sym_basis_change(delta.block(j), stop - start).items():
+        for (k, l), value in _sym_coefficients(delta.block(j)).items():
             out = [0] * model.rank
             out[before + k:before + l + 1] = [1] * (l - k + 1)
             factors.append(TwistFactor(IntVector._of_ints(out), value, LOCUS_Q))

@@ -46,11 +46,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
+from torelli._schema import Reader
 from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
 
 
 class InvalidConfig(ValueError):
     """Configuration violates its structural invariants."""
+
+
+_READ = Reader(InvalidConfig)
 
 
 @dataclass(frozen=True)
@@ -102,32 +106,15 @@ class SubsurfaceConfig:
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "SubsurfaceConfig":
-        if not isinstance(data, Mapping):
-            raise InvalidConfig("config must be a JSON object")
-        for field in ("q_genus", "components"):
-            if field not in data:
-                raise InvalidConfig(f"config is missing field '{field}'")
-        for key in data:
-            if key not in ("q_genus", "components"):
-                raise InvalidConfig(f"config has unknown field {key!r}")
-        if not isinstance(data["q_genus"], int) or isinstance(data["q_genus"], bool):
-            raise InvalidConfig("field 'q_genus' must be an integer")
-        if not isinstance(data["components"], list):
-            raise InvalidConfig("field 'components' must be a list")
+        q_genus, components = _READ.fields(data, "config", ("q_genus", "components"), what="a JSON object")
+        _READ.integer(q_genus, "field 'q_genus'")
         comps = []
-        for j, item in enumerate(data["components"]):
-            if not isinstance(item, Mapping):
-                raise InvalidConfig(f"components[{j}] must be an object")
-            for field in ("genus", "boundary_count"):
-                if field not in item:
-                    raise InvalidConfig(f"components[{j}] is missing field '{field}'")
-                if not isinstance(item[field], int) or isinstance(item[field], bool):
-                    raise InvalidConfig(f"components[{j}].{field} must be an integer")
-            for key in item:
-                if key not in ("genus", "boundary_count"):
-                    raise InvalidConfig(f"components[{j}] has unknown field {key!r}")
-            comps.append(ComplementComponent(item["genus"], item["boundary_count"]))
-        config = SubsurfaceConfig(data["q_genus"], comps)
+        for j, item in enumerate(_READ.expect(components, list, "field 'components'", "a list")):
+            genus, boundary_count = _READ.fields(item, f"components[{j}]", ("genus", "boundary_count"))
+            _READ.integer(genus, f"components[{j}].genus")
+            _READ.integer(boundary_count, f"components[{j}].boundary_count")
+            comps.append(ComplementComponent(genus, boundary_count))
+        config = SubsurfaceConfig(q_genus, comps)
         config.validate()
         return config
 
@@ -291,15 +278,6 @@ class HomologyModel:
             out += [b[c] - b[first] for c in range(first + 1, stop + j + 1)]
         return IntVector(out)
 
-    def lift_h1bar(self, v: IntVector) -> IntVector:
-        """Canonical lift of a reduced class: coefficients on circles 1..n_j-1."""
-        if len(v) != self.k0_rank:
-            raise DimensionMismatch(f"expected length {self.k0_rank}, got {len(v)}")
-        out = []
-        for start, stop in self.block_ranges:
-            out += [0, *v[start:stop]]
-        return IntVector(out)
-
     def lift_k0(self, theta: IntVector) -> IntVector:
         """Expand coordinates over the two-point basis classes into 0-chain coordinates."""
         if len(theta) != self.k0_rank:
@@ -324,14 +302,6 @@ class HomologyModel:
                 raise ValueError(f"class does not bound on both sides (component {j} sums to {total})")
             out += theta[start + j + 1:stop + j + 1]
         return IntVector(out)
-
-    def induced_pairing(self, theta: IntVector, v: IntVector) -> int:
-        """Pairing of a two-sided 0-class with a reduced circle class.
-
-        Computed by lifting both; independent of the choice of lift of v
-        because the two lattices annihilate each other.
-        """
-        return self.circle_pairing(self.lift_k0(theta), self.lift_h1bar(v))
 
     def h1bar_from_ambient(self, v: IntVector) -> IntVector:
         """Reduced coordinates of an ambient class lying in the circle span."""

@@ -634,6 +634,9 @@ READER_DIAGNOSTICS = [
     ("delta", {"matrix": [[0, 0], [0, 0]]}, 2, "{path}: difference map must be 3x3"),
     ("delta", {"matrix": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}, 4, "difference map is not symmetric"),
     ("delta", {"matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}, 5, "difference map mixes complement components"),
+    # Two faults: every object reports its missing fields before its field types.
+    ("config", {"q_genus": 1, "components": [{"genus": True}]}, 2,
+     "{path}: components[0] is missing field 'boundary_count'"),
 ]
 
 
@@ -710,10 +713,18 @@ def _containers(doc):
             yield from _containers(child)
 
 
+# What a list of integers may hide: a bool, a float, a string, a nested list,
+# or an integer too large for any machine word.
+BURIED = st.sampled_from([True, False, 1.0, -2.5, "1", "", [1], [[0, [2]]], 10**200, -(10**200)])
+
+
 @st.composite
 def malformed_documents(draw):
     """Valid documents with up to two edits: a key dropped, a key added,
-    or a value (or a whole document) swapped for arbitrary JSON."""
+    or a value (or a whole document) swapped for arbitrary JSON.  Then,
+    now and then, a value from BURIED replaces an entry in the back half
+    of one of the word's or the delta's integer lists.  Returns the
+    documents and the name of the one that hides a non-integer, or None."""
     docs = valid_documents(random.Random(draw(st.integers(0, 2**32))))
     for _ in range(draw(st.integers(0, 2))):
         name = draw(st.sampled_from(sorted(docs)))
@@ -734,7 +745,14 @@ def malformed_documents(draw):
             del target[draw(st.sampled_from(keys))]
         else:
             target[draw(st.sampled_from(keys))] = draw(JSON_VALUES)
-    return docs
+    name = draw(st.sampled_from(["word", "delta", None]))
+    lists = [c for c in _containers(docs.get(name)) if c and set(map(type, c)) == {int}]
+    if not lists:
+        return docs, None
+    target = draw(st.sampled_from(lists))
+    value = draw(BURIED)
+    target[draw(st.integers(len(target) // 2, len(target) - 1))] = value
+    return docs, None if type(value) is int else name
 
 
 @settings(
@@ -743,21 +761,22 @@ def malformed_documents(draw):
     deadline=None,
 )
 @given(malformed_documents())
-def test_malformed_documents_end_in_a_documented_exit(docs):
+def test_malformed_documents_end_in_a_documented_exit(edited):
+    docs, poisoned = edited
     with tempfile.TemporaryDirectory() as work:
         paths = {}
         for name, payload in docs.items():
             paths[name] = write_json(Path(work) / f"{name}.json", payload)
         cfg = ["--config", paths["config"]]
-        for args in (
-            ["analyze", *cfg, "--word", paths["word"]],
-            ["realize", *cfg, "--delta", paths["delta"]],
-            ["ranks", *cfg],
+        for reads, args in (
+            ("word", ["analyze", *cfg, "--word", paths["word"]]),
+            ("delta", ["realize", *cfg, "--delta", paths["delta"]]),
+            ("config", ["ranks", *cfg]),
         ):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main(args)
-            assert code in (0, 2, 3, 4, 5), args
+            assert code in ((2, 3) if reads == poisoned else (0, 2, 3, 4, 5)), args
             if code:
                 assert out.getvalue() == "", args
                 assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), args

@@ -24,17 +24,24 @@ from torelli.criteria import (
 from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
 from torelli.mapping_class import (
     LOCUS_Q,
+    DifferenceMap,
     NotWeaklyTorelli,
     TwistFactor,
     TwistWord,
     delta_difference,
     difference_map_from_matrix,
     transvection_action,
-    zero_difference_map,
 )
 from torelli.oracle import TrialPlan, random_config, random_weakly_torelli_word
 from torelli.realization import build_boundary_multitwist
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
+
+from test_surface_model import induced_pairing
+
+
+def zero_difference_map(model):
+    k = model.k0_rank
+    return DifferenceMap(IntMatrix.zeros(k, k), model.block_ranges)
 
 
 @pytest.fixture
@@ -105,7 +112,7 @@ def test_pairing_symmetry_equals_matrix_symmetry():
         delta = difference_map_from_matrix(model, matrix)
         units = [IntVector.unit(k, i) for i in range(k)]
         pairing_symmetric = all(
-            model.induced_pairing(a, matrix.apply(b)) == model.induced_pairing(b, matrix.apply(a))
+            induced_pairing(model, a, matrix.apply(b)) == induced_pairing(model, b, matrix.apply(a))
             for a in units
             for b in units
         )

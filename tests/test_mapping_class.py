@@ -5,8 +5,8 @@ import random
 import pytest
 
 from torelli import mapping_class, realization
-from torelli.criteria import DiagonalMap, analyze, is_completely_reducible
-from torelli.exactlin import IntMatrix, IntVector, lattice_membership, solve_integer
+from torelli.criteria import DiagonalMap, NotSymmetric, analyze, delta_from_blocks, is_completely_reducible
+from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, lattice_membership, solve_integer
 from torelli.mapping_class import (
     LOCUS_AMBIENT,
     LOCUS_Q,
@@ -461,6 +461,45 @@ def test_realize_and_analyze_build_classes_by_slices(monkeypatch):
         realized = realize_delta(model, delta)
         assert analyze(model, realized.word).delta == delta
         assert calls == [], f"rank {model.rank}: {sorted(set(calls))}"
+
+
+def test_library_built_matrices_skip_the_public_checks(monkeypatch):
+    rng = random.Random(58)
+    cases = []
+    for config in LADDER:
+        model = build_model(config)
+        delta = random_symmetric_reducible_delta(model, rng)
+        blocks = {j: IntMatrix(delta.block(j).to_lists()) for j in range(model.n_components)}
+        cases.append((model, delta, blocks))
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(IntMatrix, "__init__", spy("IntMatrix.__init__", IntMatrix.__init__))
+    monkeypatch.setattr(IntVector, "__init__", spy("IntVector.__init__", IntVector.__init__))
+    monkeypatch.setattr(realization, "sym_basis_change", spy("sym_basis_change", realization.sym_basis_change))
+    for model, delta, blocks in cases:
+        assembled = delta_from_blocks(model, blocks)
+        report = analyze(model, realize_delta(model, assembled).word)
+        assert report.delta == assembled == delta
+        assert report.component_matrices == tuple(blocks[j] for j in range(model.n_components))
+        assert calls == [], f"rank {model.rank}: {sorted(set(calls))}"
+    monkeypatch.undo()
+    for bad in (1.5, "1"):
+        with pytest.raises(TypeError):
+            IntVector([0, bad])
+        with pytest.raises(TypeError):
+            IntMatrix([[0, 0], [bad, 0]])
+    with pytest.raises(DimensionMismatch):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(NotSymmetric):
+        realization.sym_basis_change(IntMatrix([[0, 1], [0, 0]]), 2)
+    with pytest.raises(TypeError):
+        TwistFactor(IntVector([0, 1]), 1.0, LOCUS_Q)
 
 
 def _entrywise_sum_of_squares(model, word):
