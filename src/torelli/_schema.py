@@ -1,9 +1,6 @@
-"""The one shape validator of the JSON documents (config, word, delta).
-
-Each reader passes the exception to raise, and every message names its
-place in document terms.  Integer lists pass one C-level type test
-(``bool`` is its own type) before ``_of_ints`` or ``_of_rows`` wraps them.
-"""
+"""The one shape validator of the JSON documents: config, word and delta.
+Integer lists pass one C-level type test (``bool`` is its own type), then
+``_of_ints`` or ``_of_rows`` wraps them without a second check."""
 
 from itertools import chain
 from typing import Callable, Mapping
@@ -12,7 +9,8 @@ from torelli.exactlin import IntMatrix, IntVector
 
 
 class Reader:
-    """Shape checks that raise ``error(message)`` on the first failure."""
+    """Shape checks that raise ``error(message)`` on the first failure; each
+    message names its place in the document's own terms."""
 
     def __init__(self, error: Callable[[str], Exception]):
         self.error = error

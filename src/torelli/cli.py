@@ -83,8 +83,8 @@ def _load_delta(path: str, model):
     data = _load_json(path)
     read = Reader(lambda message: _ParseFailure(f"{path}: {message}"))
     if isinstance(data, Mapping) and ("blocks" in data) == ("matrix" in data):
-        both = "blocks" in data
-        raise read.error("delta has both 'blocks' and 'matrix'; give one" if both else "delta needs a 'blocks' or 'matrix' field")
+        raise read.error("delta has both 'blocks' and 'matrix'; give one" if "blocks" in data
+                         else "delta needs a 'blocks' or 'matrix' field")
     blocks, matrix = read.fields(data, "delta", ("blocks", "matrix"), required=(), what="a JSON object")
     try:
         if "matrix" in data:

@@ -59,7 +59,8 @@ class IntVector:
         return IntVector._of_ints(map(operator.sub, self.entries, other.entries))
 
     def __rmul__(self, scalar: int) -> "IntVector":
-        return IntVector._of_ints(map(operator.mul, repeat(operator.index(scalar)), self.entries))
+        scalar = operator.index(scalar)
+        return IntVector._of_ints(scalar * a for a in self.entries)
 
     def dot(self, other: "IntVector") -> int:
         if len(self) != len(other):

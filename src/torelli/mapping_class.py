@@ -57,7 +57,7 @@ class TwistFactor:
 
     def __init__(self, curve_class: IntVector, exponent: int, locus: Locus):
         object.__setattr__(self, "curve_class", curve_class)
-        object.__setattr__(self, "exponent", index(exponent))  # the difference maps trust it
+        object.__setattr__(self, "exponent", index(exponent))  # summed into difference maps unchecked
         object.__setattr__(self, "locus", locus)
 
 
@@ -321,16 +321,6 @@ def _locus_to_json(locus: Locus):
     return locus
 
 
-def _locus_from_json(data, position: int) -> Locus:
-    if data == LOCUS_Q or data == LOCUS_AMBIENT:
-        return data
-    if isinstance(data, Mapping) and set(data.keys()) == {"P"}:
-        return in_complement(_READ.integer(data["P"], f"factors[{position}].locus.P"))
-    raise WordParseError(
-        f"factors[{position}].locus must be \"Q\", \"S\" or {{\"P\": j}}"
-    )
-
-
 def word_to_json_dict(word: TwistWord) -> dict:
     return {
         "factors": [
@@ -353,5 +343,9 @@ def word_from_json_dict(data: Mapping, rank: int) -> TwistWord:
         if len(cls) != rank:
             raise DimensionMismatch(f"factors[{pos}].class has length {len(cls)}, model rank is {rank}")
         _READ.integer(exponent, f"factors[{pos}].exponent")
-        factors.append(TwistFactor(cls, exponent, _locus_from_json(locus, pos)))
+        if isinstance(locus, Mapping) and set(locus) == {"P"}:
+            locus = in_complement(_READ.integer(locus["P"], f"factors[{pos}].locus.P"))
+        elif locus != LOCUS_Q and locus != LOCUS_AMBIENT:
+            raise WordParseError(f'factors[{pos}].locus must be "Q", "S" or {{"P": j}}')
+        factors.append(TwistFactor(cls, exponent, locus))
     return TwistWord(factors)

@@ -73,9 +73,8 @@ def sym_basis_change(matrix: IntMatrix, size: int) -> SymBasisCoefficients:
     entries outside the matrix read as 0; zero coefficients are dropped.
     Summed over k <= i and l >= j it telescopes back to M[i, j].
 
-    This checks the shape and the symmetry, then reads the coefficients
-    with the private ``_sym_coefficients``.  ``realize_delta`` calls that
-    reader directly, once it has tested the symmetry of the whole map.
+    ``realize_delta`` skips the shape and symmetry checks: once it has tested
+    the whole map, it reads each block with the private ``_sym_coefficients``.
     """
     if (matrix.rows, matrix.cols) != (size, size):
         raise DimensionMismatch(f"expected a {size}x{size} matrix")
