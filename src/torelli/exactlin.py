@@ -33,8 +33,8 @@ class IntVector:
 
     @classmethod
     def _of_ints(cls, entries: Iterable[int]) -> "IntVector":
-        """Wrap a list the library built from ints itself, skipping the
-        per-entry ``operator.index`` check of the public constructor."""
+        """Wrap ints the library built itself, skipping the per-entry
+        ``operator.index`` check of the public constructor."""
         vector = object.__new__(cls)
         object.__setattr__(vector, "entries", tuple(entries))
         return vector
@@ -92,11 +92,14 @@ class IntMatrix:
 
     def __init__(self, rows_data: Iterable[Iterable[int]], *, cols: Optional[int] = None):
         data = tuple(tuple(map(operator.index, row)) for row in rows_data)
-        ncols = len(data[0]) if data else 0 if cols is None else cols
-        if any(len(row) != ncols for row in data):
-            raise DimensionMismatch("ragged rows")
-        if cols is not None and cols != ncols:
-            raise DimensionMismatch(f"declared cols {cols} != row length {ncols}")
+        if data:
+            ncols = len(data[0])
+            if any(len(row) != ncols for row in data):
+                raise DimensionMismatch("ragged rows")
+            if cols is not None and cols != ncols:
+                raise DimensionMismatch(f"declared cols {cols} != row length {ncols}")
+        else:
+            ncols = 0 if cols is None else cols
         object.__setattr__(self, "entries", data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", ncols)
