@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 from math import gcd
 from typing import Mapping
 
@@ -141,7 +142,7 @@ def _cmd_analyze(args) -> int:
     word = _load_word(args.word, model.rank)
     report = analyze(model, word)
     for pos, factor in enumerate(word.factors):  # notes only for a word that analyze accepted
-        content = gcd(*factor.curve_class)
+        content = gcd(*accumulate(step for _, step in factor.edges))  # the class's run values
         if content > 1:
             print(
                 f"note: factor {pos} class is non-primitive (content {content}); "

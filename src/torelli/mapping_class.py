@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate, compress
-from operator import add, index, sub
+from functools import cached_property
+from itertools import accumulate, compress, islice
+from operator import add, index
 from typing import Mapping, Optional, Sequence, Union
 
 from torelli._schema import Reader
@@ -51,14 +52,61 @@ def in_complement(j: int) -> Locus:
 
 @dataclass(frozen=True)
 class TwistFactor:
-    curve_class: IntVector
+    """A twist about the class z = ``curve_class`` to the power ``exponent``.
+
+    The fields store z by its run edges: ``rank`` and the nonzero steps
+    (i, z[i] - z[i-1]) for i in 0..rank, z read as 0 outside [0, rank), so
+    the union of circles k..l is two edges.  ``curve_class`` is the dense
+    view, kept from the constructor or else built on first read.
+    """
+
+    rank: int
+    edges: tuple[tuple[int, int], ...]
     exponent: int
     locus: Locus
 
     def __init__(self, curve_class: IntVector, exponent: int, locus: Locus):
-        object.__setattr__(self, "curve_class", curve_class)
-        object.__setattr__(self, "exponent", index(exponent))  # summed into difference maps unchecked
-        object.__setattr__(self, "locus", locus)
+        z, edges, end, value = curve_class.entries, [], 0, 0
+        for i in compress(range(len(z)), z):  # walk the nonzero entries
+            if i > end and value:  # zeros since the last nonzero entry
+                edges.append((end, -value))
+                value = 0
+            if z[i] != value:
+                edges.append((i, z[i] - value))
+            end, value = i + 1, z[i]
+        if value:
+            edges.append((end, -value))
+        exponent = index(exponent)  # summed into difference maps unchecked
+        self.__dict__.update(rank=len(z), edges=tuple(edges), exponent=exponent, locus=locus, curve_class=curve_class)
+
+    @classmethod
+    def _of_edges(cls, rank: int, edges: tuple, exponent: int, locus: Locus) -> "TwistFactor":
+        """A factor from canonical edges and an int exponent; no check."""
+        factor = object.__new__(cls)
+        factor.__dict__.update(rank=rank, edges=edges, exponent=exponent, locus=locus)
+        return factor
+
+    @classmethod
+    def _interval(cls, rank: int, start: int, stop: int, exponent: int, locus: Locus) -> "TwistFactor":
+        """The factor about the class with ones on [start, stop), start < stop."""
+        return cls._of_edges(rank, ((start, 1), (stop, -1)), exponent, locus)
+
+    def _with(self, exponent: int, locus: Locus) -> "TwistFactor":
+        return self._of_edges(self.rank, self.edges, exponent, locus)
+
+    def _within(self, lo: int, hi: int) -> bool:
+        """Whether the class is zero outside [lo, hi)."""
+        return not self.edges or lo <= self.edges[0][0] and self.edges[-1][0] <= hi
+
+    @cached_property
+    def curve_class(self) -> IntVector:
+        steps = [0] * (self.rank + 1)
+        for i, step in self.edges:
+            steps[i] = step
+        return IntVector._of_ints(islice(accumulate(steps), self.rank))
+
+    def __repr__(self) -> str:
+        return f"TwistFactor(curve_class={self.curve_class!r}, exponent={self.exponent!r}, locus={self.locus!r})"
 
 
 @dataclass(frozen=True)
@@ -167,10 +215,10 @@ def _require_in_q(model: HomologyModel, word: TwistWord) -> bool:
         if factor.locus != LOCUS_Q:
             got = json.dumps(_locus_to_json(factor.locus), default=repr)
             raise LocusViolation(f'factor {pos}: locus must be "Q", got {got}')
-        z = factor.curve_class.entries
-        if len(z) == model.rank and not any(z[:lo]) and not any(z[hi:]):
+        if factor.rank == model.rank and factor._within(lo, hi):
             continue
         in_block = False
+        z = factor.curve_class.entries
         if len(z) != model.rank or any(z[h2:lo]) or any(z[hi:]):
             _check_locus(model, factor, pos)
     return in_block
@@ -203,26 +251,24 @@ def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]
 
 
 def _sum_of_runs(word: TwistWord, lo: int, hi: int) -> list[list[int]]:
-    """Sum m * u u^T over the factors, u being each class's slice [lo, hi).
+    """Sum m * u u^T over the factors, u being each class's slice [lo, hi),
+    outside which every class must be zero.
 
     The 2D difference array of u u^T is d d^T, d being u's first difference
-    (d[0] = u[0], d[i] = u[i] - u[i-1]).  d is nonzero only where a run
-    of one value starts or ends, so an interval class adds at most four
-    corner updates.  One 2D prefix sum turns the summed difference arrays
-    into the matrix.
+    (d[0] = u[0], d[i] = u[i] - u[i-1]): the class's stored edges in
+    [lo, hi), nonzero only where a run of one value starts or ends.  So an
+    interval class adds at most four corner updates, and one 2D prefix sum
+    turns the summed difference arrays into the matrix.
     """
     k = hi - lo
     corners = [[0] * k for _ in range(k)]
-    positions = range(k)
     for factor in word.factors:
-        u = factor.curve_class.entries[lo:hi]
-        d = [*map(sub, u, (0,) + u)]
-        at = [*compress(positions, d)]  # where the runs of one value start or end
+        d = [(i - lo, step) for i, step in factor.edges if lo <= i < hi]
         m = factor.exponent
-        for i in at:
-            row, md = corners[i], m * d[i]
-            for j in at:
-                row[j] += md * d[j]
+        for i, di in d:
+            row, md = corners[i], m * di
+            for j, dj in d:
+                row[j] += md * dj
     matrix, above = [], [0] * k
     for row in corners:
         above = list(map(add, above, accumulate(row)))
@@ -239,9 +285,9 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, O
     and the word's map is sum m * u u^T over its factors, u being the
     class's slice of the circle block (the paper's a -> m <a, [U]> [U]).
     Each u u^T is a sum of constant rectangles, one per pair of runs of one
-    value in u, and is added to a difference array at the runs' edges, so a
-    realized class, a single interval, costs O(1) updates after its slice
-    is scanned.
+    value in u, and is added to a difference array at the runs' stored
+    edges, so a realized class, a single interval, costs O(1) updates and
+    is never made dense.
 
     Any other word takes one pass over the basis.  It is weakly Torelli
     when no Q handle and no circle (the basis of the subsurface image)
@@ -290,19 +336,14 @@ def delta_difference(model: HomologyModel, word: TwistWord) -> DifferenceMap:
 def concat(word_a: TwistWord, word_b: TwistWord) -> TwistWord:
     """Composition word_a after word_b."""
     if word_a.factors and word_b.factors:
-        if len(word_a.factors[0].curve_class) != len(word_b.factors[0].curve_class):
+        if word_a.factors[0].rank != word_b.factors[0].rank:
             raise DimensionMismatch("words live on different models")
     return TwistWord(word_a.factors + word_b.factors)
 
 
 def invert(word: TwistWord) -> TwistWord:
     """Formal inverse: reversed factors with negated exponents."""
-    return TwistWord(
-        tuple(
-            TwistFactor(f.curve_class, -f.exponent, f.locus)
-            for f in reversed(word.factors)
-        )
-    )
+    return TwistWord(f._with(-f.exponent, f.locus) for f in reversed(word.factors))
 
 
 # -- JSON word schema --------------------------------------------------------

@@ -166,7 +166,7 @@ class Realization:
     def torelli_witness(self) -> TwistWord:
         witness = []
         for factor, j in zip(self.word.factors, self.components):
-            witness += factor, TwistFactor(factor.curve_class, -factor.exponent, in_complement(j))
+            witness += factor, factor._with(-factor.exponent, in_complement(j))
         return TwistWord(witness)
 
 
@@ -177,8 +177,8 @@ def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
     peripheral twists about contiguous unions of circles, one per nonzero
     basis coefficient, components in order and index pairs lexicographic.
     The class of the union of circles k..l (k >= 1) is the constant
-    interval of ones over their basis indices, so each is written as one
-    slice.
+    interval of ones over their basis indices, so each factor stores just
+    its two edges and no dense class is built.
     """
     if not is_symmetric(model, delta):
         raise NotSymmetric("difference map is not symmetric")
@@ -188,9 +188,7 @@ def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
     for j, (start, stop) in enumerate(model.block_ranges):
         before = model.rank - 2 * model.k0_rank + start - 1  # circle (j, i) sits at before + i
         for (k, l), value in _sym_coefficients(delta.block(j)).items():
-            out = [0] * model.rank
-            out[before + k:before + l + 1] = [1] * (l - k + 1)
-            factors.append(TwistFactor(IntVector._of_ints(out), value, LOCUS_Q))
+            factors.append(TwistFactor._interval(model.rank, before + k, before + l + 1, value, LOCUS_Q))
             components.append(j)
     return Realization(word=TwistWord(factors), components=tuple(components))
 

@@ -126,6 +126,23 @@ def test_analyze_flags_non_primitive_class(tmp_path):
     assert report["weakly_torelli"] is True
 
 
+def test_non_primitive_notes_are_pinned(capsys, tmp_path):
+    # contents 1, 3 (negative runs, class at the last circle), 0 (the zero class) and 2
+    scaled = [3 * a - 6 * b for a, b in zip(four_circle_class([0]), four_circle_class([2, 3]))]
+    classes = [four_circle_class([1]), scaled, [0] * 10, [-2 * e for e in four_circle_class([1, 2])]]
+    config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
+    word = write_json(
+        tmp_path / "word.json",
+        {"factors": [{"class": cls, "exponent": 1, "locus": "Q"} for cls in classes]},
+    )
+    code, out, err = run_main(capsys, ["analyze", "--config", config, "--word", word])
+    assert (code, json.loads(out)["weakly_torelli"]) == (0, True)
+    assert err == (
+        "note: factor 1 class is non-primitive (content 3); treated as a transvection\n"
+        "note: factor 3 class is non-primitive (content 2); treated as a transvection\n"
+    )
+
+
 def test_analyze_rejects_ambient_factor(tmp_path):
     config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
     word = write_json(

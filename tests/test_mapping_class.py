@@ -1,8 +1,11 @@
 """Transvection action, weakly Torelli detection, and difference maps."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torelli import mapping_class, realization
 from torelli.criteria import DiagonalMap, NotSymmetric, analyze, delta_from_blocks, is_completely_reducible
@@ -575,3 +578,90 @@ def test_rectangle_sums_match_the_entrywise_sum(pairing_sign):
                 shapes["alternating"] += any(v * w < 0 for v, w in zip(values, values[1:]))
                 shapes["zero_exponent"] += factor.exponent == 0
     assert min(shapes.values()) >= 20, shapes
+
+
+def _classes():
+    """Dense classes as runs of one value: negative runs, a nonzero first or
+    last entry, gaps of zeros, the zero class, and lengths 0 and 1."""
+    runs = st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 4)), max_size=6)
+    return runs.map(lambda runs: [value for value, length in runs for _ in range(length)])
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_classes())
+@example([])
+@example([0])
+@example([2])
+@example([0, 0, 0])
+@example([-1, -1, 0, 2, 2, 2, 1])
+def test_run_edges_agree_with_the_dense_class(z):
+    factor = TwistFactor(IntVector(z), -2, LOCUS_Q)
+    steps = [b - a for a, b in zip([0] + z, z + [0])]
+    assert (factor.rank, factor.edges) == (len(z), tuple((i, s) for i, s in enumerate(steps) if s))
+    rebuilt = TwistFactor._of_edges(factor.rank, factor.edges, -2, LOCUS_Q)
+    assert "curve_class" not in vars(rebuilt)
+    assert rebuilt.curve_class == IntVector(z)
+    assert rebuilt == factor and hash(rebuilt) == hash(factor) and repr(rebuilt) == repr(factor)
+    for lo in range(len(z) + 1):
+        for hi in range(lo, len(z) + 1):
+            assert factor._within(lo, hi) == (not any(z[:lo]) and not any(z[hi:]))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda rank: st.tuples(st.just(rank), st.lists(st.integers(0, rank), min_size=2, max_size=2, unique=True))
+    ),
+    st.integers(-3, 3),
+    st.sampled_from([LOCUS_Q, LOCUS_AMBIENT, in_complement(1)]),
+)
+def test_interval_factor_matches_the_dense_one(bounds, exponent, locus):
+    rank, (start, stop) = bounds[0], sorted(bounds[1])
+    interval = TwistFactor._interval(rank, start, stop, exponent, locus)
+    dense = TwistFactor(IntVector([0] * start + [1] * (stop - start) + [0] * (rank - stop)), exponent, locus)
+    assert interval == dense and hash(interval) == hash(dense)
+    assert interval.curve_class == dense.curve_class
+    assert repr(interval) == repr(dense)
+    for factor in (interval, dense):
+        for name in ("curve_class", "edges", "exponent"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(factor, name, 0)
+
+
+def _plus_minus_one_block(rng, size):
+    entries = [[0] * size for _ in range(size)]
+    for r in range(size):
+        for c in range(r, size):
+            entries[r][c] = entries[c][r] = rng.choice((-1, 1))
+    return IntMatrix(entries, cols=size)
+
+
+def test_realized_words_never_build_a_dense_class(monkeypatch):
+    rng = random.Random(59)
+    cases = []
+    for config in LADDER:
+        model = build_model(config)
+        cases.append((model, random_symmetric_reducible_delta(model, rng)))
+    # the rank 496 case of test_realize_then_analyze_at_rank_496
+    model = build_model(SubsurfaceConfig(10, [ComplementComponent(0, 120), ComplementComponent(0, 120)]))
+    rng = random.Random(496)
+    blocks = {j: _plus_minus_one_block(rng, 119) for j in range(2)}
+    cases.append((model, delta_from_blocks(model, blocks)))
+    dense, build = [], TwistFactor.__dict__["curve_class"].func
+
+    def spy(factor):
+        dense.append(factor)
+        return build(factor)
+
+    monkeypatch.setattr(TwistFactor, "curve_class", property(spy))
+    for model, delta in cases:
+        realized = realize_delta(model, delta)
+        assert analyze(model, realized.word).delta == delta
+        assert analyze(model, invert(realized.word)).delta == -delta
+        assert len(realized.torelli_witness) == 2 * len(realized.word)
+        assert concat(realized.word, invert(realized.word)).factors[0].rank == model.rank
+        assert dense == [], f"rank {model.rank}: {len(dense)} dense classes"
+    assert len(realized.word) > 8000
+    first = realized.word.factors[0]
+    assert TwistFactor(first.curve_class, first.exponent, first.locus) == first
+    assert dense == [first]  # the spy sees every read
