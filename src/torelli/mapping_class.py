@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress
 from operator import add, index
 from typing import Mapping, Optional, Sequence, Union
 
@@ -100,10 +100,11 @@ class TwistFactor:
 
     @cached_property
     def curve_class(self) -> IntVector:
-        steps = [0] * (self.rank + 1)
-        for i, step in self.edges:
-            steps[i] = step
-        return IntVector._of_ints(islice(accumulate(steps), self.rank))
+        out, value = [0] * self.rank, 0
+        for (i, step), (j, _) in zip(self.edges, self.edges[1:]):  # the run [i, j)
+            value += step
+            out[i:j] = [value] * (j - i)
+        return IntVector._of_ints(out)
 
     def __repr__(self) -> str:
         return f"TwistFactor(curve_class={self.curve_class!r}, exponent={self.exponent!r}, locus={self.locus!r})"
