@@ -52,9 +52,8 @@ def in_complement(j: int) -> Locus:
 
 @dataclass(frozen=True)
 class TwistFactor:
-    """A twist about the class z = ``curve_class`` to the power ``exponent``.
-
-    The fields store z by its run edges: ``rank`` and the nonzero steps
+    """A twist about the class z = ``curve_class`` to the power ``exponent``,
+    stored as ``rank`` and the run edges of z: the nonzero steps
     (i, z[i] - z[i-1]) for i in 0..rank, z read as 0 outside [0, rank), so
     the union of circles k..l is two edges.  ``curve_class`` is the dense
     view, kept from the constructor or else built on first read.
