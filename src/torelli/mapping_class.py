@@ -97,13 +97,17 @@ class TwistFactor:
         """Whether the class is zero outside [lo, hi)."""
         return not self.edges or lo <= self.edges[0][0] and self.edges[-1][0] <= hi
 
-    @cached_property
-    def curve_class(self) -> IntVector:
+    def _entries(self) -> list[int]:
+        """The class as a fresh list, written one slice per run."""
         out, value = [0] * self.rank, 0
         for (i, step), (j, _) in zip(self.edges, self.edges[1:]):  # the run [i, j)
             value += step
             out[i:j] = [value] * (j - i)
-        return IntVector._of_ints(out)
+        return out
+
+    @cached_property
+    def curve_class(self) -> IntVector:
+        return IntVector._of_ints(self._entries())
 
     def __repr__(self) -> str:
         return f"TwistFactor(curve_class={self.curve_class!r}, exponent={self.exponent!r}, locus={self.locus!r})"
@@ -205,23 +209,22 @@ def transvection_action(model: HomologyModel, word: TwistWord) -> IntMatrix:
     return result
 
 
-def _require_in_q(model: HomologyModel, word: TwistWord) -> bool:
+def _require_in_q(model: HomologyModel, word: TwistWord) -> tuple[list[TwistFactor], list[TwistFactor]]:
     """Every factor has locus Q and a class in the subsurface image: Q
     handles plus the circle block.  ``_check_locus`` words the error.
-    Returns whether every class lies in the circle block alone."""
-    h2, lo, hi = 2 * model.config.q_genus, model.rank - 2 * model.k0_rank, model.rank - model.k0_rank
-    in_block = True
+    Returns the circle-block factors and the others, each in word order."""
+    lo, hi = model.rank - 2 * model.k0_rank, model.rank - model.k0_rank
+    block, rest = [], []
     for pos, factor in enumerate(word.factors):
         if factor.locus != LOCUS_Q:
             got = json.dumps(_locus_to_json(factor.locus), default=repr)
             raise LocusViolation(f'factor {pos}: locus must be "Q", got {got}')
         if factor.rank == model.rank and factor._within(lo, hi):
-            continue
-        in_block = False
-        z = factor.curve_class.entries
-        if len(z) != model.rank or any(z[h2:lo]) or any(z[hi:]):
+            block.append(factor)
+        else:
             _check_locus(model, factor, pos)
-    return in_block
+            rest.append(factor)
+    return block, rest
 
 
 def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]]:
@@ -250,7 +253,7 @@ def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]
     return rows
 
 
-def _sum_of_runs(word: TwistWord, lo: int, hi: int) -> list[list[int]]:
+def _sum_of_runs(factors: Sequence[TwistFactor], lo: int, hi: int) -> list[list[int]]:
     """Sum m * u u^T over the factors, u being each class's slice [lo, hi),
     outside which every class must be zero.
 
@@ -262,7 +265,7 @@ def _sum_of_runs(word: TwistWord, lo: int, hi: int) -> list[list[int]]:
     """
     k = hi - lo
     corners = [[0] * k for _ in range(k)]
-    for factor in word.factors:
+    for factor in factors:
         d = [(i - lo, step) for i, step in factor.edges if lo <= i < hi]
         m = factor.exponent
         for i, di in d:
@@ -279,45 +282,46 @@ def _sum_of_runs(word: TwistWord, lo: int, hi: int) -> list[list[int]]:
 def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, Optional[DifferenceMap]]:
     """Whether the word is weakly Torelli and, if so, its difference map.
 
-    A word whose classes all lie in the circle block (no Q-handle
-    coordinate) is read directly.  The span is isotropic when each circle
-    pairs only with its dual, so such twists commute, move only the duals,
-    and the word's map is sum m * u u^T over its factors, u being the
-    class's slice of the circle block (the paper's a -> m <a, [U]> [U]).
-    Each u u^T is a sum of constant rectangles, one per pair of runs of one
-    value in u, and is added to a difference array at the runs' stored
-    edges, so a realized class, a single interval, costs O(1) updates and
-    is never made dense.
-
-    Any other word takes one pass over the basis.  It is weakly Torelli
-    when no Q handle and no circle (the basis of the subsurface image)
-    moves; every displacement must then lie in the circle span.
-    Dual(j, i) has boundary pairing_sign * o_{j,i} and every other basis
-    class boundary 0, so column (j, i) of the map is the sign times the
-    displacement of dual(j, i), which solves the duals' equations of the
-    boundary system; the rest say no class before the duals moves.
+    Each circle pairs only with its dual, so a class u in the circle block
+    pairs to zero with the subsurface image, where every class of the word
+    lies.  Its twist commutes with every factor and moves a class a by
+    m <a, u> u (the paper's a -> m <a, [U]> [U]) whatever the others do.
+    The map is thus sum m * u u^T over the circle-block factors, u being
+    the class's slice of the block, summed as constant rectangles at its
+    stored run edges, plus the map of one sparse pass of the other factors
+    over the basis.  The block terms move only the duals, so that pass
+    alone gives the verdict: weakly Torelli when no Q handle and no circle
+    moves, and every displacement must then lie in the circle span.
+    Dual(j, i) has boundary pairing_sign * o_{j,i} and every other class
+    boundary 0, so column (j, i) gains the sign times the displacement of
+    dual(j, i); the rest of the boundary system says no class before the
+    duals moves.
     """
-    in_block = _require_in_q(model, word)
+    block, rest = _require_in_q(model, word)
     k = model.k0_rank
     lo, hi = model.rank - 2 * k, model.rank - k  # the circle block
     h2, s = 2 * model.config.q_genus, model.pairing_sign
-    if in_block and all(model.partner(lo + p) == (hi + p, s) for p in range(k)):
-        return True, DifferenceMap(IntMatrix._of_rows(_sum_of_runs(word, lo, hi), k), model.block_ranges)
-    rows = _displacements(model, word)
-    moved = set().union(*rows)
-    if any(c < h2 or lo <= c < hi for c in moved):
-        return False, None
-    outside = [(c, r) for r, row in enumerate(rows) if not lo <= r < hi for c in row]
-    if outside:
-        idx, r = min(outside)
-        raise NotWeaklyTorelli(
-            f"displacement of {model.describe_index(idx)} leaves the circle span: "
-            f"it has a nonzero coordinate at {model.describe_index(r)}"
-        )
-    if any(c < hi for c in moved):
-        raise InconsistentDelta("difference map fails the boundary system")
-    matrix = IntMatrix._of_rows(([s * rows[lo + r].get(hi + p, 0) for p in range(k)] for r in range(k)), k)
-    return True, DifferenceMap(matrix, model.block_ranges)
+    if not all(model.partner(lo + p) == (hi + p, s) for p in range(k)):
+        block, rest = [], word.factors  # a circle meets more than its dual
+    matrix = _sum_of_runs(block, lo, hi)
+    if rest:
+        rows = _displacements(model, TwistWord(rest))
+        moved = set().union(*rows)
+        if any(c < h2 or lo <= c < hi for c in moved):
+            return False, None
+        outside = [(c, r) for r, row in enumerate(rows) if not lo <= r < hi for c in row]
+        if outside:
+            idx, r = min(outside)
+            raise NotWeaklyTorelli(
+                f"displacement of {model.describe_index(idx)} leaves the circle span: "
+                f"it has a nonzero coordinate at {model.describe_index(r)}"
+            )
+        if any(c < hi for c in moved):
+            raise InconsistentDelta("difference map fails the boundary system")
+        for r, row in enumerate(matrix):
+            for c, x in rows[lo + r].items():
+                row[c - hi] += s * x
+    return True, DifferenceMap(IntMatrix._of_rows(matrix, k), model.block_ranges)
 
 
 def is_weakly_torelli(model: HomologyModel, word: TwistWord) -> bool:
@@ -366,7 +370,7 @@ def word_to_json_dict(word: TwistWord) -> dict:
     return {
         "factors": [
             {
-                "class": f.curve_class.to_list(),
+                "class": f._entries(),
                 "exponent": f.exponent,
                 "locus": _locus_to_json(f.locus),
             }

@@ -570,8 +570,9 @@ def _check_bounding_pair_products(plan, index, model_factory):
     word = TwistWord()
     for _ in range(rng.randint(1, 2)):  # one circle class c per product
         word = concat(word, random_bounding_pair_product(model, rng))
-    if rng.random() < 0.5:  # Q-handle factors between circle runs
-        word = concat(word, random_weakly_torelli_word(model, plan, index))
+    if rng.random() < 0.5:  # circle factors between Q-handle ones, at a drawn cut
+        cut, circles = rng.randrange(len(word) + 1), random_weakly_torelli_word(model, plan, index)
+        word = TwistWord(word.factors[:cut] + circles.factors + word.factors[cut:])
     try:
         delta = delta_difference(model, word)
     except (NotWeaklyTorelli, InconsistentDelta) as exc:

@@ -353,7 +353,8 @@ def test_fast_path_matches_dense_reference(pairing_sign):
                 [TwistFactor(handle + _circle_span_class(model, rng), rng.choice((-2, -1, 1, 2)), LOCUS_Q)]
             )
             assert _reference_weakly_torelli_delta(model, products)[0]
-            for word in (seeded, products, concat(products, seeded), concat(q_twist, seeded)):
+            interleaved = concat(products, concat(seeded, products))  # circle factors between Q-bearing ones
+            for word in (seeded, products, concat(products, seeded), concat(q_twist, seeded), interleaved):
                 weakly, expected = _reference_weakly_torelli_delta(model, word)
                 assert is_weakly_torelli(model, word) == weakly
                 if not weakly:
@@ -441,7 +442,12 @@ def test_circle_runs_skip_the_word_pass(monkeypatch):
         assert calls == []
         handle = TwistFactor(model.basis_vector(("qa", 0)), 1, LOCUS_Q)
         assert not analyze(model, concat(TwistWord([handle]), word)).weakly_torelli
-        assert calls == [len(word) + 1]
+        assert calls == [1]  # only the handle takes the pass
+        product = random_bounding_pair_product(model, rng)
+        expected = delta_difference(model, product) + delta
+        calls.clear()
+        assert analyze(model, concat(product, word)).delta == expected
+        assert calls == [len(product)]
         calls.clear()
 
 
@@ -660,6 +666,7 @@ def test_realized_words_never_build_a_dense_class(monkeypatch):
         assert analyze(model, invert(realized.word)).delta == -delta
         assert len(realized.torelli_witness) == 2 * len(realized.word)
         assert concat(realized.word, invert(realized.word)).factors[0].rank == model.rank
+        assert word_from_json_dict(word_to_json_dict(realized.word), model.rank) == realized.word
         assert dense == [], f"rank {model.rank}: {len(dense)} dense classes"
     assert len(realized.word) > 8000
     first = realized.word.factors[0]
