@@ -196,133 +196,60 @@ class SNFResult:
         return sum(1 for d in self.diagonal() if d != 0)
 
 
-def _swap_rows(a: list[list[int]], u: list[list[int]], i: int, k: int) -> None:
-    a[i], a[k] = a[k], a[i]
-    u[i], u[k] = u[k], u[i]
-
-
-def _swap_cols(a: list[list[int]], v: list[list[int]], j: int, k: int) -> None:
-    for row in a:
-        row[j], row[k] = row[k], row[j]
-    for row in v:
-        row[j], row[k] = row[k], row[j]
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) = x*a + y*b."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 def smith_normal_form(A: IntMatrix) -> SNFResult:
-    """Compute the Smith normal form of A.
+    """Compute the Smith normal form of A by one step, repeated on the
+    unfinished block a[t:, t:].
 
-    Standard pivot-and-clear elimination with Bezout row/column rotations;
-    the divisibility chain is enforced afterwards by folding offending
-    entries into the pivot.  All transforms have determinant ±1.
+    The step moves the block's smallest nonzero entry p to (t, t) and
+    reduces the entries in line with p by Euclidean division: it subtracts
+    x // p times p's row from each row below and times p's column from each
+    later column.  A nonzero remainder is smaller than |p| and becomes the
+    next pivot.  Once p's row and column are clear, a p that does not divide
+    some entry of the block adds that entry's row to its own; the next round
+    then picks a smaller pivot, or p again (the first of the smallest
+    entries) and leaves a remainder in row t.  So |p| falls at least every
+    second round.  Once p's row and column are clear and p divides the
+    block, p's sign is fixed and t advances.  Swaps, sign changes and adding
+    multiples of one row (column) to another keep U and V unimodular.
     """
     m, n = A.rows, A.cols
     a = [list(row) for row in A.entries]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def clear_pivot(t: int) -> None:
-        # Repeat until column t and row t are zero off the pivot.
-        while True:
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    p, q = a[t][t], a[i][t]
-                    if q % p == 0:
-                        f = q // p
-                        for j in range(t, n):
-                            a[i][j] -= f * a[t][j]
-                        for j in range(m):
-                            u[i][j] -= f * u[t][j]
-                    else:
-                        g, x, y = _xgcd(p, q)
-                        pg, qg = p // g, q // g
-                        for j in range(t, n):
-                            at, ai = a[t][j], a[i][j]
-                            a[t][j] = x * at + y * ai
-                            a[i][j] = -qg * at + pg * ai
-                        for j in range(m):
-                            ut, ui = u[t][j], u[i][j]
-                            u[t][j] = x * ut + y * ui
-                            u[i][j] = -qg * ut + pg * ui
-            if any(a[i][t] for i in range(t + 1, m)):
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    p, q = a[t][t], a[t][j]
-                    if q % p == 0:
-                        f = q // p
-                        for i in range(t, m):
-                            a[i][j] -= f * a[i][t]
-                        for i in range(n):
-                            v[i][j] -= f * v[i][t]
-                    else:
-                        g, x, y = _xgcd(p, q)
-                        pg, qg = p // g, q // g
-                        for i in range(t, m):
-                            at, aj = a[i][t], a[i][j]
-                            a[i][t] = x * at + y * aj
-                            a[i][j] = -qg * at + pg * aj
-                        for i in range(n):
-                            vt, vj = v[i][t], v[i][j]
-                            v[i][t] = x * vt + y * vj
-                            v[i][j] = -qg * vt + pg * vj
-            if not any(a[i][t] for i in range(t + 1, m)) and not any(
-                a[t][j] for j in range(t + 1, n)
-            ):
-                return
-
     t = 0
     while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = a[i][j]
-                if e and (best is None or abs(e) < best):
-                    pivot, best = (i, j), abs(e)
+        cells = ((i, j) for i in range(t, m) for j in range(t, n) if a[i][j])
+        pivot = min(cells, key=lambda ij: abs(a[ij[0]][ij[1]]), default=None)
         if pivot is None:
             break
-        _swap_rows(a, u, t, pivot[0])
-        _swap_cols(a, v, t, pivot[1])
-        clear_pivot(t)
-        # Enforce divisibility: the pivot must divide every remaining entry.
-        retry = True
-        while retry:
-            retry = False
-            p = a[t][t]
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % p != 0:
-                        for jj in range(t, n):
-                            a[t][jj] += a[i][jj]
-                        for jj in range(m):
-                            u[t][jj] += u[i][jj]
-                        clear_pivot(t)
-                        retry = True
-                        break
-                if retry:
-                    break
-        if a[t][t] < 0:
-            for j in range(t, n):
-                a[t][j] = -a[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
+        i, j = pivot
+        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+        for row in a + v:
+            row[t], row[j] = row[j], row[t]
+        p = a[t][t]
+        for i in range(t + 1, m):
+            q = a[i][t] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        for j in range(t + 1, n):
+            q = a[t][j] // p
+            if q:
+                for row in a + v:
+                    row[j] -= q * row[t]
+        if any(a[i][t] for i in range(t + 1, m)) or any(a[t][t + 1 :]):
+            continue
+        if p not in (1, -1):
+            fold = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1 :])), None)
+            if fold is not None:
+                a[t] = [x + y for x, y in zip(a[t], a[fold])]
+                u[t] = [x + y for x, y in zip(u[t], u[fold])]
+                continue
+        if p < 0:
+            a[t][t] = -p
+            u[t] = [-x for x in u[t]]
         t += 1
-
-    return SNFResult(
-        U=IntMatrix._of_rows(u, m),
-        D=IntMatrix._of_rows(a, n),
-        V=IntMatrix._of_rows(v, n),
-    )
+    return SNFResult(U=IntMatrix._of_rows(u, m), D=IntMatrix._of_rows(a, n), V=IntMatrix._of_rows(v, n))
 
 
 def determinant(A: IntMatrix) -> int:

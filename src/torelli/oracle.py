@@ -434,22 +434,23 @@ def _check_identity_extension(plan, index, model_factory):
     return None
 
 
-def _check_correction_round_trip(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
-    word = random_weakly_torelli_word(model, plan, index)
+def _correction_failure(model: HomologyModel, word: TwistWord) -> Optional[dict]:
+    """Witness fields when the word's correcting multi-twist leaves it acting, or None."""
     correction = criteria.decide_multitwist_correctable(model, word)
     if correction is None:
         return None
     corrected = concat(realization.build_boundary_multitwist(model, correction), word)
-    if transvection_action(model, corrected) != IntMatrix.identity(model.rank):
-        return _model_witness(
-            config,
-            word=word_to_json_dict(word),
-            correction=correction.to_json(),
-            problem="correcting multi-twist does not trivialize the action",
-        )
-    return None
+    if transvection_action(model, corrected) == IntMatrix.identity(model.rank):
+        return None
+    problem = "correcting multi-twist does not trivialize the action"
+    return {"word": word_to_json_dict(word), "correction": correction.to_json(), "problem": problem}
+
+
+def _check_correction_round_trip(plan, index, model_factory):
+    config = random_config(plan, index)
+    model = model_factory(config)
+    failure = _correction_failure(model, random_weakly_torelli_word(model, plan, index))
+    return None if failure is None else _model_witness(config, **failure)
 
 
 def _check_three_circle_guarantee(plan, index, model_factory):
@@ -592,6 +593,24 @@ def _check_bounding_pair_products(plan, index, model_factory):
             config, word=word_to_json_dict(word), delta=delta.matrix.to_lists(),
             problem=f"reducibility verdict differs from the entry-wise test ({reducible})",
         )
+    if not criteria.is_symmetric(model, delta):
+        return _model_witness(
+            config, word=word_to_json_dict(word), delta=delta.matrix.to_lists(), problem="difference map not symmetric"
+        )
+    failure = _correction_failure(model, word)
+    if failure is not None:
+        return _model_witness(config, **failure)
+    # Under the flipped form, the word with every exponent negated acts as the word does.
+    flipped = build_model(config, pairing_sign=-1)
+    mirrored = TwistWord([f._with(-f.exponent, f.locus) for f in word.factors])
+    witness = _model_witness(config, pairing_sign=-1, word=word_to_json_dict(mirrored))
+    try:
+        delta = delta_difference(flipped, mirrored)
+    except (NotWeaklyTorelli, InconsistentDelta) as exc:
+        return dict(witness, problem=f"product rejected: {exc}")
+    idx = _functional_equation_failure(flipped, transvection_action(flipped, mirrored), delta)
+    if idx is not None:
+        return dict(witness, basis_index=idx, problem="displacement != difference of boundary")
     return None
 
 

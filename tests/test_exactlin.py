@@ -5,6 +5,7 @@ by trusting the algorithm's internals.
 """
 
 from itertools import product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from torelli.exactlin import (
     smith_normal_form,
     solve_integer,
 )
+from linetrace import missed_lines
 
 matrices = st.integers(min_value=0, max_value=4).flatmap(
     lambda rows: st.integers(min_value=0, max_value=4).flatmap(
@@ -200,3 +202,55 @@ def test_determinant_matches_cofactor_expansion():
     )
     assert determinant(a) == expected
     assert determinant(IntMatrix([], cols=0)) == 1
+
+
+# Each case is named after the branch of smith_normal_form it needs.
+SNF_CASES = [
+    ([[2, 0], [0, 3]], 2, [[1, 0], [0, 6]]),  # the fold
+    ([[-3]], 1, [[3]]),  # the sign
+    ([[4, 6]], 2, [[2, 0]]),  # a remainder round
+    ([[0, 0], [0, 5]], 2, [[5, 0], [0, 0]]),  # the swap
+    ([[6, 10], [15, 4]], 2, [[1, 0], [0, 126]]),  # row and column reductions
+    ([], 3, []),  # 0 x 3
+    ([[], [], []], 0, [[], [], []]),  # 3 x 0
+]
+
+
+@pytest.mark.parametrize("rows, cols, diagonal", SNF_CASES)
+def test_snf_pinned_cases(rows, cols, diagonal):
+    a = IntMatrix(rows, cols=cols)
+    snf = smith_normal_form(a)
+    assert snf.D == IntMatrix(diagonal, cols=cols)
+    assert_smith_contract(a, snf)
+
+
+def test_snf_pinned_cases_run_every_line():
+    def run():
+        for rows, cols, _ in SNF_CASES:
+            smith_normal_form(IntMatrix(rows, cols=cols))
+
+    assert missed_lines(run, smith_normal_form) == {}
+
+
+def _integer_matrix(rows, cols):
+    entry = st.integers(min_value=-30, max_value=30)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows).map(
+        lambda data: IntMatrix(data, cols=cols)
+    )
+
+
+sizes = st.integers(min_value=1, max_value=6)
+low_rank_products = st.tuples(sizes, sizes, sizes).flatmap(
+    lambda mkn: st.tuples(_integer_matrix(mkn[0], mkn[1]), _integer_matrix(mkn[1], mkn[2]))
+).map(lambda bc: bc[0] * bc[1])
+
+
+@settings(max_examples=200)
+@given(low_rank_products)
+def test_snf_invariant_factors(a):
+    snf = smith_normal_form(a)
+    assert_smith_contract(a, snf)
+    diag = snf.diagonal()
+    assert diag[0] == gcd(*(x for row in a.entries for x in row))
+    if a.rows == a.cols:
+        assert prod(diag) == abs(determinant(a))
