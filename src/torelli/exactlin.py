@@ -204,13 +204,13 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
     reduces the entries in line with p by Euclidean division: it subtracts
     x // p times p's row from each row below and times p's column from each
     later column.  A nonzero remainder is smaller than |p| and becomes the
-    next pivot.  Once p's row and column are clear, a p that does not divide
-    some entry of the block adds that entry's row to its own; the next round
-    then picks a smaller pivot, or p again (the first of the smallest
+    next pivot.  With p's row and column clear, a p that does not divide
+    some entry of the block adds that entry's row to its own, and the next
+    round picks a smaller pivot, or p again (the first of the smallest
     entries) and leaves a remainder in row t.  So |p| falls at least every
-    second round.  Once p's row and column are clear and p divides the
-    block, p's sign is fixed and t advances.  Swaps, sign changes and adding
-    multiples of one row (column) to another keep U and V unimodular.
+    second round, and the loop ends.  A p that divides the block gets its
+    sign fixed, and t advances.  Swaps, sign changes and adding multiples
+    of one row (column) to another keep U and V unimodular.
     """
     m, n = A.rows, A.cols
     a = [list(row) for row in A.entries]
