@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: Smith normal form, integer solves, kernels.
+"""Exact integer linear algebra: Smith normal form, integer solves, kernels,
+and lattice equality by invariant factors.
 
 Everything runs on Python's arbitrary-precision integers.  Matrices and
 vectors are immutable; every operation returns a fresh value, so the whole
@@ -12,6 +13,7 @@ built from ints it had already checked.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
@@ -288,8 +290,6 @@ def solve_integer(A: IntMatrix, b: IntVector) -> Optional[IntVector]:
     """
     if A.rows != len(b):
         raise DimensionMismatch(f"matrix has {A.rows} rows, vector has length {len(b)}")
-    if A.cols == 0:
-        return IntVector._of_ints(()) if b.is_zero() else None
     snf = smith_normal_form(A)
     rhs = snf.U.apply(b)
     y = [0] * A.cols
@@ -313,25 +313,20 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     basis is primitive (saturated): the kernel lattice is a direct summand
     spanned exactly by these columns.
     """
-    if A.cols == 0:
-        return IntMatrix.zeros(0, 0)
     snf = smith_normal_form(A)
     rank = snf.rank()
-    cols = [snf.V.column(j) for j in range(rank, A.cols)]
-    return IntMatrix.from_columns(cols, rows=A.cols)
-
-
-def lattice_membership(basis: IntMatrix, v: IntVector) -> bool:
-    """Is v an integer combination of the basis columns?"""
-    if basis.rows != len(v):
-        raise DimensionMismatch(f"basis has {basis.rows} rows, vector has length {len(v)}")
-    return solve_integer(basis, v) is not None
+    return IntMatrix._of_rows((row[rank:] for row in snf.V.entries), A.cols - rank)
 
 
 def lattices_equal(A: IntMatrix, B: IntMatrix) -> bool:
-    """Do the columns of A and B span the same integer lattice?"""
+    """Do the columns of A and B span the same integer lattice?
+
+    L(A) and L(B) lie in L([A | B]).  Of equal rank, the three share their
+    saturation S, whose index [S : L] is the product of L's nonzero invariant
+    factors; so L(A) = L(B) exactly when all three agree in rank and index.
+    """
     if A.rows != B.rows:
         raise DimensionMismatch("ambient dimensions differ")
-    return all(lattice_membership(B, c) for c in A.columns()) and all(
-        lattice_membership(A, c) for c in B.columns()
-    )
+    joint = IntMatrix._of_rows(map(operator.add, A.entries, B.entries), A.cols + B.cols)
+    nonzero = ([d for d in smith_normal_form(M).diagonal() if d] for M in (A, joint, B))
+    return len({(len(f), math.prod(f)) for f in nonzero}) == 1

@@ -1,9 +1,10 @@
-"""Smith form, integer solver, and kernel lattice checks.
+"""Smith form, integer solver, kernel lattice and lattice equality checks.
 
 Every decomposition property is verified by direct multiplication, never
 by trusting the algorithm's internals.
 """
 
+from collections import Counter
 from itertools import product
 from math import gcd, prod
 
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torelli import exactlin
 from torelli.exactlin import (
     DimensionMismatch,
     IntMatrix,
     IntVector,
     determinant,
     kernel_basis,
-    lattice_membership,
+    lattices_equal,
     smith_normal_form,
     solve_integer,
 )
@@ -174,14 +176,14 @@ def test_kernel_random(a):
 
 def test_membership_empty_basis():
     empty = IntMatrix.zeros(2, 0)
-    assert lattice_membership(empty, IntVector([0, 0]))
-    assert not lattice_membership(empty, IntVector([1, 0]))
+    assert solve_integer(empty, IntVector([0, 0])) is not None
+    assert solve_integer(empty, IntVector([1, 0])) is None
 
 
 def test_membership_index_two_sublattice():
     basis = IntMatrix.from_columns([IntVector([2, 0])], rows=2)
-    assert not lattice_membership(basis, IntVector([1, 0]))
-    assert lattice_membership(basis, IntVector([-4, 0]))
+    assert solve_integer(basis, IntVector([1, 0])) is None
+    assert solve_integer(basis, IntVector([-4, 0])) is not None
 
 
 @settings(max_examples=100)
@@ -191,8 +193,107 @@ def test_membership_of_constructed_kernel_elements(a, coeffs):
     combo = IntVector.zeros(a.cols)
     for i, col in enumerate(basis.columns()):
         combo = combo + coeffs[i % len(coeffs)] * col
-    assert lattice_membership(basis, combo)
+    assert solve_integer(basis, combo) is not None
     assert a.apply(combo).is_zero()
+
+
+def _spans_equal(a, b):
+    """Reference definition of lattice equality: each column of either
+    matrix is an integer combination of the other's columns."""
+    return all(solve_integer(b, IntVector(col)) is not None for col in a.transpose().entries) and all(
+        solve_integer(a, IntVector(col)) is not None for col in b.transpose().entries
+    )
+
+
+LATTICE_CASES = [
+    (IntMatrix([[1], [0]]), IntMatrix.identity(2), False),  # different rank
+    (IntMatrix([[1], [0]]), IntMatrix([[0], [1]]), False),  # same invariant factors, different span
+    (IntMatrix([[1, 0], [0, 0]]), IntMatrix([[1], [0]]), True),  # a zero column
+    (IntMatrix([[2], [2]]), IntMatrix([[1], [1]]), False),  # index 2
+    (IntMatrix([], cols=3), IntMatrix([], cols=1), True),  # 0 x 3
+    (IntMatrix([[], []]), IntMatrix([[0], [0]]), True),  # 2 x 0, the zero lattice
+    (IntMatrix([[], []]), IntMatrix([[1], [0]]), False),  # 2 x 0 against a line
+    (IntMatrix([]), IntMatrix([]), True),  # 0 x 0
+]
+
+
+@pytest.mark.parametrize("a, b, equal", LATTICE_CASES)
+def test_lattices_equal_pinned_cases(a, b, equal):
+    assert _spans_equal(a, b) == equal
+    assert lattices_equal(a, b) == equal
+    assert lattices_equal(b, a) == equal
+
+
+def test_lattice_layer_runs_every_line():
+    def run():
+        for a, b, _ in LATTICE_CASES:
+            lattices_equal(a, b)
+            _spans_equal(a, b)
+            kernel_basis(a)
+            kernel_basis(b)
+        with pytest.raises(DimensionMismatch):
+            lattices_equal(IntMatrix.identity(2), IntMatrix.identity(3))
+        with pytest.raises(DimensionMismatch):
+            solve_integer(IntMatrix.identity(2), IntVector([1, 2, 3]))
+
+    assert missed_lines(run, lattices_equal, solve_integer, kernel_basis) == {}
+
+
+def test_lattices_equal_takes_three_smith_forms(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(exactlin, "smith_normal_form", counting)
+    assert lattices_equal(IntMatrix.identity(2), IntMatrix([[1, 1], [0, 1]]))
+    assert len(calls) == 3
+
+
+@st.composite
+def lattice_pairs(draw):
+    """A matrix and a second one whose columns either span the same lattice
+    (unimodular column operations, permuted, duplicated or zero columns) or
+    are drawn at random."""
+    entry = st.integers(min_value=-3, max_value=3)
+    rows = draw(st.integers(min_value=0, max_value=3))
+    columns = draw(st.lists(st.lists(entry, min_size=rows, max_size=rows), max_size=3))
+    a = IntMatrix.from_columns(map(IntVector, columns), rows)
+    if not draw(st.booleans()):
+        others = draw(st.lists(st.lists(entry, min_size=rows, max_size=rows), max_size=3))
+        return a, IntMatrix.from_columns(map(IntVector, others), rows)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        ops = ["zero"] + ["negate", "duplicate"] * bool(columns) + ["add", "swap"] * (len(columns) > 1)
+        op = draw(st.sampled_from(ops))
+        i, j = draw(st.permutations(range(len(columns))))[:2] if len(columns) > 1 else (0, 0)
+        if op == "zero":
+            columns.append([0] * rows)
+        elif op == "negate":
+            columns[i] = [-x for x in columns[i]]
+        elif op == "duplicate":
+            columns.append(list(columns[i]))
+        elif op == "add":
+            k = draw(st.integers(min_value=-2, max_value=2))
+            columns[j] = [y + k * x for x, y in zip(columns[i], columns[j])]
+        else:
+            columns[i], columns[j] = columns[j], columns[i]
+    return a, IntMatrix.from_columns(map(IntVector, columns), rows)
+
+
+def test_lattices_equal_matches_column_definition():
+    answers = Counter()
+
+    @settings(derandomize=True, max_examples=300)
+    @given(lattice_pairs())
+    def check(pair):
+        a, b = pair
+        expected = _spans_equal(a, b)
+        assert lattices_equal(a, b) == expected
+        answers[expected] += 1
+
+    check()
+    assert answers[True] >= 50 and answers[False] >= 50
 
 
 def test_determinant_matches_cofactor_expansion():

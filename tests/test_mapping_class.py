@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from torelli import mapping_class, realization
 from torelli.criteria import DiagonalMap, NotSymmetric, analyze, delta_from_blocks, is_completely_reducible
-from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, lattice_membership, solve_integer
+from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, solve_integer
 from torelli.mapping_class import (
     LOCUS_AMBIENT,
     LOCUS_Q,
@@ -225,12 +225,31 @@ def test_inconsistent_system_is_reported(four_circle_model, monkeypatch):
         delta_difference(model, word)
 
 
+def test_displacement_outside_circle_span_is_reported(four_circle_model, monkeypatch):
+    # A consistent layout cannot reach the circle-span guard: it needs a Q
+    # handle that pairs with a dual, so that twisting about it moves the dual
+    # by a multiple of the handle.
+    from torelli.surface_model import HomologyModel
+
+    model = four_circle_model
+    first_dual = (model.rank - model.k0_rank, model.pairing_sign)
+    layout = HomologyModel.partner
+    monkeypatch.setattr(HomologyModel, "partner", lambda self, c: first_dual if c == 0 else layout(self, c))
+    word = TwistWord([TwistFactor(model.basis_vector(("qa", 0)), 1, LOCUS_Q)])
+    with pytest.raises(NotWeaklyTorelli) as caught:
+        delta_difference(model, word)
+    assert str(caught.value) == (
+        "displacement of basis index 7 (dual of circle (0, 1)) leaves the circle span: "
+        "it has a nonzero coordinate at basis index 0 (a_0)"
+    )
+
+
 def test_locus_check_agrees_with_lattice_membership(four_circle_model):
     model = four_circle_model
     inside = model.circle_class(0, 0) + 2 * model.basis_vector(("qa", 0))
     outside = model.basis_vector(("dual", 0, 2))
-    assert lattice_membership(model.q_image, inside)
-    assert not lattice_membership(model.q_image, outside)
+    assert solve_integer(model.q_image, inside) is not None
+    assert solve_integer(model.q_image, outside) is None
     transvection_action(model, TwistWord([TwistFactor(inside, 1, LOCUS_Q)]))
     with pytest.raises(LocusViolation):
         transvection_action(model, TwistWord([TwistFactor(outside, 1, LOCUS_Q)]))

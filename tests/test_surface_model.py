@@ -13,8 +13,8 @@ from torelli.exactlin import (
     IntVector,
     determinant,
     kernel_basis,
-    lattice_membership,
     lattices_equal,
+    solve_integer,
 )
 from torelli.realization import realize_delta
 from torelli.surface_model import (
@@ -123,7 +123,7 @@ def test_mv_boundary_lands_in_two_sided_lattice():
     model = build_model(SubsurfaceConfig(1, [ComplementComponent(0, 3), ComplementComponent(1, 2)]))
     for idx in range(model.rank):
         theta = model.mv_boundary(IntVector.unit(model.rank, idx))
-        assert lattice_membership(model.k0_basis, theta)
+        assert solve_integer(model.k0_basis, theta) is not None
         model.k0_coords(theta)  # does not raise
 
 
