@@ -284,29 +284,25 @@ def _check_boundary_image(plan, index, model_factory):
 
 
 def _check_adjunction(plan, index, model_factory):
+    # <a, [C]> = <da, C> for basis classes a and circles C: with the circle classes as the columns
+    # of C, row a of J*C is column a of the boundary matrix.
     config = random_config(plan, index)
     model = model_factory(config)
-    for idx in range(model.rank):
-        a = IntVector.unit(model.rank, idx)
-        boundary = model.mv_boundary(a)
-        for (j, i) in model.circle_order:
-            chain = IntVector(1 if ji == (j, i) else 0 for ji in model.circle_order)
-            ambient = model.circle_class(j, i)
-            if model.pair(a, ambient) != model.circle_pairing(boundary, chain):
-                return _model_witness(
-                    config, basis_index=idx, circle=[j, i], problem="adjunction identity fails"
-                )
+    classes = IntMatrix((model.circle_class(j, i) for j, i in model.circle_order), cols=model.rank)
+    product = model.intersection_form * classes.transpose()
+    for idx, (row, expected) in enumerate(zip(product.entries, model.boundary_matrix.transpose().entries)):
+        for circle, x, y in zip(model.circle_order, row, expected):
+            if x != y:
+                return _model_witness(config, basis_index=idx, circle=list(circle), problem="adjunction identity fails")
     return None
 
 
 def _check_circle_orthogonality(plan, index, model_factory):
     config = random_config(plan, index)
     model = model_factory(config)
-    classes = [model.circle_class(j, i) for (j, i) in model.circle_order]
-    for x in classes:
-        for y in classes:
-            if model.pair(x, y) != 0:
-                return _model_witness(config, problem="circle classes not mutually orthogonal")
+    classes = IntMatrix((model.circle_class(j, i) for j, i in model.circle_order), cols=model.rank)
+    if not (classes * model.intersection_form * classes.transpose()).is_zero():
+        return _model_witness(config, problem="circle classes not mutually orthogonal")
     return None
 
 
@@ -377,12 +373,8 @@ def _check_well_defined(plan, index, model_factory):
     action = transvection_action(model, word)
     rng = random.Random(_subseed(plan.seed, 21, index))
     a = IntVector(rng.randint(-2, 2) for _ in range(model.rank))
-    # Same boundary: shift by a combination of boundary-less basis classes.
-    shift = IntVector.zeros(model.rank)
-    for idx, label in enumerate(model.labels):
-        if label[0] in ("qa", "qb", "pa", "pb", "circle"):
-            shift = shift + rng.randint(-2, 2) * IntVector.unit(model.rank, idx)
-    a2 = a + shift
+    # Same boundary: shift by a combination of boundary-less basis classes (all but the duals).
+    a2 = a + IntVector(0 if kind == "dual" else rng.randint(-2, 2) for kind, *_ in model.labels)
     if model.mv_boundary(a) != model.mv_boundary(a2):
         return _model_witness(config, problem="shift unexpectedly changed the boundary")
     r1 = model.h1bar_from_ambient(action.apply(a) - a)

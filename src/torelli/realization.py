@@ -132,20 +132,17 @@ def peripheral_class(model: HomologyModel, j: int, subset: Iterable[int]) -> Int
 def peripheral_twist_delta(
     model: HomologyModel, j: int, subset: Iterable[int], exponent: int
 ) -> DifferenceMap:
-    """Difference map of the peripheral twist about the union of the chosen
-    circles of component j: a -> m <a, [U]> [U]."""
+    """Difference map of the peripheral twist about the union U of the chosen
+    circles of component j: a -> m <a, [U]> [U], the outer product m u p^T of
+    U's reduced class u and the pairings p of the two-point classes with U."""
     members = sorted(set(subset))
     peripheral_class(model, j, members)  # validates the subset
     u_chain = IntVector(
         1 if ji in {(j, i) for i in members} else 0 for ji in model.circle_order
     )
-    u_reduced = model.project_h1bar(u_chain)
     k = model.k0_rank
-    columns = []
-    for pos in range(k):
-        pairing = model.circle_pairing(model.lift_k0(IntVector.unit(k, pos)), u_chain)
-        columns.append((exponent * pairing) * u_reduced)
-    matrix = IntMatrix.from_columns(columns, rows=k)
+    pairings = [model.circle_pairing(model.lift_k0(IntVector.unit(k, pos)), u_chain) for pos in range(k)]
+    matrix = IntMatrix([exponent * x * y for y in pairings] for x in model.project_h1bar(u_chain))
     return difference_map_from_matrix(model, matrix)
 
 

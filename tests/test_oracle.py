@@ -1,9 +1,15 @@
-"""Harness determinism, generator soundness, fault injection, regression."""
+"""Harness determinism, generator soundness, fault injection, reach, regression."""
 
+import ast
+import inspect
 import json
+from dataclasses import replace
 
 import pytest
 
+from linetrace import missed_lines
+from torelli import oracle, realization
+from torelli.exactlin import IntMatrix
 from torelli.mapping_class import is_weakly_torelli
 from torelli.oracle import (
     INVARIANTS,
@@ -110,3 +116,146 @@ def test_example_regression_degenerate_exponent():
     assert report.extendable_to_torelli
     assert report.multitwist_correctable is not None
     assert list(report.multitwist_correctable.exponents) == [0, 0, 0, 0]
+
+
+# -- one fault per model invariant ------------------------------------------
+# Each factory seeds a cached dense view of the model with a wrong matrix;
+# the last fault patches the peripheral-twist formula instead.
+
+
+def _negated_boundary(config):
+    model = build_model(config)
+    model.__dict__["boundary_matrix"] = -model.boundary_matrix
+    return model
+
+
+def _skewed_circles(config):
+    """The form plus an antisymmetric +-1 between the first two basis circles."""
+    model = build_model(config)
+    if model.k0_rank >= 2:
+        lo, rows = model.rank - 2 * model.k0_rank, model.intersection_form.to_lists()
+        rows[lo][lo + 1] += 1
+        rows[lo + 1][lo] -= 1
+        model.__dict__["intersection_form"] = IntMatrix(rows)
+    return model
+
+
+def _doubled_form(config):
+    model = build_model(config)
+    model.__dict__["intersection_form"] = 2 * model.intersection_form
+    return model
+
+
+def _unit_diagonal(config):
+    """The form with a 1 on its first diagonal entry: still unimodular, no longer skew."""
+    model = build_model(config)
+    if model.rank:
+        rows = model.intersection_form.to_lists()
+        rows[0][0] = 1
+        model.__dict__["intersection_form"] = IntMatrix(rows)
+    return model
+
+
+def _doubled_k0_column(config):
+    model = build_model(config)  # boundary_matrix is read from k0_basis, so it follows the fault
+    if model.k0_rank:
+        model.__dict__["k0_basis"] = IntMatrix([[2 * row[0], *row[1:]] for row in model.k0_basis.entries])
+    return model
+
+
+def _negated_peripheral_map(monkeypatch):
+    original = realization.peripheral_twist_delta
+    monkeypatch.setattr(realization, "peripheral_twist_delta", lambda *args: -original(*args))
+    return build_model
+
+
+FAULT_PLAN = TrialPlan(seed=4, trials=8)
+_CONFIG = {"q_genus": 2, "components": [{"genus": 1, "boundary_count": 4}]}  # trial 0 of FAULT_PLAN
+
+# fault: (model factory or None, failure count per invariant, the invariant it aims at, its first witness)
+FAULTS = {
+    "negated_boundary": (
+        _negated_boundary,
+        {"model_adjunction": 7, "delta_functional_equation": 3, "bounding_pair_products": 6},
+        "model_adjunction", {"basis_index": 9, "circle": [0, 0], "problem": "adjunction identity fails"},
+    ),
+    "skewed_circles": (
+        _skewed_circles,
+        {"model_adjunction": 5, "model_circle_orthogonality": 5, "delta_functional_equation": 3,
+         "delta_well_defined": 2, "bounding_pair_products": 5},
+        "model_circle_orthogonality", {"problem": "circle classes not mutually orthogonal"},
+    ),
+    "doubled_form": (
+        _doubled_form,
+        {"model_form_unimodular": 8, "model_adjunction": 7, "delta_functional_equation": 3,
+         "bounding_pair_products": 6},
+        "model_form_unimodular", {"problems": ["form not unimodular"]},
+    ),
+    "unit_diagonal": (
+        _unit_diagonal,
+        {"model_form_unimodular": 8, "model_adjunction": 1, "model_circle_orthogonality": 1,
+         "word_symplectic": 5, "realization_round_trip": 1, "bounding_pair_products": 6},
+        "model_form_unimodular", {"problems": ["form not skew-symmetric"]},
+    ),
+    "doubled_k0_column": (
+        _doubled_k0_column,
+        {"model_orthogonal_complements": 7, "model_adjunction": 7, "delta_functional_equation": 3,
+         "bounding_pair_products": 6},
+        "model_orthogonal_complements", {"problem": "two-sided classes != annihilator of fundamentals"},
+    ),
+    "negated_peripheral_map": (
+        None,
+        {"peripheral_twist_formula": 5},
+        "peripheral_twist_formula",
+        {"component": 0, "subset": [0, 1], "problem": "peripheral twist formula mismatch"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_each_model_fault_trips_its_invariant(fault, monkeypatch):
+    factory, counts, target, witness = FAULTS[fault]
+    reports = verify_all(FAULT_PLAN, model_factory=factory or _negated_peripheral_map(monkeypatch))
+    assert {r["invariant"]: len(r["failures"]) for r in reports if r["failures"]} == counts
+    first = next(r for r in reports if r["invariant"] == target)["failures"][0]
+    assert first == dict(witness, config=_CONFIG, trial=0)
+
+
+def test_model_invariants_reach_every_line(monkeypatch):
+    def wrong_rank(config):
+        model = build_model(config)
+        return replace(model, rank=model.rank + 2)  # one spare handle pair: the form stays unimodular and skew
+
+    checks = (oracle._check_form_unimodular, oracle._check_orthogonal_complements, oracle._check_adjunction,
+              oracle._check_circle_orthogonality, oracle._check_peripheral_formula)
+
+    def run():
+        for factory in [build_model] + [factory for factory, *_ in FAULTS.values()]:
+            factory = factory or _negated_peripheral_map(monkeypatch)  # the patch comes last and stays
+            for check in checks:
+                for index in range(FAULT_PLAN.trials):
+                    check(FAULT_PLAN, index, factory)
+        assert oracle._check_form_unimodular(FAULT_PLAN, 0, wrong_rank)["problems"] == ["rank law violated"]
+
+    # Once the two-sided classes are the annihilator of the fundamentals, the
+    # fundamentals' rows are saturated, so they are the annihilator of the
+    # two-sided classes: no model reaches the second comparison's return.
+    lines, first = inspect.getsourcelines(oracle._check_orthogonal_complements)
+    unreachable = [first + n for n, line in enumerate(lines) if "annihilator of two-sided classes" in line]
+    missed = missed_lines(run, *checks, realization.peripheral_twist_delta)
+    assert missed == {"_check_orthogonal_complements": unreachable}
+
+
+def test_oracle_shares_no_private_helper_with_the_fast_path():
+    # The oracle checks the fast path, so it must not reach it through these helpers.
+    fast_path = {"partner", "_displacements", "_sum_of_runs", "_require_in_q", "_diagonal_exponents",
+                 "_sym_coefficients"}
+    sources = [inspect.getsource(oracle), inspect.getsource(realization.peripheral_twist_delta)]
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert "_with" in names  # the walk sees attributes: TwistFactor._with is the oracle's one private access
+    assert not names & fast_path
