@@ -33,7 +33,6 @@ from torelli.realization import (
     realize_delta,
     sym_basis_change,
 )
-from torelli.oracle import TrialPlan, paper_example_4, random_config, random_weakly_torelli_word, verify_all
 
 __all__ = [
     "IntMatrix",
@@ -67,9 +66,4 @@ __all__ = [
     "Realization",
     "realize_delta",
     "build_boundary_multitwist",
-    "TrialPlan",
-    "random_config",
-    "random_weakly_torelli_word",
-    "verify_all",
-    "paper_example_4",
 ]

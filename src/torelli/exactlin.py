@@ -69,13 +69,6 @@ class IntVector:
             raise DimensionMismatch(f"vector lengths {len(self)} != {len(other)}")
         return sum(a * b for a, b in zip(self.entries, other.entries))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
-    @staticmethod
-    def zeros(n: int) -> "IntVector":
-        return IntVector._of_ints([0] * n)
-
     @staticmethod
     def unit(n: int, i: int) -> "IntVector":
         return IntVector._of_ints([1 if k == i else 0 for k in range(n)])
@@ -125,23 +118,9 @@ class IntMatrix:
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix._of_rows(repeat((0,) * cols, rows), cols)
 
-    @staticmethod
-    def from_columns(columns: Iterable[IntVector], rows: int) -> "IntMatrix":
-        cols = list(columns)
-        for c in cols:
-            if len(c) != rows:
-                raise DimensionMismatch(f"column length {len(c)} != {rows}")
-        return IntMatrix._of_rows(zip(*(c.entries for c in cols)) if cols else repeat((), rows), len(cols))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i][j]
-
-    def column(self, j: int) -> IntVector:
-        return IntVector._of_ints(row[j] for row in self.entries)
-
-    def columns(self) -> list[IntVector]:
-        return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
         # zip of no rows yields nothing, so a 0 x n matrix lists its n empty rows

@@ -170,6 +170,12 @@ if TYPE_CHECKING:  # built at run time, typing's cache would keep every re-impor
     Check = Callable[[TrialPlan, int, Callable[[SubsurfaceConfig], HomologyModel]], Optional[dict]]
 
 
+def _trial_model(plan, index, model_factory):
+    """Trial ``index``'s configuration and the model ``model_factory`` builds of it."""
+    config = random_config(plan, index)
+    return config, model_factory(config)
+
+
 def _model_witness(config: SubsurfaceConfig, **extra) -> dict:
     witness = {"config": config.to_json_dict()}
     witness.update(extra)
@@ -244,8 +250,7 @@ def _check_kernel(plan, index, model_factory):
 
 
 def _check_form_unimodular(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     problems = []
     if abs(determinant(model.intersection_form)) != 1:
         problems.append("form not unimodular")
@@ -264,8 +269,7 @@ def _check_form_unimodular(plan, index, model_factory):
 
 
 def _check_orthogonal_complements(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     rows = ([int(c == j) for c, _ in model.circle_order] for j in range(model.n_components))
     fundamentals = IntMatrix(rows, cols=model.n_circles)  # row j: the fundamental class of component j
     if not lattices_equal(kernel_basis(fundamentals), model.k0_basis):
@@ -276,8 +280,7 @@ def _check_orthogonal_complements(plan, index, model_factory):
 
 
 def _check_boundary_image(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     if not lattices_equal(model.boundary_matrix, model.k0_basis):
         return _model_witness(config, problem="boundary image differs from two-sided lattice")
     return None
@@ -286,8 +289,7 @@ def _check_boundary_image(plan, index, model_factory):
 def _check_adjunction(plan, index, model_factory):
     # <a, [C]> = <da, C> for basis classes a and circles C: with the circle classes as the columns
     # of C, row a of J*C is column a of the boundary matrix.
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     classes = IntMatrix((model.circle_class(j, i) for j, i in model.circle_order), cols=model.rank)
     product = model.intersection_form * classes.transpose()
     for idx, (row, expected) in enumerate(zip(product.entries, model.boundary_matrix.transpose().entries)):
@@ -298,8 +300,7 @@ def _check_adjunction(plan, index, model_factory):
 
 
 def _check_circle_orthogonality(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     classes = IntMatrix((model.circle_class(j, i) for j, i in model.circle_order), cols=model.rank)
     if not (classes * model.intersection_form * classes.transpose()).is_zero():
         return _model_witness(config, problem="circle classes not mutually orthogonal")
@@ -307,8 +308,7 @@ def _check_circle_orthogonality(plan, index, model_factory):
 
 
 def _check_symplectic(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     rng = random.Random(_subseed(plan.seed, 20, index))
     word = _random_ambient_word(model, rng, plan.exponent_bound)
     action = transvection_action(model, word)
@@ -319,8 +319,7 @@ def _check_symplectic(plan, index, model_factory):
 
 
 def _check_delta_additive(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     w1 = random_weakly_torelli_word(model, plan, 2 * index)
     w2 = random_weakly_torelli_word(model, plan, 2 * index + 1)
     d1 = delta_difference(model, w1)
@@ -352,8 +351,7 @@ def _functional_equation_failure(model: HomologyModel, action: IntMatrix, delta)
 
 
 def _check_functional_equation(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     word = random_weakly_torelli_word(model, plan, index)
     idx = _functional_equation_failure(model, transvection_action(model, word), delta_difference(model, word))
     if idx is not None:
@@ -367,8 +365,7 @@ def _check_functional_equation(plan, index, model_factory):
 
 
 def _check_well_defined(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     word = random_weakly_torelli_word(model, plan, index)
     action = transvection_action(model, word)
     rng = random.Random(_subseed(plan.seed, 21, index))
@@ -387,8 +384,7 @@ def _check_well_defined(plan, index, model_factory):
 
 
 def _check_delta_symmetric(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     word = random_weakly_torelli_word(model, plan, index)
     delta = delta_difference(model, word)
     if not criteria.is_symmetric(model, delta):
@@ -400,8 +396,7 @@ def _check_delta_symmetric(plan, index, model_factory):
 
 
 def _check_identity_extension(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     word = random_weakly_torelli_word(model, plan, index)
     decided = criteria.decide_extension_by_identity(model, word)
     acted = transvection_action(model, word) == IntMatrix.identity(model.rank)
@@ -427,8 +422,7 @@ def _correction_failure(model: HomologyModel, word: TwistWord) -> Optional[dict]
 
 
 def _check_correction_round_trip(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     failure = _correction_failure(model, random_weakly_torelli_word(model, plan, index))
     return None if failure is None else _model_witness(config, **failure)
 
@@ -454,8 +448,7 @@ def _check_three_circle_guarantee(plan, index, model_factory):
 
 
 def _check_realization_round_trip(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     rng = random.Random(_subseed(plan.seed, 23, index))
     delta = random_symmetric_reducible_delta(model, rng)
     realized = realization.realize_delta(model, delta)
@@ -472,8 +465,7 @@ def _check_realization_round_trip(plan, index, model_factory):
 
 
 def _check_multitwist_difference(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     rng = random.Random(_subseed(plan.seed, 24, index))
     exponents = criteria.DiagonalMap(
         [rng.randint(-plan.exponent_bound, plan.exponent_bound) for _ in range(model.n_circles)]
@@ -502,8 +494,7 @@ def _check_basis_change(plan, index, model_factory):
 
 
 def _check_peripheral_formula(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     rng = random.Random(_subseed(plan.seed, 26, index))
     j = rng.randrange(model.n_components)
     count = model.config.components[j].boundary_count
@@ -533,9 +524,8 @@ def _check_sign_flip(plan, index, model_factory):
 
 
 def _check_generators(plan, index, model_factory):
-    config = random_config(plan, index)
+    config, model = _trial_model(plan, index, model_factory)
     config.validate()
-    model = model_factory(config)
     word = random_weakly_torelli_word(model, plan, index)
     if not is_weakly_torelli(model, word):
         return _model_witness(
@@ -545,8 +535,7 @@ def _check_generators(plan, index, model_factory):
 
 
 def _check_bounding_pair_products(plan, index, model_factory):
-    config = random_config(plan, index)
-    model = model_factory(config)
+    config, model = _trial_model(plan, index, model_factory)
     rng = random.Random(_subseed(plan.seed, 27, index))
     word = TwistWord()
     for _ in range(rng.randint(1, 2)):  # one circle class c per product

@@ -244,13 +244,6 @@ class HomologyModel:
 
     # -- pairings and maps -----------------------------------------------
 
-    def pair(self, a: IntVector, b: IntVector) -> int:
-        """Ambient intersection number of two classes, through the dense form
-        (the first call on a model pays O(rank^2) to build it)."""
-        if len(a) != self.rank or len(b) != self.rank:
-            raise DimensionMismatch("classes must have the ambient rank")
-        return a.dot(self.intersection_form.apply(b))
-
     def mv_boundary(self, a: IntVector) -> IntVector:
         """Mayer-Vietoris boundary of an ambient class, as a 0-chain class,
         through the dense boundary matrix (the first call pays O(rank^2))."""

@@ -1,0 +1,216 @@
+"""Hand mutants of the library, each with the tier-1 tests that must kill it.
+
+Run from the repository root:
+
+    python tests/mutants.py
+
+Each row names a file under ``src/torelli``, a piece of its source text, the
+text that replaces it, and the test node IDs that must fail once it does.
+The runner applies one mutant at a time to a copy of ``src/`` and ``tests/``
+in a temporary directory, runs the listed tests there in a child pytest, and
+exits 1 when any listed test still passes.  Tier-1 does not collect this
+file; ``test_mutants.py`` checks that every row's source text still occurs
+exactly once, so a refactor that rewrites a mutated line must restate its row.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/torelli
+    text: str  # occurs exactly once in the tree
+    replacement: str
+    killers: tuple[str, ...]  # tier-1 node IDs that must fail
+
+
+MUTANTS = (
+    Mutant(
+        "sparse add drops the pairing sign", "mapping_class.py",
+        "row[c - hi] += s * x", "row[c - hi] += x",
+        (
+            "tests/test_mapping_class.py::test_fast_path_matches_dense_reference[-1]",
+            "tests/test_oracle.py::test_all_invariants_pass_on_correct_build",
+        ),
+    ),
+    Mutant(
+        "corner updates skip each class's first edge", "mapping_class.py",
+        "for j, dj in d:", "for j, dj in d[1:]:",
+        (
+            "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
+            "tests/test_mapping_class.py::test_fast_path_matches_dense_reference[1]",
+        ),
+    ),
+    Mutant(
+        "run edges read one place late", "mapping_class.py",
+        "d = [(i - lo, step) for i, step", "d = [(i - lo + 1, step) for i, step",
+        (
+            "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
+            "tests/test_criteria.py::test_blockwise_word_reducible",
+        ),
+    ),
+    Mutant(
+        "prefix sum drops the rows above", "mapping_class.py",
+        "above = list(map(add, above, accumulate(row)))", "above = list(accumulate(row))",
+        (
+            "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
+            "tests/test_mapping_class.py::test_delta_of_peripheral_twist_matches_expected",
+        ),
+    ),
+    Mutant(
+        "Smith form skips the fold", "exactlin.py",
+        "if fold is not None:", "if False:",
+        (
+            "tests/test_exactlin.py::test_snf_pinned_cases_run_every_line",
+            "tests/test_exactlin.py::test_snf_random",
+        ),
+    ),
+    Mutant(
+        "Smith form skips the sign fix", "exactlin.py",
+        "if p < 0:", "if False:",
+        (
+            "tests/test_exactlin.py::test_snf_two_by_two",
+            "tests/test_exactlin.py::test_snf_pinned_cases_run_every_line",
+        ),
+    ),
+    Mutant(
+        "Smith form skips U in the row operations", "exactlin.py",
+        "u[i] = [x - q * y for x, y in zip(u[i], u[t])]", "u[i] = u[i]",
+        (
+            "tests/test_exactlin.py::test_snf_two_by_two",
+            "tests/test_surface_model.py::test_mv_boundary_lands_in_two_sided_lattice",
+        ),
+    ),
+    Mutant(
+        "Smith form skips V in the column operations", "exactlin.py",
+        "for row in a + v:\n                    row[j] -= q * row[t]",
+        "for row in a:\n                    row[j] -= q * row[t]",
+        (
+            "tests/test_exactlin.py::test_snf_two_by_two",
+            "tests/test_exactlin.py::test_kernel_of_sum_functional",
+        ),
+    ),
+    Mutant(
+        "Smith form skips V in the column swap", "exactlin.py",
+        "for row in a + v:\n            row[t], row[j] = row[j], row[t]",
+        "for row in a:\n            row[t], row[j] = row[j], row[t]",
+        (
+            "tests/test_exactlin.py::test_snf_pinned_cases[rows2-2-diagonal2]",
+            "tests/test_surface_model.py::test_orthogonal_complement_equalities",
+        ),
+    ),
+    Mutant(
+        "lattice equality drops the rank", "exactlin.py",
+        "{(len(f), math.prod(f)) for f in nonzero}", "{math.prod(f) for f in nonzero}",
+        (
+            "tests/test_exactlin.py::test_lattices_equal_pinned_cases[a0-b0-False]",
+            "tests/test_mapping_class.py::test_inconsistent_system_is_reported",
+        ),
+    ),
+    Mutant(
+        "lattice equality drops [A | B]", "exactlin.py",
+        "for M in (A, joint, B))", "for M in (A, B))",
+        (
+            "tests/test_exactlin.py::test_lattices_equal_takes_three_smith_forms",
+            "tests/test_exactlin.py::test_lattices_equal_pinned_cases[a1-b1-False]",
+        ),
+    ),
+    Mutant(
+        "lattice equality keeps the zero factors", "exactlin.py",
+        "[d for d in smith_normal_form(M).diagonal() if d]", "[d for d in smith_normal_form(M).diagonal()]",
+        (
+            "tests/test_exactlin.py::test_lattices_equal_pinned_cases[a2-b2-True]",
+            "tests/test_surface_model.py::test_orthogonal_complement_equalities",
+        ),
+    ),
+    Mutant(
+        "partner of a circle one place late", "surface_model.py",
+        "return (c + k, s) if c < self.rank - k", "return (c + k + 1, s) if c < self.rank - k",
+        (
+            "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
+            "tests/test_criteria.py::test_extension_by_identity_decider",
+        ),
+    ),
+    Mutant(
+        "partner of a dual one place late", "surface_model.py",
+        "else (c - k, -s)", "else (c - k + 1, -s)",
+        (
+            "tests/test_surface_model.py::test_partner_is_the_form_column",
+        ),
+    ),
+    Mutant(
+        "partner flips the circle and dual signs", "surface_model.py",
+        "return (c + k, s) if c < self.rank - k else (c - k, -s)",
+        "return (c + k, -s) if c < self.rank - k else (c - k, s)",
+        (
+            "tests/test_acceptance.py::test_criterion_11_bounding_pair_product_fixture",
+            "tests/test_mapping_class.py::test_delta_of_peripheral_twist_matches_expected",
+        ),
+    ),
+    Mutant(
+        "partner flips the handle sign", "surface_model.py",
+        "return (c + 1, -s) if c % 2 == 0 else (c - 1, s)", "return (c + 1, s) if c % 2 == 0 else (c - 1, -s)",
+        (
+            "tests/test_acceptance.py::test_criterion_11_bounding_pair_product_fixture",
+            "tests/test_surface_model.py::test_partner_is_the_form_column",
+        ),
+    ),
+)
+
+
+def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
+    """How often the row's text occurs in the whole of ``src/torelli``, or -1
+    when its own file lacks it."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in (root / "src" / "torelli").glob("*.py")}
+    if mutant.text not in sources.get(mutant.file, ""):
+        return -1
+    return sum(source.count(mutant.text) for source in sources.values())
+
+
+def survivors(mutant: Mutant) -> list[str]:
+    """Apply the mutant to a copy of the tree; return its listed tests that still pass."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = copy / "src" / "torelli" / mutant.file
+        source = path.read_text(encoding="utf-8")
+        path.write_text(source.replace(mutant.text, mutant.replacement), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rfE", *mutant.killers],
+            cwd=copy, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(copy / "src")},
+        )
+    failed = {line.split()[1] for line in result.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))}
+    return [node for node in mutant.killers if node not in failed]
+
+
+def main() -> int:
+    start, alive = time.perf_counter(), 0
+    for mutant in MUTANTS:
+        if occurrences(mutant) != 1:
+            print(f"STALE    {mutant.name}: its text does not occur exactly once")
+            alive += 1
+            continue
+        missed = survivors(mutant)
+        alive += bool(missed)
+        print(f"{'SURVIVED' if missed else 'killed  '} {mutant.name}")
+        for node in missed:
+            print(f"    passed or not found: {node}")
+    print(f"{len(MUTANTS) - alive} of {len(MUTANTS)} killed in {time.perf_counter() - start:.1f} s")
+    return 1 if alive else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

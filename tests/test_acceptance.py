@@ -183,7 +183,7 @@ def test_criterion_08_model_invariants_exhaustive():
                     assert lattices_equal(kernel_basis(ann_rows), model.k0_basis)
                     assert lattices_equal(
                         kernel_basis(model.k0_basis.transpose()),
-                        IntMatrix.from_columns(fundamentals, rows=model.n_circles),
+                        IntMatrix(fundamentals, cols=model.n_circles).transpose(),
                     )
                     # boundary image and adjunction
                     assert lattices_equal(model.boundary_matrix, model.k0_basis)
@@ -192,9 +192,8 @@ def test_criterion_08_model_invariants_exhaustive():
                         boundary = model.mv_boundary(a)
                         for pos, (j, i) in enumerate(model.circle_order):
                             chain = IntVector.unit(model.n_circles, pos)
-                            assert model.pair(a, model.circle_class(j, i)) == model.circle_pairing(
-                                boundary, chain
-                            )
+                            pairing = a.dot(model.intersection_form.apply(model.circle_class(j, i)))
+                            assert pairing == model.circle_pairing(boundary, chain)
         assert count == 2 * (8 + 64)
         assert time.perf_counter() - start < 60.0
 

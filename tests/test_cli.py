@@ -1,5 +1,6 @@
 """Command-line surface: schemas, exit codes, and the analyze/realize loop."""
 
+import ast
 import io
 import json
 import os
@@ -19,12 +20,16 @@ from torelli import cli
 FOUR_CIRCLE_CONFIG = {"q_genus": 1, "components": [{"genus": 1, "boundary_count": 4}]}
 
 
-def run_cli(args):
-    """``torelli`` in a child process that imports the same package as this one."""
-    cmd = [sys.executable, "-m", "torelli.cli", *args]
+def run_python(args):
+    """``python`` in a child process that imports the same package as this one."""
     paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(args):
+    """``torelli`` in a child process that imports the same package as this one."""
+    return run_python(["-m", "torelli.cli", *args])
 
 
 def run_main(capsys, args):
@@ -827,3 +832,55 @@ def test_example4_command():
     assert report["multitwist_correctable"] is None
     assert report["extendable_to_torelli"] is True
     assert report["extension_by_identity_torelli"] is False
+
+
+# The decider runs without the oracle: analyze, realize and ranks load only the
+# core, and check and example4 import the harness when they run.
+_DECIDER_CHILD = """
+import contextlib, io, sys
+from torelli import cli
+
+config, word, delta = sys.argv[1:]
+for args in (["analyze", "--config", config, "--word", word],
+             ["analyze", "--config", config, "--word", word, "--format", "text"],
+             ["realize", "--config", config, "--delta", delta],
+             ["ranks", "--config", config]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(args) == 0, args
+assert "torelli.oracle" not in sys.modules, "the decider loaded the oracle"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["check", "--trials", "1"]) == 0
+assert "torelli.oracle" in sys.modules
+"""
+
+
+def test_decider_commands_do_not_load_the_oracle(tmp_path):
+    config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
+    word = write_json(
+        tmp_path / "word.json",
+        {"factors": [{"class": four_circle_class([0, 1]), "exponent": 1, "locus": "Q"}]},
+    )
+    delta = write_json(tmp_path / "delta.json", {"blocks": {"0": [[0, 0, 0], [0, 1, 1], [0, 1, 1]]}})
+    result = run_python(["-c", _DECIDER_CHILD, config, word, delta])
+    assert result.returncode == 0, result.stderr
+
+
+def _module_level_imports(tree):
+    """Dotted names a module imports outside its functions, so at import time."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):  # the package is flat: any relative import is torelli's
+            base = ".".join(filter(None, ["torelli" if node.level else "", node.module]))
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_the_oracle_at_import_time():
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        names = set(_module_level_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        assert not {n for n in names if n == "torelli.oracle" or n.startswith("torelli.oracle.")}, path.name

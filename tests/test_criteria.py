@@ -218,7 +218,7 @@ def test_extension_by_identity_decider(four_circle_model):
 
 
 def sum_circles(model, j):
-    total = IntVector.zeros(model.rank)
+    total = IntVector([0] * model.rank)
     for i in range(model.config.components[j].boundary_count):
         total = total + model.circle_class(j, i)
     return total

@@ -126,7 +126,7 @@ def test_peripheral_class_is_sum_of_circle_classes():
                 circles = range(comp.boundary_count)
                 for size in range(1, comp.boundary_count + 1):
                     for subset in combinations(circles, size):
-                        expected = IntVector.zeros(model.rank)
+                        expected = IntVector([0] * model.rank)
                         for i in subset:
                             expected = expected + model.circle_class(j, i)
                         assert peripheral_class(model, j, subset) == expected

@@ -101,22 +101,22 @@ def test_config_json_round_trip():
 def test_circle_classes_sum_to_zero_per_component():
     model = build_model(SubsurfaceConfig(1, [ComplementComponent(1, 4), ComplementComponent(0, 2)]))
     for j, comp in enumerate(model.config.components):
-        total = IntVector.zeros(model.rank)
+        total = IntVector([0] * model.rank)
         for i in range(comp.boundary_count):
             total = total + model.circle_class(j, i)
-        assert total.is_zero()
+        assert not any(total)
 
 
 def test_mv_boundary_of_circles_vanishes():
     model = build_model(SubsurfaceConfig(1, [ComplementComponent(1, 4)]))
     for (j, i) in model.circle_order:
-        assert model.mv_boundary(model.circle_class(j, i)).is_zero()
+        assert not any(model.mv_boundary(model.circle_class(j, i)))
 
 
 def test_mv_boundary_of_dual_is_two_point_class():
     model = build_model(SubsurfaceConfig(0, [ComplementComponent(0, 2)]))
     theta = model.mv_boundary(model.basis_vector(("dual", 0, 1)))
-    assert theta == model.k0_basis.column(0)
+    assert theta == IntVector(model.k0_basis.transpose().entries[0])
 
 
 def test_mv_boundary_lands_in_two_sided_lattice():
@@ -138,7 +138,7 @@ def test_circle_pairing_duality():
 
 def test_two_sided_classes_annihilate_fundamental_classes():
     model = build_model(SubsurfaceConfig(0, [ComplementComponent(1, 3), ComplementComponent(0, 4)]))
-    for col in model.k0_basis.columns():
+    for col in map(IntVector, model.k0_basis.transpose().entries):
         for j, comp in enumerate(model.config.components):
             fundamental = IntVector(
                 1 if ji[0] == j else 0 for ji in model.circle_order
@@ -153,7 +153,7 @@ def test_induced_pairing_examples():
         for pos2, (j2, i2) in enumerate(model.reduced_order):
             value = induced_pairing(model, IntVector.unit(k, pos), IntVector.unit(k, pos2))
             assert value == (1 if (j, i) == (j2, i2) else 0)
-    assert induced_pairing(model, IntVector.zeros(k), IntVector.unit(k, 0)) == 0
+    assert induced_pairing(model, IntVector([0] * k), IntVector.unit(k, 0)) == 0
 
 
 def test_induced_pairing_independent_of_lift():
@@ -174,7 +174,7 @@ def test_project_h1bar_examples():
     model = build_model(SubsurfaceConfig(0, [ComplementComponent(1, 3)]))
     n = model.n_circles
     fundamental = IntVector([1, 1, 1])
-    assert model.project_h1bar(fundamental).is_zero()
+    assert not any(model.project_h1bar(fundamental))
     assert model.project_h1bar(IntVector.unit(n, model.circle_index(0, 1))) == IntVector.unit(
         model.k0_rank, 0
     )
@@ -343,9 +343,8 @@ def test_exhaustive_small_model_invariants():
             boundary = model.mv_boundary(a)
             for pos, (j, i) in enumerate(model.circle_order):
                 chain = IntVector.unit(model.n_circles, pos)
-                assert model.pair(a, model.circle_class(j, i)) == model.circle_pairing(
-                    boundary, chain
-                )
+                pairing = a.dot(model.intersection_form.apply(model.circle_class(j, i)))
+                assert pairing == model.circle_pairing(boundary, chain)
         # image of the boundary map is the whole two-sided lattice
         assert lattices_equal(model.boundary_matrix, model.k0_basis)
 
@@ -357,7 +356,7 @@ def test_orthogonal_complement_equalities():
     fundamental_cols = []
     for j, comp in enumerate(config.components):
         fundamental_cols.append(IntVector(1 if ji[0] == j else 0 for ji in model.circle_order))
-    fundamentals = IntMatrix.from_columns(fundamental_cols, rows=n)
+    fundamentals = IntMatrix(fundamental_cols, cols=n).transpose()
     annihilator_of_fundamentals = kernel_basis(
         IntMatrix([c.to_list() for c in fundamental_cols], cols=n)
     )
