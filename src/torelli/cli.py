@@ -29,10 +29,10 @@ from torelli.criteria import (
 )
 from torelli.exactlin import DimensionMismatch
 from torelli.mapping_class import (
+    DifferenceMap,
     LocusViolation,
     NotWeaklyTorelli,
     WordParseError,
-    difference_map_from_matrix,
     word_from_json_dict,
     word_to_json_dict,
 )
@@ -88,7 +88,7 @@ def _load_delta(path: str, model):
     blocks, matrix = read.fields(data, "delta", ("blocks", "matrix"), required=(), what="a JSON object")
     try:
         if "matrix" in data:
-            return difference_map_from_matrix(model, read.int_rows(matrix, "matrix"))
+            return DifferenceMap(read.int_rows(matrix, "matrix"), model.block_ranges)
         parsed = {}
         for key, block in read.expect(blocks, Mapping, "field 'blocks'", "an object").items():
             try:
@@ -166,17 +166,16 @@ def _cmd_realize(args) -> int:
 
 def _cmd_check(args) -> int:
     from torelli.oracle import TrialPlan, verify_all  # the harness stays off the decider's import path
-    plan = TrialPlan(
-        seed=args.seed,
-        trials=args.trials,
-        max_q_genus=args.max_q_genus,
-        max_component_genus=args.max_component_genus,
-        max_boundary_count=args.max_boundary_count,
-        max_components=args.max_components,
-        exponent_bound=args.max_exponent,
-    )
     try:
-        plan.validate()
+        plan = TrialPlan(
+            seed=args.seed,
+            trials=args.trials,
+            max_q_genus=args.max_q_genus,
+            max_component_genus=args.max_component_genus,
+            max_boundary_count=args.max_boundary_count,
+            max_components=args.max_components,
+            exponent_bound=args.max_exponent,
+        )
     except ValueError as exc:
         raise _ParseFailure(str(exc))
     reports = verify_all(plan)

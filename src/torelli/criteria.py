@@ -25,7 +25,6 @@ from torelli.mapping_class import (
     DifferenceMap,
     NotWeaklyTorelli,
     TwistWord,
-    difference_map_from_matrix,
     weakly_torelli_delta,
 )
 from torelli.surface_model import HomologyModel, SubsurfaceConfig
@@ -58,15 +57,18 @@ class DiagonalMap:
         return list(self.exponents)
 
 
+def _require_layout(model: HomologyModel, delta: DifferenceMap) -> None:
+    if delta.block_ranges != model.block_ranges:
+        raise DimensionMismatch("difference map lives on another configuration's blocks")
+
+
 def is_symmetric(model: HomologyModel, delta: DifferenceMap) -> bool:
     """Pairing symmetry: <a, delta(b)> = <b, delta(a)> on all basis pairs.
 
     The two-point and reduced circle bases are dual under the induced
     pairing, so the identity is literal symmetry of the matrix.
     """
-    k = model.k0_rank
-    if delta.matrix.rows != k or delta.matrix.cols != k:
-        raise DimensionMismatch(f"difference map must be {k}x{k}")
+    _require_layout(model, delta)
     entries = delta.matrix.entries
     return entries == tuple(zip(*entries))
 
@@ -74,9 +76,7 @@ def is_symmetric(model: HomologyModel, delta: DifferenceMap) -> bool:
 def is_completely_reducible(model: HomologyModel, delta: DifferenceMap) -> bool:
     """Does the map send each component's block into the same component,
     i.e. does every row of a component's range vanish outside that range?"""
-    k = model.k0_rank
-    if delta.matrix.rows != k or delta.matrix.cols != k:
-        raise DimensionMismatch(f"difference map must be {k}x{k}")
+    _require_layout(model, delta)
     rows = delta.matrix.entries
     return not any(
         any(row[:start]) or any(row[stop:])
@@ -169,7 +169,6 @@ def guaranteed_correctable(config: SubsurfaceConfig) -> bool:
 def group_ranks(config: SubsurfaceConfig) -> dict[str, int]:
     """Ranks of the two coordinate lattices and of the lattice of
     completely reducible symmetric maps between them."""
-    config.validate()
     rank = config.total_boundary - len(config.components)
     rank_dc = sum(c.boundary_count * (c.boundary_count - 1) // 2 for c in config.components)
     return {"rank_K0": rank, "rank_H1bar": rank, "rank_Dc": rank_dc}
@@ -244,4 +243,4 @@ def delta_from_blocks(model: HomologyModel, blocks: Mapping[int, IntMatrix]) -> 
         # row-as-input blocks transpose into column-action rows
         for row, column in zip(matrix[start:stop], zip(*block.entries)):
             row[start:stop] = column
-    return difference_map_from_matrix(model, IntMatrix._of_rows(matrix, k))
+    return DifferenceMap(IntMatrix._of_rows(matrix, k), model.block_ranges)

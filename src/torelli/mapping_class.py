@@ -129,11 +129,16 @@ class TwistWord:
 @dataclass(frozen=True)
 class DifferenceMap:
     """Linear map from two-sided 0-class coordinates to reduced circle
-    coordinates; ``matrix`` acts on column vectors, ``block_ranges`` gives
-    each complement component's coordinate range."""
+    coordinates: a k x k ``matrix`` acting on column vectors, k the end of
+    ``block_ranges``, each complement component's coordinate range."""
 
     matrix: IntMatrix
     block_ranges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        k = self.block_ranges[-1][1] if self.block_ranges else 0
+        if (self.matrix.rows, self.matrix.cols) != (k, k):
+            raise DimensionMismatch(f"difference map must be {k}x{k}")
 
     def block(self, j: int) -> IntMatrix:
         if not 0 <= j < len(self.block_ranges):
@@ -154,13 +159,6 @@ class DifferenceMap:
 
     def to_json_dict(self) -> dict:
         return {"matrix": self.matrix.to_lists()}
-
-
-def difference_map_from_matrix(model: HomologyModel, matrix: IntMatrix) -> DifferenceMap:
-    k = model.k0_rank
-    if (matrix.rows, matrix.cols) != (k, k):
-        raise DimensionMismatch(f"difference map must be {k}x{k}")
-    return DifferenceMap(matrix, model.block_ranges)
 
 
 def _check_locus(model: HomologyModel, factor: TwistFactor, position: int) -> None:

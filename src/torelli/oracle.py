@@ -26,13 +26,13 @@ from torelli.exactlin import (
 from torelli.mapping_class import (
     LOCUS_AMBIENT,
     LOCUS_Q,
+    DifferenceMap,
     InconsistentDelta,
     NotWeaklyTorelli,
     TwistFactor,
     TwistWord,
     concat,
     delta_difference,
-    difference_map_from_matrix,
     invert,
     is_weakly_torelli,
     transvection_action,
@@ -60,7 +60,7 @@ class TrialPlan:
     max_components: int = 3
     exponent_bound: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.max_q_genus < 0 or self.max_component_genus < 0:
@@ -73,7 +73,6 @@ class TrialPlan:
 
 def random_config(plan: TrialPlan, index: int) -> SubsurfaceConfig:
     """Deterministic draw of a configuration within the plan bounds."""
-    plan.validate()
     rng = random.Random(_subseed(plan.seed, 1, index))
     r = rng.randint(1, plan.max_components)
     comps = [
@@ -105,7 +104,6 @@ def random_weakly_torelli_word(model: HomologyModel, plan: TrialPlan, index: int
     Such classes lie in the circle span, which pairs to zero with the whole
     subsurface image, so the word is weakly Torelli by construction.
     """
-    plan.validate()
     rng = random.Random(_subseed(plan.seed, 2, index))
     length = rng.randint(0, 4)
     return TwistWord(
@@ -154,7 +152,7 @@ def random_symmetric_reducible_delta(
                 value = rng.randint(-bound, bound)
                 matrix[r][c] = value
                 matrix[c][r] = value
-    return difference_map_from_matrix(model, IntMatrix(matrix, cols=k))
+    return DifferenceMap(IntMatrix(matrix, cols=k), model.block_ranges)
 
 
 def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 6) -> IntMatrix:
@@ -525,7 +523,6 @@ def _check_sign_flip(plan, index, model_factory):
 
 def _check_generators(plan, index, model_factory):
     config, model = _trial_model(plan, index, model_factory)
-    config.validate()
     word = random_weakly_torelli_word(model, plan, index)
     if not is_weakly_torelli(model, word):
         return _model_witness(
@@ -619,7 +616,6 @@ def verify_all(
     Returns one report per invariant: its name, the trial count, and the
     witnesses of any failures.
     """
-    plan.validate()
     reports = []
     for name, check in INVARIANTS:
         failures = []

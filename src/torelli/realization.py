@@ -31,7 +31,6 @@ from torelli.mapping_class import (
     DifferenceMap,
     TwistFactor,
     TwistWord,
-    difference_map_from_matrix,
     in_complement,
 )
 from torelli.surface_model import HomologyModel
@@ -143,7 +142,7 @@ def peripheral_twist_delta(
     k = model.k0_rank
     pairings = [model.circle_pairing(model.lift_k0(IntVector.unit(k, pos)), u_chain) for pos in range(k)]
     matrix = IntMatrix([exponent * x * y for y in pairings] for x in model.project_h1bar(u_chain))
-    return difference_map_from_matrix(model, matrix)
+    return DifferenceMap(matrix, model.block_ranges)
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,6 @@ class SubsurfaceConfig:
     def __init__(self, q_genus: int, components: Sequence[ComplementComponent]):
         object.__setattr__(self, "q_genus", operator.index(q_genus))
         object.__setattr__(self, "components", tuple(components))
-
-    def validate(self) -> None:
         if self.q_genus < 0:
             raise InvalidConfig("q_genus must be nonnegative")
         if not self.components:
@@ -114,9 +112,7 @@ class SubsurfaceConfig:
             _READ.integer(genus, f"components[{j}].genus")
             _READ.integer(boundary_count, f"components[{j}].boundary_count")
             comps.append(ComplementComponent(genus, boundary_count))
-        config = SubsurfaceConfig(q_genus, comps)
-        config.validate()
-        return config
+        return SubsurfaceConfig(q_genus, comps)
 
 
 @dataclass(frozen=True)
@@ -192,12 +188,12 @@ class HomologyModel:
         """Ambient class of circle i of component j (i = 0 is the dependent one)."""
         if not (0 <= j < self.n_components and 0 <= i < self.config.components[j].boundary_count):
             raise DimensionMismatch(f"component {j} has no circle {i}")
-        if i >= 1:
-            return self.basis_vector(("circle", j, i))
         start, stop = self.block_ranges[j]
-        base = self.rank - 2 * self.k0_rank
+        base = self.rank - 2 * self.k0_rank + start  # basis index of circle (j, 1)
+        if i >= 1:
+            return IntVector.unit(self.rank, base + i - 1)
         out = [0] * self.rank
-        out[base + start:base + stop] = [-1] * (stop - start)
+        out[base:base + stop - start] = [-1] * (stop - start)
         return IntVector(out)
 
     # -- dense views, built from the basis order on first access ----------
@@ -322,7 +318,6 @@ def build_model(config: SubsurfaceConfig, *, pairing_sign: int = 1) -> HomologyM
     oracle's ``sign_flip_invariance``).  A word with a Q-handle coordinate
     is another product under the flip, and its verdicts can differ.
     """
-    config.validate()
     if pairing_sign not in (1, -1):
         raise InvalidConfig("pairing_sign must be +1 or -1")
     h = config.q_genus

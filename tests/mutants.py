@@ -166,6 +166,75 @@ MUTANTS = (
             "tests/test_surface_model.py::test_partner_is_the_form_column",
         ),
     ),
+    Mutant(
+        "configuration skips its q_genus test", "surface_model.py",
+        "if self.q_genus < 0:", "if False:",
+        (
+            "tests/test_cli.py::test_reader_diagnostics_are_pinned[config-13]",
+            "tests/test_surface_model.py::test_invalid_configs_rejected",
+        ),
+    ),
+    Mutant(
+        "trial plan skips its trials test", "oracle.py",
+        "if self.trials < 1:", "if False:",
+        (
+            "tests/test_oracle.py::test_invalid_plans_rejected",
+        ),
+    ),
+    Mutant(
+        "difference map skips its shape test", "mapping_class.py",
+        "if (self.matrix.rows, self.matrix.cols) != (k, k):", "if False:",
+        (
+            "tests/test_cli.py::test_reader_diagnostics_are_pinned[delta-52]",
+            "tests/test_criteria.py::test_map_from_another_configuration_is_rejected",
+        ),
+    ),
+    Mutant(
+        "deciders skip the layout comparison", "criteria.py",
+        "if delta.block_ranges != model.block_ranges:", "if False:",
+        (
+            "tests/test_criteria.py::test_map_from_another_configuration_is_rejected",
+        ),
+    ),
+    Mutant(
+        "the pass's sparse add is dropped", "mapping_class.py",
+        "row[c - hi] += s * x", "pass",
+        (
+            "tests/test_acceptance.py::test_criterion_11_bounding_pair_product_fixture",
+            "tests/test_mapping_class.py::test_fast_path_matches_dense_reference[1]",
+        ),
+    ),
+    Mutant(
+        "the circle-block sum is dropped", "mapping_class.py",
+        "matrix = _sum_of_runs(block, lo, hi)", "matrix = _sum_of_runs([], lo, hi)",
+        (
+            "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
+            "tests/test_cli.py::test_example4_command",
+        ),
+    ),
+    Mutant(
+        "the partner layout guard is dropped", "mapping_class.py",
+        "if not all(model.partner(lo + p) == (hi + p, s) for p in range(k)):", "if False:",
+        (
+            "tests/test_mapping_class.py::test_inconsistent_system_is_reported",
+        ),
+    ),
+    Mutant(
+        "the pass drops one factor", "mapping_class.py",
+        "rows = _displacements(model, TwistWord(rest))", "rows = _displacements(model, TwistWord(rest[1:]))",
+        (
+            "tests/test_mapping_class.py::test_weakly_torelli_examples",
+            "tests/test_mapping_class.py::test_fast_path_matches_dense_reference[-1]",
+        ),
+    ),
+    Mutant(
+        "every factor is sent to the pass", "mapping_class.py",
+        "if factor.rank == model.rank and factor._within(lo, hi):", "if False:",
+        (
+            "tests/test_mapping_class.py::test_circle_runs_skip_the_word_pass",
+            "tests/test_mapping_class.py::test_realized_words_never_build_a_dense_class",
+        ),
+    ),
 )
 
 

@@ -29,11 +29,10 @@ from torelli.mapping_class import (
     TwistFactor,
     TwistWord,
     delta_difference,
-    difference_map_from_matrix,
     transvection_action,
 )
 from torelli.oracle import TrialPlan, random_config, random_weakly_torelli_word
-from torelli.realization import build_boundary_multitwist
+from torelli.realization import build_boundary_multitwist, realize_delta
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
 
 from test_surface_model import induced_pairing
@@ -73,7 +72,7 @@ def test_extracted_deltas_are_symmetric():
 
 def test_asymmetric_matrix_detected():
     model = build_model(SubsurfaceConfig(0, [ComplementComponent(0, 3)]))
-    delta = difference_map_from_matrix(model, IntMatrix([[0, 1], [0, 0]]))
+    delta = DifferenceMap(IntMatrix([[0, 1], [0, 0]]), model.block_ranges)
     assert not is_symmetric(model, delta)
 
 
@@ -92,7 +91,7 @@ def test_symmetry_test_matches_matrix_transpose():
                     entries[rng.randrange(k)][rng.randrange(k)] += 1
             matrix = IntMatrix(entries, cols=k)
             expected = matrix == matrix.transpose()
-            assert is_symmetric(model, difference_map_from_matrix(model, matrix)) == expected
+            assert is_symmetric(model, DifferenceMap(matrix, model.block_ranges)) == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -109,7 +108,7 @@ def test_pairing_symmetry_equals_matrix_symmetry():
         matrix = IntMatrix(
             ([rng.randint(-3, 3) for _ in range(k)] for _ in range(k)), cols=k
         )
-        delta = difference_map_from_matrix(model, matrix)
+        delta = DifferenceMap(matrix, model.block_ranges)
         units = [IntVector.unit(k, i) for i in range(k)]
         pairing_symmetric = all(
             induced_pairing(model, a, matrix.apply(b)) == induced_pairing(model, b, matrix.apply(a))
@@ -121,15 +120,13 @@ def test_pairing_symmetry_equals_matrix_symmetry():
 
 def test_single_component_always_reducible(four_circle_model):
     model = four_circle_model
-    delta = difference_map_from_matrix(
-        model, IntMatrix([[1, 2, 0], [2, 0, 1], [0, 1, 5]])
-    )
+    delta = DifferenceMap(IntMatrix([[1, 2, 0], [2, 0, 1], [0, 1, 5]]), model.block_ranges)
     assert is_completely_reducible(model, delta)
 
 
 def test_cross_component_entry_detected(two_component_model):
     model = two_component_model
-    delta = difference_map_from_matrix(model, IntMatrix([[0, 1], [0, 0]]))
+    delta = DifferenceMap(IntMatrix([[0, 1], [0, 0]]), model.block_ranges)
     assert not is_completely_reducible(model, delta)
     assert not decide_extendable_on_delta(model, delta)
 
@@ -157,9 +154,30 @@ def test_matrix_presentation_values(four_circle_model):
     assert matrix_presentation(model, delta, 0) == IntMatrix([[0, 0, 0], [0, 1, 1], [0, 1, 1]])
 
 
+def test_map_from_another_configuration_is_rejected():
+    """A map built on A's blocks has B's size but not B's blocks, so every
+    (model, delta) entry point raises rather than reading it on B."""
+    a = build_model(SubsurfaceConfig(0, [ComplementComponent(0, 3), ComplementComponent(0, 2)]))
+    b = build_model(SubsurfaceConfig(0, [ComplementComponent(0, 2), ComplementComponent(0, 3)]))
+    delta = DifferenceMap(IntMatrix([[1, 0, 0], [0, 2, 3], [0, 3, 4]]), a.block_ranges)
+    assert is_symmetric(a, delta) and not is_completely_reducible(a, delta)
+    entry_points = (
+        realize_delta,
+        lambda model, d: matrix_presentation(model, d, 1),
+        diagonal_restriction,
+        is_symmetric,
+        is_completely_reducible,
+    )
+    for entry_point in entry_points:
+        with pytest.raises(DimensionMismatch, match="another configuration"):
+            entry_point(b, delta)
+    with pytest.raises(DimensionMismatch, match="difference map must be 3x3"):
+        DifferenceMap(IntMatrix([[1, 0], [0, 1]]), ((0, 3),))
+
+
 def test_matrix_presentation_requires_reducible(two_component_model):
     model = two_component_model
-    delta = difference_map_from_matrix(model, IntMatrix([[0, 1], [1, 0]]))
+    delta = DifferenceMap(IntMatrix([[0, 1], [1, 0]]), model.block_ranges)
     with pytest.raises(NotCompletelyReducible):
         matrix_presentation(model, delta, 0)
 
@@ -328,7 +346,7 @@ def test_diagonal_map_exponents_must_be_integers():
 
 def test_block_range_is_checked(two_component_model):
     model = two_component_model
-    delta = difference_map_from_matrix(model, IntMatrix([[1, 0], [0, 2]]))
+    delta = DifferenceMap(IntMatrix([[1, 0], [0, 2]]), model.block_ranges)
     assert [delta.block(j) for j in range(2)] == [IntMatrix([[1]]), IntMatrix([[2]])]
     for j in (-1, model.n_components):
         with pytest.raises(DimensionMismatch, match=f"no complement component {j}"):
@@ -455,7 +473,7 @@ def test_block_readers_match_entrywise_reference():
             expected = reference_restriction_of_diagonal(model, exponents)
             assert restriction_of_diagonal(model, DiagonalMap(exponents)).matrix.to_lists() == expected
         for matrix in reference_maps(model, rng):
-            delta = difference_map_from_matrix(model, IntMatrix(matrix, cols=model.k0_rank))
+            delta = DifferenceMap(IntMatrix(matrix, cols=model.k0_rank), model.block_ranges)
             reducible = reference_reducible(model, delta)
             assert is_completely_reducible(model, delta) == reducible
             restriction = diagonal_restriction(model, delta)

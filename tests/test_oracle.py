@@ -75,10 +75,12 @@ def test_single_trial_plan_runs_one_trial_each():
 
 
 def test_invalid_plans_rejected():
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        TrialPlan(trials=0)
     with pytest.raises(ValueError):
-        TrialPlan(trials=0).validate()
-    with pytest.raises(ValueError):
-        TrialPlan(max_boundary_count=0).validate()
+        TrialPlan(max_boundary_count=0)
+    with pytest.raises(ValueError, match="boundary and component bounds must be positive"):
+        replace(TrialPlan(), max_components=0)  # a plan checks itself when it is built
 
 
 def test_fault_injection_breaks_adjunction():

@@ -87,6 +87,11 @@ def test_invalid_configs_rejected():
         build_model(SubsurfaceConfig(0, [ComplementComponent(0, 0)]))
     with pytest.raises(InvalidConfig):
         build_model(SubsurfaceConfig(-1, [ComplementComponent(0, 1)]))
+    # A configuration checks itself when it is built, before any build_model.
+    with pytest.raises(InvalidConfig, match="q_genus must be nonnegative"):
+        SubsurfaceConfig(-1, [ComplementComponent(0, 1)])
+    with pytest.raises(InvalidConfig, match="components must be nonempty"):
+        SubsurfaceConfig(0, [])
 
 
 def test_config_json_round_trip():
