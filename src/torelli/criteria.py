@@ -17,10 +17,9 @@ blocks, the ``model.block_ranges`` slices; ``analyze`` takes them once.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from torelli.exactlin import DimensionMismatch, IntMatrix
+from torelli.exactlin import DimensionMismatch, IntMatrix, _Value
 from torelli.mapping_class import (
     DifferenceMap,
     NotWeaklyTorelli,
@@ -38,8 +37,7 @@ class NotCompletelyReducible(ValueError):
     """The map mixes distinct complement components."""
 
 
-@dataclass(frozen=True)
-class DiagonalMap:
+class DiagonalMap(_Value):
     """One integer exponent per boundary circle, in the model's circle order."""
 
     exponents: tuple[int, ...]
@@ -174,8 +172,7 @@ def group_ranks(config: SubsurfaceConfig) -> dict[str, int]:
     return {"rank_K0": rank, "rank_H1bar": rank, "rank_Dc": rank_dc}
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(_Value):
     weakly_torelli: bool
     delta: Optional[DifferenceMap]
     symmetric: bool
@@ -184,6 +181,15 @@ class AnalysisReport:
     extendable_to_torelli: bool
     multitwist_correctable: Optional[DiagonalMap]
     component_matrices: Optional[tuple[IntMatrix, ...]]
+
+    def __init__(self, weakly_torelli, delta, symmetric, completely_reducible, extension_by_identity_torelli,
+                 extendable_to_torelli, multitwist_correctable, component_matrices):
+        self.__dict__.update(
+            weakly_torelli=weakly_torelli, delta=delta, symmetric=symmetric,
+            completely_reducible=completely_reducible, extension_by_identity_torelli=extension_by_identity_torelli,
+            extendable_to_torelli=extendable_to_torelli, multitwist_correctable=multitwist_correctable,
+            component_matrices=component_matrices,
+        )
 
     def to_json_dict(self) -> dict:
         delta, correction, blocks = self.delta, self.multitwist_correctable, self.component_matrices

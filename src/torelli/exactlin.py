@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -24,8 +23,48 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
 
 
-@dataclass(frozen=True)
-class IntVector:
+class _Value:
+    """Base of the library's immutable value classes.
+
+    A subclass's fields are the names its own body annotates, in order.
+    Equality (same class, equal fields), the hash of the field tuple and
+    ``Name(field=value, ...)`` repr read them; assigning or deleting any
+    attribute raises ``dataclasses.FrozenInstanceError``.  Constructors and
+    ``cached_property`` views write the instance ``__dict__`` directly.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        get = operator.attrgetter(*cls._fields)  # of one name: the value itself, not a 1-tuple
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        _frozen(f"cannot delete field {name!r}")
+
+
+def _frozen(message: str):
+    from dataclasses import FrozenInstanceError  # only on this path: importing dataclasses is slow
+
+    raise FrozenInstanceError(message)
+
+
+class IntVector(_Value):
     """Immutable integer vector."""
 
     entries: tuple[int, ...]
@@ -77,8 +116,7 @@ class IntVector:
         return list(self.entries)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Value):
     """Immutable integer matrix with explicit shape (zero dimensions allowed)."""
 
     entries: tuple[tuple[int, ...], ...]
@@ -161,14 +199,16 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(_Value):
     """Smith decomposition U·A·V = D with U, V unimodular and D diagonal,
     nonnegative, each diagonal entry dividing the next."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
+        self.__dict__.update(U=U, D=D, V=V)
 
     def diagonal(self) -> list[int]:
         return [self.D[i, i] for i in range(min(self.D.rows, self.D.cols))]

@@ -17,14 +17,13 @@ questions answered in :mod:`torelli.criteria`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import add, index
 from typing import Mapping, Optional, Sequence, Union
 
 from torelli._schema import Reader
-from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
+from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, _Value
 from torelli.surface_model import HomologyModel
 
 #: Locus of a twist factor: the subsurface, one complement component, or
@@ -50,8 +49,7 @@ def in_complement(j: int) -> Locus:
     return ("P", j)
 
 
-@dataclass(frozen=True)
-class TwistFactor:
+class TwistFactor(_Value):
     """A twist about the class z = ``curve_class`` to the power ``exponent``,
     stored as ``rank`` and the run edges of z: the nonzero steps
     (i, z[i] - z[i-1]) for i in 0..rank, z read as 0 outside [0, rank), so
@@ -113,8 +111,7 @@ class TwistFactor:
         return f"TwistFactor(curve_class={self.curve_class!r}, exponent={self.exponent!r}, locus={self.locus!r})"
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(_Value):
     """Composition-ordered twist factors (the last factor acts first)."""
 
     factors: tuple[TwistFactor, ...]
@@ -126,8 +123,7 @@ class TwistWord:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
-class DifferenceMap:
+class DifferenceMap(_Value):
     """Linear map from two-sided 0-class coordinates to reduced circle
     coordinates: a k x k ``matrix`` acting on column vectors, k the end of
     ``block_ranges``, each complement component's coordinate range."""
@@ -135,10 +131,11 @@ class DifferenceMap:
     matrix: IntMatrix
     block_ranges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        k = self.block_ranges[-1][1] if self.block_ranges else 0
-        if (self.matrix.rows, self.matrix.cols) != (k, k):
+    def __init__(self, matrix: IntMatrix, block_ranges: tuple[tuple[int, int], ...]):
+        k = block_ranges[-1][1] if block_ranges else 0
+        if (matrix.rows, matrix.cols) != (k, k):
             raise DimensionMismatch(f"difference map must be {k}x{k}")
+        self.__dict__.update(matrix=matrix, block_ranges=block_ranges)
 
     def block(self, j: int) -> IntMatrix:
         if not 0 <= j < len(self.block_ranges):

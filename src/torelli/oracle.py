@@ -10,13 +10,13 @@ a failing case can be re-run standalone through the command line.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 from torelli import criteria, realization
 from torelli.exactlin import (
     IntMatrix,
     IntVector,
+    _Value,
     determinant,
     kernel_basis,
     lattices_equal,
@@ -50,25 +50,29 @@ def _subseed(seed: int, *salts: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class TrialPlan:
-    seed: int = 0
-    trials: int = 50
-    max_q_genus: int = 2
-    max_component_genus: int = 2
-    max_boundary_count: int = 4
-    max_components: int = 3
-    exponent_bound: int = 3
+class TrialPlan(_Value):
+    seed: int
+    trials: int
+    max_q_genus: int
+    max_component_genus: int
+    max_boundary_count: int
+    max_components: int
+    exponent_bound: int
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
+    def __init__(self, seed=0, trials=50, max_q_genus=2, max_component_genus=2, max_boundary_count=4,
+                 max_components=3, exponent_bound=3):
+        if trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.max_q_genus < 0 or self.max_component_genus < 0:
+        if max_q_genus < 0 or max_component_genus < 0:
             raise ValueError("genus bounds must be nonnegative")
-        if self.max_boundary_count < 1 or self.max_components < 1:
+        if max_boundary_count < 1 or max_components < 1:
             raise ValueError("boundary and component bounds must be positive")
-        if self.exponent_bound < 1:
+        if exponent_bound < 1:
             raise ValueError("exponent bound must be positive")
+        self.__dict__.update(
+            seed=seed, trials=trials, max_q_genus=max_q_genus, max_component_genus=max_component_genus,
+            max_boundary_count=max_boundary_count, max_components=max_components, exponent_bound=exponent_bound,
+        )
 
 
 def random_config(plan: TrialPlan, index: int) -> SubsurfaceConfig:
@@ -427,7 +431,7 @@ def _check_correction_round_trip(plan, index, model_factory):
 
 def _check_three_circle_guarantee(plan, index, model_factory):
     rng = random.Random(_subseed(plan.seed, 22, index))
-    small = replace(plan, max_boundary_count=min(3, plan.max_boundary_count))
+    small = TrialPlan(**dict(vars(plan), max_boundary_count=min(3, plan.max_boundary_count)))
     config = random_config(small, index)
     model = model_factory(config)
     word = random_weakly_torelli_word(model, small, index)

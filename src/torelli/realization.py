@@ -14,7 +14,6 @@ word extends to a Torelli map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -25,7 +24,7 @@ from torelli.criteria import (
     is_completely_reducible,
     is_symmetric,
 )
-from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
+from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, _Value
 from torelli.mapping_class import (
     LOCUS_Q,
     DifferenceMap,
@@ -36,8 +35,7 @@ from torelli.mapping_class import (
 from torelli.surface_model import HomologyModel
 
 
-@dataclass(frozen=True)
-class SymBasisCoefficients:
+class SymBasisCoefficients(_Value):
     """Coefficients over the contiguous-indicator basis of symmetric matrices.
 
     Keys are 1-based pairs (k, l) with k <= l; the matrix m(k, l) has ones
@@ -46,6 +44,9 @@ class SymBasisCoefficients:
 
     size: int
     coefficients: Mapping[tuple[int, int], int]
+
+    def __init__(self, size: int, coefficients: Mapping[tuple[int, int], int]):
+        self.__dict__.update(size=size, coefficients=coefficients)
 
     def items(self) -> Iterable[tuple[tuple[int, int], int]]:
         return sorted(self.coefficients.items())
@@ -145,8 +146,7 @@ def peripheral_twist_delta(
     return DifferenceMap(matrix, model.block_ranges)
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(_Value):
     """A realizing word plus the bi-twist witness of its Torelli extension.
 
     ``components[i]`` is the complement component whose circles factor i
@@ -157,6 +157,9 @@ class Realization:
 
     word: TwistWord
     components: tuple[int, ...]
+
+    def __init__(self, word: TwistWord, components: tuple[int, ...]):
+        self.__dict__.update(word=word, components=components)
 
     @cached_property
     def torelli_witness(self) -> TwistWord:

@@ -42,12 +42,11 @@ of J has one nonzero entry (r, J[r][c]), which ``partner`` computes:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
 from torelli._schema import Reader
-from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
+from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, _Value
 
 
 class InvalidConfig(ValueError):
@@ -57,8 +56,7 @@ class InvalidConfig(ValueError):
 _READ = Reader(InvalidConfig)
 
 
-@dataclass(frozen=True)
-class ComplementComponent:
+class ComplementComponent(_Value):
     genus: int
     boundary_count: int
 
@@ -67,8 +65,7 @@ class ComplementComponent:
         object.__setattr__(self, "boundary_count", operator.index(boundary_count))
 
 
-@dataclass(frozen=True)
-class SubsurfaceConfig:
+class SubsurfaceConfig(_Value):
     q_genus: int
     components: tuple[ComplementComponent, ...]
 
@@ -115,13 +112,12 @@ class SubsurfaceConfig:
         return SubsurfaceConfig(q_genus, comps)
 
 
-@dataclass(frozen=True)
-class HomologyModel:
+class HomologyModel(_Value):
     """Explicit basis data for the split surface; immutable after build.
 
     The fields are the O(rank) basis layout.  The five dense matrices are
-    cached views, not fields: repr, equality, hash and dataclasses.replace
-    leave them out, and each is built on its first access.
+    cached views, not fields: repr, equality and hash leave them out, and
+    each is built on its first access.
     """
 
     config: SubsurfaceConfig
@@ -132,6 +128,12 @@ class HomologyModel:
     circle_order: tuple[tuple[int, int], ...]
     reduced_order: tuple[tuple[int, int], ...]
     block_ranges: tuple[tuple[int, int], ...]
+
+    def __init__(self, config, genus, rank, pairing_sign, labels, circle_order, reduced_order, block_ranges):
+        self.__dict__.update(
+            config=config, genus=genus, rank=rank, pairing_sign=pairing_sign, labels=labels,
+            circle_order=circle_order, reduced_order=reduced_order, block_ranges=block_ranges,
+        )
 
     # -- index helpers (arithmetic on the basis order; see module docstring)
 
@@ -146,12 +148,6 @@ class HomologyModel:
     @property
     def k0_rank(self) -> int:
         return len(self.reduced_order)
-
-    def label_index(self, label: tuple) -> int:
-        if len(label) == 3 and label[0] in ("circle", "dual"):
-            offset = 2 * self.k0_rank if label[0] == "circle" else self.k0_rank
-            return self.rank - offset + self.reduced_index(label[1], label[2])
-        return self.labels.index(label)
 
     def partner(self, c: int) -> tuple[int, int]:
         """The single nonzero entry (r, J[r][c]) of column c of the form."""
@@ -168,21 +164,6 @@ class HomologyModel:
         else:
             name = f"{kind[1]}_{at[0]}" if kind[0] == "q" else f"{kind[1]}_{{{at[0]},{at[1]}}}"
         return f"basis index {idx} ({name})"
-
-    def basis_vector(self, label: tuple) -> IntVector:
-        return IntVector.unit(self.rank, self.label_index(label))
-
-    def circle_index(self, j: int, i: int) -> int:
-        """Position of circle (j, i) in the 0-chain coordinate order."""
-        if not (0 <= j < self.n_components and 0 <= i < self.config.components[j].boundary_count):
-            raise ValueError(f"no circle {(j, i)} in the configuration")
-        return self.block_ranges[j][0] + j + i
-
-    def reduced_index(self, j: int, i: int) -> int:
-        """Position of circle (j, i >= 1) in the reduced coordinate order."""
-        if i < 1:
-            raise ValueError(f"circle {(j, i)} has no reduced coordinate")
-        return self.circle_index(j, i) - j - 1
 
     def circle_class(self, j: int, i: int) -> IntVector:
         """Ambient class of circle i of component j (i = 0 is the dependent one)."""

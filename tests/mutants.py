@@ -176,14 +176,14 @@ MUTANTS = (
     ),
     Mutant(
         "trial plan skips its trials test", "oracle.py",
-        "if self.trials < 1:", "if False:",
+        "if trials < 1:", "if False:",
         (
             "tests/test_oracle.py::test_invalid_plans_rejected",
         ),
     ),
     Mutant(
         "difference map skips its shape test", "mapping_class.py",
-        "if (self.matrix.rows, self.matrix.cols) != (k, k):", "if False:",
+        "if (matrix.rows, matrix.cols) != (k, k):", "if False:",
         (
             "tests/test_cli.py::test_reader_diagnostics_are_pinned[delta-52]",
             "tests/test_criteria.py::test_map_from_another_configuration_is_rejected",
@@ -233,6 +233,60 @@ MUTANTS = (
         (
             "tests/test_mapping_class.py::test_circle_runs_skip_the_word_pass",
             "tests/test_mapping_class.py::test_realized_words_never_build_a_dense_class",
+        ),
+    ),
+    Mutant(
+        "value equality skips the class check", "exactlin.py",
+        "if other.__class__ is self.__class__:", "if True:",
+        (
+            "tests/test_values.py::test_value_semantics[IntVector]",
+            "tests/test_values.py::test_value_semantics[HomologyModel]",
+        ),
+    ),
+    Mutant(
+        "value hash drops the first field", "exactlin.py",
+        "return hash(self._values(self))", "return hash(self._values(self)[1:])",
+        (
+            "tests/test_values.py::test_value_semantics[IntMatrix]",
+            "tests/test_values.py::test_value_semantics[TwistFactor]",
+        ),
+    ),
+    Mutant(
+        "frozen guard lets an assignment through", "exactlin.py",
+        '_frozen(f"cannot assign to field {name!r}")', "object.__setattr__(self, name, value)",
+        (
+            "tests/test_values.py::test_value_semantics[TrialPlan]",
+            "tests/test_mapping_class.py::test_interval_factor_matches_the_dense_one",
+        ),
+    ),
+    Mutant(
+        "oracle skips the unimodularity test", "oracle.py",
+        "if abs(determinant(model.intersection_form)) != 1:", "if False:",
+        (
+            "tests/test_oracle.py::test_each_model_fault_trips_its_invariant[doubled_form]",
+        ),
+    ),
+    Mutant(
+        "oracle skips both orthogonal-complement comparisons", "oracle.py",
+        "    rows = ([int(c == j) for c, _ in model.circle_order] for j in range(model.n_components))",
+        "    return None",
+        (
+            "tests/test_oracle.py::test_each_model_fault_trips_its_invariant[doubled_k0_column]",
+            "tests/test_oracle.py::test_model_invariants_reach_every_line",
+        ),
+    ),
+    Mutant(
+        "oracle skips the circle orthogonality test", "oracle.py",
+        "if not (classes * model.intersection_form * classes.transpose()).is_zero():", "if False:",
+        (
+            "tests/test_oracle.py::test_each_model_fault_trips_its_invariant[skewed_circles]",
+        ),
+    ),
+    Mutant(
+        "oracle skips the peripheral-formula comparison", "oracle.py",
+        "if delta_difference(model, word).matrix != direct.matrix:", "if False:",
+        (
+            "tests/test_oracle.py::test_each_model_fault_trips_its_invariant[negated_peripheral_map]",
         ),
     ),
 )

@@ -848,6 +848,7 @@ for args in (["analyze", "--config", config, "--word", word],
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(args) == 0, args
 assert "torelli.oracle" not in sys.modules, "the decider loaded the oracle"
+assert not {"dataclasses", "inspect"} & sys.modules.keys(), "the decider imported dataclasses or inspect"
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["check", "--trials", "1"]) == 0
 assert "torelli.oracle" in sys.modules

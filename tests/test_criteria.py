@@ -35,7 +35,7 @@ from torelli.oracle import TrialPlan, random_config, random_weakly_torelli_word
 from torelli.realization import build_boundary_multitwist, realize_delta
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
 
-from test_surface_model import induced_pairing
+from test_surface_model import basis_vector, circle_index, induced_pairing, reduced_index
 
 
 def zero_difference_map(model):
@@ -261,7 +261,7 @@ def test_correctable_decider(four_circle_model):
     model = four_circle_model
     assert decide_multitwist_correctable(model, TwistWord()) == DiagonalMap([0, 0, 0, 0])
     assert decide_multitwist_correctable(model, peripheral_word(model, 1)) is None
-    qa_word = TwistWord([TwistFactor(model.basis_vector(("qa", 0)), 1, LOCUS_Q)])
+    qa_word = TwistWord([TwistFactor(basis_vector(model, ("qa", 0)), 1, LOCUS_Q)])
     with pytest.raises(NotWeaklyTorelli):
         decide_multitwist_correctable(model, qa_word)
 
@@ -328,7 +328,7 @@ def test_report_fields_and_implications():
 
 def test_report_for_non_weakly_torelli_word(four_circle_model):
     model = four_circle_model
-    word = TwistWord([TwistFactor(model.basis_vector(("qa", 0)), 1, LOCUS_Q)])
+    word = TwistWord([TwistFactor(basis_vector(model, ("qa", 0)), 1, LOCUS_Q)])
     report = analyze(model, word)
     assert not report.weakly_torelli
     assert report.delta is None
@@ -388,7 +388,7 @@ def reference_reducible(model, delta):
 
 def reference_block(model, delta, j):
     n = model.config.components[j].boundary_count
-    pos = [model.reduced_index(j, i) for i in range(1, n)]
+    pos = [reduced_index(model, j, i) for i in range(1, n)]
     return [[delta.matrix[r, c] for c in pos] for r in pos]
 
 
@@ -406,9 +406,9 @@ def reference_diagonal_restriction(model, delta):
             for c in range(size):
                 if r != c and block[r][c] != base:
                     return None
-        exponents[model.circle_index(j, 0)] = base
+        exponents[circle_index(model, j, 0)] = base
         for i in range(1, comp.boundary_count):
-            exponents[model.circle_index(j, i)] = block[i - 1][i - 1] - base
+            exponents[circle_index(model, j, i)] = block[i - 1][i - 1] - base
     return exponents
 
 
@@ -416,10 +416,10 @@ def reference_restriction_of_diagonal(model, exponents):
     k = model.k0_rank
     matrix = [[0] * k for _ in range(k)]
     for col, (j, i) in enumerate(model.reduced_order):
-        base = exponents[model.circle_index(j, 0)]
+        base = exponents[circle_index(model, j, 0)]
         for row, (j2, i2) in enumerate(model.reduced_order):
             if j2 == j:
-                matrix[row][col] = base + (exponents[model.circle_index(j, i)] if i2 == i else 0)
+                matrix[row][col] = base + (exponents[circle_index(model, j, i)] if i2 == i else 0)
     return matrix
 
 

@@ -39,7 +39,7 @@ from torelli.oracle import (
 from torelli.realization import build_boundary_multitwist, realize_delta
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
 
-from test_surface_model import small_configs
+from test_surface_model import basis_vector, label_index, small_configs
 
 
 @pytest.fixture
@@ -54,10 +54,10 @@ def test_empty_word_acts_trivially(four_circle_model):
 
 def test_single_transvection_displacement(four_circle_model):
     model = four_circle_model
-    z = model.basis_vector(("qb", 0))
+    z = basis_vector(model, ("qb", 0))
     word = TwistWord([TwistFactor(z, 2, LOCUS_Q)])
     action = transvection_action(model, word)
-    a = model.basis_vector(("qa", 0))
+    a = basis_vector(model, ("qa", 0))
     assert a.dot(model.intersection_form.apply(z)) == 1
     assert action.apply(a) == a + 2 * z
 
@@ -66,9 +66,9 @@ def test_word_times_formal_inverse_is_identity(four_circle_model):
     model = four_circle_model
     word = TwistWord(
         [
-            TwistFactor(model.basis_vector(("qa", 0)), 2, LOCUS_Q),
+            TwistFactor(basis_vector(model, ("qa", 0)), 2, LOCUS_Q),
             TwistFactor(model.circle_class(0, 1) + model.circle_class(0, 2), -1, LOCUS_Q),
-            TwistFactor(model.basis_vector(("qb", 0)), 3, LOCUS_Q),
+            TwistFactor(basis_vector(model, ("qb", 0)), 3, LOCUS_Q),
         ]
     )
     assert transvection_action(model, concat(word, invert(word))) == IntMatrix.identity(model.rank)
@@ -90,13 +90,13 @@ def test_action_is_symplectic(four_circle_model):
 
 def test_locus_violations(four_circle_model):
     model = four_circle_model
-    dual = model.basis_vector(("dual", 0, 1))
+    dual = basis_vector(model, ("dual", 0, 1))
     with pytest.raises(LocusViolation):
         transvection_action(model, TwistWord([TwistFactor(dual, 1, LOCUS_Q)]))
-    qa = model.basis_vector(("qa", 0))
+    qa = basis_vector(model, ("qa", 0))
     with pytest.raises(LocusViolation):
         transvection_action(model, TwistWord([TwistFactor(qa, 1, in_complement(0))]))
-    phandle = model.basis_vector(("pa", 0, 0))
+    phandle = basis_vector(model, ("pa", 0, 0))
     # complement handles are fine in their own component, not in the subsurface
     transvection_action(model, TwistWord([TwistFactor(phandle, 1, in_complement(0))]))
     with pytest.raises(LocusViolation):
@@ -108,7 +108,7 @@ def test_weakly_torelli_examples(four_circle_model):
     assert is_weakly_torelli(model, TwistWord())
     peripheral = model.circle_class(0, 0) + model.circle_class(0, 1)
     assert is_weakly_torelli(model, TwistWord([TwistFactor(peripheral, 1, LOCUS_Q)]))
-    qa = model.basis_vector(("qa", 0))
+    qa = basis_vector(model, ("qa", 0))
     assert not is_weakly_torelli(model, TwistWord([TwistFactor(qa, 1, LOCUS_Q)]))
 
 
@@ -137,7 +137,7 @@ def test_delta_of_peripheral_twist_matches_expected(four_circle_model):
 
 def test_delta_rejects_non_weakly_torelli(four_circle_model):
     model = four_circle_model
-    word = TwistWord([TwistFactor(model.basis_vector(("qa", 0)), 1, LOCUS_Q)])
+    word = TwistWord([TwistFactor(basis_vector(model, ("qa", 0)), 1, LOCUS_Q)])
     with pytest.raises(NotWeaklyTorelli):
         delta_difference(model, word)
 
@@ -159,8 +159,8 @@ def test_delta_depends_only_on_boundary(four_circle_model):
     plan = TrialPlan(seed=5, trials=1)
     word = random_weakly_torelli_word(model, plan, 0)
     action = transvection_action(model, word)
-    a = model.basis_vector(("dual", 0, 1)) + 2 * model.basis_vector(("qa", 0))
-    a2 = a + model.circle_class(0, 2) - 3 * model.basis_vector(("pb", 0, 0))
+    a = basis_vector(model, ("dual", 0, 1)) + 2 * basis_vector(model, ("qa", 0))
+    a2 = a + model.circle_class(0, 2) - 3 * basis_vector(model, ("pb", 0, 0))
     assert model.mv_boundary(a) == model.mv_boundary(a2)
     r1 = model.h1bar_from_ambient(action.apply(a) - a)
     r2 = model.h1bar_from_ambient(action.apply(a2) - a2)
@@ -215,7 +215,7 @@ def test_inconsistent_system_is_reported(four_circle_model, monkeypatch):
     assert {"model_boundary_image", "model_adjunction", "delta_functional_equation"} <= failing
 
     model = four_circle_model
-    circle, handle = model.label_index(("circle", 0, 1)), model.label_index(("pa", 0, 0))
+    circle, handle = label_index(model, ("circle", 0, 1)), label_index(model, ("pa", 0, 0))
     layout = HomologyModel.partner
     monkeypatch.setattr(
         HomologyModel, "partner", lambda self, c: (handle, 1) if c == circle else layout(self, c)
@@ -235,7 +235,7 @@ def test_displacement_outside_circle_span_is_reported(four_circle_model, monkeyp
     first_dual = (model.rank - model.k0_rank, model.pairing_sign)
     layout = HomologyModel.partner
     monkeypatch.setattr(HomologyModel, "partner", lambda self, c: first_dual if c == 0 else layout(self, c))
-    word = TwistWord([TwistFactor(model.basis_vector(("qa", 0)), 1, LOCUS_Q)])
+    word = TwistWord([TwistFactor(basis_vector(model, ("qa", 0)), 1, LOCUS_Q)])
     with pytest.raises(NotWeaklyTorelli) as caught:
         delta_difference(model, word)
     assert str(caught.value) == (
@@ -246,8 +246,8 @@ def test_displacement_outside_circle_span_is_reported(four_circle_model, monkeyp
 
 def test_locus_check_agrees_with_lattice_membership(four_circle_model):
     model = four_circle_model
-    inside = model.circle_class(0, 0) + 2 * model.basis_vector(("qa", 0))
-    outside = model.basis_vector(("dual", 0, 2))
+    inside = model.circle_class(0, 0) + 2 * basis_vector(model, ("qa", 0))
+    outside = basis_vector(model, ("dual", 0, 2))
     assert solve_integer(model.q_image, inside) is not None
     assert solve_integer(model.q_image, outside) is None
     transvection_action(model, TwistWord([TwistFactor(inside, 1, LOCUS_Q)]))
@@ -313,8 +313,8 @@ def test_word_json_round_trip(four_circle_model):
     word = TwistWord(
         [
             TwistFactor(model.circle_class(0, 1), -2, LOCUS_Q),
-            TwistFactor(model.basis_vector(("pa", 0, 0)), 1, in_complement(0)),
-            TwistFactor(model.basis_vector(("qa", 0)), 3, LOCUS_AMBIENT),
+            TwistFactor(basis_vector(model, ("pa", 0, 0)), 1, in_complement(0)),
+            TwistFactor(basis_vector(model, ("qa", 0)), 3, LOCUS_AMBIENT),
         ]
     )
     data = word_to_json_dict(word)
@@ -367,7 +367,7 @@ def test_fast_path_matches_dense_reference(pairing_sign):
         for index in range(plan.trials):
             seeded = random_weakly_torelli_word(model, plan, 100 * n + index)
             products = random_bounding_pair_product(model, rng)
-            handle = model.basis_vector((rng.choice(("qa", "qb")), 0))
+            handle = basis_vector(model, (rng.choice(("qa", "qb")), 0))
             q_twist = TwistWord(
                 [TwistFactor(handle + _circle_span_class(model, rng), rng.choice((-2, -1, 1, 2)), LOCUS_Q)]
             )
@@ -459,7 +459,7 @@ def test_circle_runs_skip_the_word_pass(monkeypatch):
         word = realize_delta(model, delta).word
         assert analyze(model, word).delta.matrix == delta.matrix
         assert calls == []
-        handle = TwistFactor(model.basis_vector(("qa", 0)), 1, LOCUS_Q)
+        handle = TwistFactor(basis_vector(model, ("qa", 0)), 1, LOCUS_Q)
         assert not analyze(model, concat(TwistWord([handle]), word)).weakly_torelli
         assert calls == [1]  # only the handle takes the pass
         product = random_bounding_pair_product(model, rng)
