@@ -182,15 +182,6 @@ class AnalysisReport(_Value):
     multitwist_correctable: Optional[DiagonalMap]
     component_matrices: Optional[tuple[IntMatrix, ...]]
 
-    def __init__(self, weakly_torelli, delta, symmetric, completely_reducible, extension_by_identity_torelli,
-                 extendable_to_torelli, multitwist_correctable, component_matrices):
-        self.__dict__.update(
-            weakly_torelli=weakly_torelli, delta=delta, symmetric=symmetric,
-            completely_reducible=completely_reducible, extension_by_identity_torelli=extension_by_identity_torelli,
-            extendable_to_torelli=extendable_to_torelli, multitwist_correctable=multitwist_correctable,
-            component_matrices=component_matrices,
-        )
-
     def to_json_dict(self) -> dict:
         delta, correction, blocks = self.delta, self.multitwist_correctable, self.component_matrices
         return {

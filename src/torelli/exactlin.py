@@ -27,17 +27,27 @@ class _Value:
     """Base of the library's immutable value classes.
 
     A subclass's fields are the names its own body annotates, in order.
-    Equality (same class, equal fields), the hash of the field tuple and
-    ``Name(field=value, ...)`` repr read them; assigning or deleting any
-    attribute raises ``dataclasses.FrozenInstanceError``.  Constructors and
-    ``cached_property`` views write the instance ``__dict__`` directly.
+    The constructor binds its arguments to them, each exactly once, or
+    raises ``TypeError`` naming the class; a subclass that converts or
+    checks its arguments calls it from its own ``__init__``.  Equality
+    (same class, equal fields), the hash of the field tuple and
+    ``Name(field=value, ...)`` repr read the fields; assigning or deleting
+    any attribute raises ``dataclasses.FrozenInstanceError``.  Hot
+    constructors and ``cached_property`` views write ``__dict__`` directly.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._field_set = frozenset(cls._fields)
         get = operator.attrgetter(*cls._fields)  # of one name: the value itself, not a 1-tuple
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != self._field_set:
+            raise TypeError(f"{type(self).__name__} takes each of the fields {self._fields} exactly once")
+        self.__dict__.update(values)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -206,9 +216,6 @@ class SNFResult(_Value):
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
-
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
-        self.__dict__.update(U=U, D=D, V=V)
 
     def diagonal(self) -> list[int]:
         return [self.D[i, i] for i in range(min(self.D.rows, self.D.cols))]

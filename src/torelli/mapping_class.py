@@ -135,7 +135,7 @@ class DifferenceMap(_Value):
         k = block_ranges[-1][1] if block_ranges else 0
         if (matrix.rows, matrix.cols) != (k, k):
             raise DimensionMismatch(f"difference map must be {k}x{k}")
-        self.__dict__.update(matrix=matrix, block_ranges=block_ranges)
+        super().__init__(matrix, block_ranges)
 
     def block(self, j: int) -> IntMatrix:
         if not 0 <= j < len(self.block_ranges):

@@ -9,7 +9,9 @@ a failing case can be re-run standalone through the command line.
 
 from __future__ import annotations
 
+import operator
 import random
+from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional
 
 from torelli import criteria, realization
@@ -61,18 +63,16 @@ class TrialPlan(_Value):
 
     def __init__(self, seed=0, trials=50, max_q_genus=2, max_component_genus=2, max_boundary_count=4,
                  max_components=3, exponent_bound=3):
-        if trials < 1:
+        super().__init__(*map(operator.index, (seed, trials, max_q_genus, max_component_genus, max_boundary_count,
+                                               max_components, exponent_bound)))
+        if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if max_q_genus < 0 or max_component_genus < 0:
+        if self.max_q_genus < 0 or self.max_component_genus < 0:
             raise ValueError("genus bounds must be nonnegative")
-        if max_boundary_count < 1 or max_components < 1:
+        if self.max_boundary_count < 1 or self.max_components < 1:
             raise ValueError("boundary and component bounds must be positive")
-        if exponent_bound < 1:
+        if self.exponent_bound < 1:
             raise ValueError("exponent bound must be positive")
-        self.__dict__.update(
-            seed=seed, trials=trials, max_q_genus=max_q_genus, max_component_genus=max_component_genus,
-            max_boundary_count=max_boundary_count, max_components=max_components, exponent_bound=exponent_bound,
-        )
 
 
 def random_config(plan: TrialPlan, index: int) -> SubsurfaceConfig:
@@ -221,17 +221,9 @@ def _check_solver(plan, index, model_factory):
     b2 = IntVector(rng.randint(-4, 4) for _ in range(a.rows))
     if solve_integer(a, b2) is None:
         # Exhaustive box search refutes any small solution.
-        box = range(-6, 7)
-        if a.cols <= 3:
-            from itertools import product
-
-            for xs in product(box, repeat=a.cols):
-                if a.apply(IntVector(xs)) == b2:
-                    return {
-                        "matrix": a.to_lists(),
-                        "rhs": b2.to_list(),
-                        "solution_missed": list(xs),
-                    }
+        for xs in product(range(-6, 7), repeat=a.cols):
+            if a.apply(IntVector(xs)) == b2:
+                return {"matrix": a.to_lists(), "rhs": b2.to_list(), "solution_missed": list(xs)}
     return None
 
 
@@ -490,7 +482,7 @@ def _check_basis_change(plan, index, model_factory):
             entries[r][c] = entries[c][r] = rng.randint(-2, 2)
     matrix = IntMatrix(entries, cols=size)
     coeffs = realization.sym_basis_change(matrix, size)
-    if realization.reconstruct_from_coefficients(coeffs) != matrix:
+    if realization.reconstruct_from_coefficients(coeffs, size) != matrix:
         return {"matrix": matrix.to_lists(), "problem": "basis change does not reconstruct"}
     return None
 

@@ -4,9 +4,10 @@ The key fact: a twist in the subsurface about a circle homologous to a
 union U of boundary circles of one complement component has difference map
 a -> m <a, [U]> [U].  Over one component the matrices of these maps are
 the 0/1 "indicator" symmetric matrices m(A) (ones on the rows and columns
-indexed by A), and the contiguous ones m(k..l) form a basis of the lattice
-of symmetric integer matrices.  Expanding a prescribed symmetric block in
-that basis therefore yields an explicit word of peripheral twists, and
+indexed by A), and the contiguous ones m(k, l) = m({k, ..., l}) form a
+basis of the lattice of symmetric integer matrices.  Expanding a prescribed
+symmetric block in that basis (``sym_basis_change``, a dict from (k, l) to
+its coefficient) therefore yields an explicit word of peripheral twists, and
 pairing each factor with an opposite twist on the complement side gives a
 word acting trivially on ambient homology: a witness that the realized
 word extends to a Torelli map.
@@ -35,23 +36,6 @@ from torelli.mapping_class import (
 from torelli.surface_model import HomologyModel
 
 
-class SymBasisCoefficients(_Value):
-    """Coefficients over the contiguous-indicator basis of symmetric matrices.
-
-    Keys are 1-based pairs (k, l) with k <= l; the matrix m(k, l) has ones
-    exactly on rows and columns k..l.
-    """
-
-    size: int
-    coefficients: Mapping[tuple[int, int], int]
-
-    def __init__(self, size: int, coefficients: Mapping[tuple[int, int], int]):
-        self.__dict__.update(size=size, coefficients=coefficients)
-
-    def items(self) -> Iterable[tuple[tuple[int, int], int]]:
-        return sorted(self.coefficients.items())
-
-
 def indicator_matrix(size: int, members: Iterable[int]) -> IntMatrix:
     """Symmetric 0/1 matrix with ones on the rows and columns in ``members``
     (1-based indices)."""
@@ -65,10 +49,12 @@ def indicator_matrix(size: int, members: Iterable[int]) -> IntMatrix:
     )
 
 
-def sym_basis_change(matrix: IntMatrix, size: int) -> SymBasisCoefficients:
+def sym_basis_change(matrix: IntMatrix, size: int) -> dict[tuple[int, int], int]:
     """Expand a symmetric matrix over the contiguous-indicator basis.
 
-    The coefficient of m(k, l) is the second difference
+    The result maps 1-based pairs (k, l) with k <= l, in lexicographic
+    order, to the coefficient of m(k, l), the matrix with ones exactly on
+    rows and columns k..l.  The coefficient of m(k, l) is the second difference
     c(k, l) = M[k,l] - M[k-1,l] - M[k,l+1] + M[k-1,l+1] (1-based), with
     entries outside the matrix read as 0; zero coefficients are dropped.
     Summed over k <= i and l >= j it telescopes back to M[i, j].
@@ -80,7 +66,7 @@ def sym_basis_change(matrix: IntMatrix, size: int) -> SymBasisCoefficients:
         raise DimensionMismatch(f"expected a {size}x{size} matrix")
     if matrix.entries != tuple(zip(*matrix.entries)):
         raise NotSymmetric("matrix is not symmetric")
-    return SymBasisCoefficients(size=size, coefficients=_sym_coefficients(matrix))
+    return _sym_coefficients(matrix)
 
 
 def _sym_coefficients(matrix: IntMatrix) -> dict[tuple[int, int], int]:
@@ -97,36 +83,26 @@ def _sym_coefficients(matrix: IntMatrix) -> dict[tuple[int, int], int]:
     return coeffs
 
 
-def reconstruct_from_coefficients(coeffs: SymBasisCoefficients) -> IntMatrix:
-    """Sum of coefficient times contiguous-indicator matrix; the basis-change
-    round-trip oracle."""
-    total = IntMatrix.zeros(coeffs.size, coeffs.size)
+def reconstruct_from_coefficients(coeffs: Mapping[tuple[int, int], int], size: int) -> IntMatrix:
+    """Sum of coefficient times contiguous-indicator matrix, size x size; the
+    basis-change round-trip oracle."""
+    total = IntMatrix.zeros(size, size)
     for (k, l), value in coeffs.items():
-        total = total + value * indicator_matrix(coeffs.size, range(k, l + 1))
+        total = total + value * indicator_matrix(size, range(k, l + 1))
     return total
 
 
 def peripheral_class(model: HomologyModel, j: int, subset: Iterable[int]) -> IntVector:
     """Ambient class of the union of the chosen boundary circles of
-    component j (0-based circle indices; circle 0 allowed)."""
+    component j (0-based circle indices; circle 0 allowed): the sum of
+    their ``circle_class``es."""
     members = sorted(set(subset))
     if not members:
         raise ValueError("subset of boundary circles must be nonempty")
     if not 0 <= j < model.n_components:
         raise DimensionMismatch(f"no complement component {j}")
-    comp = model.config.components[j]
-    for i in members:
-        if not (0 <= i < comp.boundary_count):
-            raise ValueError(f"component {j} has no circle {i}")
-    start, stop = model.block_ranges[j]
-    first = model.rank - 2 * model.k0_rank + start  # basis index of circle (j, 1)
-    out = [0] * model.rank
-    if members[0] == 0:  # circle 0 is minus the sum of the others
-        out[first:first + stop - start] = [-1] * (stop - start)
-    for i in members:
-        if i:
-            out[first + i - 1] += 1
-    return IntVector(out)
+    first, *rest = (model.circle_class(j, i) for i in members)
+    return sum(rest, first)
 
 
 def peripheral_twist_delta(
@@ -157,9 +133,6 @@ class Realization(_Value):
 
     word: TwistWord
     components: tuple[int, ...]
-
-    def __init__(self, word: TwistWord, components: tuple[int, ...]):
-        self.__dict__.update(word=word, components=components)
 
     @cached_property
     def torelli_witness(self) -> TwistWord:

@@ -61,8 +61,7 @@ class ComplementComponent(_Value):
     boundary_count: int
 
     def __init__(self, genus: int, boundary_count: int):
-        object.__setattr__(self, "genus", operator.index(genus))
-        object.__setattr__(self, "boundary_count", operator.index(boundary_count))
+        super().__init__(operator.index(genus), operator.index(boundary_count))
 
 
 class SubsurfaceConfig(_Value):
@@ -70,8 +69,7 @@ class SubsurfaceConfig(_Value):
     components: tuple[ComplementComponent, ...]
 
     def __init__(self, q_genus: int, components: Sequence[ComplementComponent]):
-        object.__setattr__(self, "q_genus", operator.index(q_genus))
-        object.__setattr__(self, "components", tuple(components))
+        super().__init__(operator.index(q_genus), tuple(components))
         if self.q_genus < 0:
             raise InvalidConfig("q_genus must be nonnegative")
         if not self.components:
@@ -128,12 +126,6 @@ class HomologyModel(_Value):
     circle_order: tuple[tuple[int, int], ...]
     reduced_order: tuple[tuple[int, int], ...]
     block_ranges: tuple[tuple[int, int], ...]
-
-    def __init__(self, config, genus, rank, pairing_sign, labels, circle_order, reduced_order, block_ranges):
-        self.__dict__.update(
-            config=config, genus=genus, rank=rank, pairing_sign=pairing_sign, labels=labels,
-            circle_order=circle_order, reduced_order=reduced_order, block_ranges=block_ranges,
-        )
 
     # -- index helpers (arithmetic on the basis order; see module docstring)
 

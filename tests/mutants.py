@@ -176,7 +176,7 @@ MUTANTS = (
     ),
     Mutant(
         "trial plan skips its trials test", "oracle.py",
-        "if trials < 1:", "if False:",
+        "if self.trials < 1:", "if False:",
         (
             "tests/test_oracle.py::test_invalid_plans_rejected",
         ),
@@ -287,6 +287,62 @@ MUTANTS = (
         "if delta_difference(model, word).matrix != direct.matrix:", "if False:",
         (
             "tests/test_oracle.py::test_each_model_fault_trips_its_invariant[negated_peripheral_map]",
+        ),
+    ),
+    Mutant(
+        "value constructor skips its field-set check", "exactlin.py",
+        " or values.keys() != self._field_set", "",
+        (
+            "tests/test_values.py::test_constructor_binds_fields[SNFResult]",
+            "tests/test_values.py::test_constructor_binds_fields[HomologyModel]",
+        ),
+    ),
+    Mutant(
+        "peripheral class skips its component check", "realization.py",
+        'nonempty")\n    if not 0 <= j < model.n_components:', 'nonempty")\n    if False:',
+        (
+            "tests/test_realization.py::test_peripheral_class_rejects_missing_component",
+        ),
+    ),
+    Mutant(
+        "trial plan skips its integer coercion", "oracle.py",
+        "*map(operator.index, (seed,", "*((seed,",
+        (
+            "tests/test_oracle.py::test_invalid_plans_rejected",
+        ),
+    ),
+    Mutant(
+        "reducibility test skips the entries right of the block", "criteria.py",
+        "any(row[:start]) or any(row[stop:])", "any(row[:start])",
+        (
+            "tests/test_criteria.py::test_cross_component_entry_detected",
+            "tests/test_criteria.py::test_block_readers_match_entrywise_reference",
+        ),
+    ),
+    Mutant(
+        "diagonal exponents read their base from the diagonal", "criteria.py",
+        "base = rows[0][1] if len(rows) > 1 else 0", "base = rows[0][0] if len(rows) > 1 else 0",
+        (
+            "tests/test_acceptance.py::test_criterion_07_three_circle_guarantee",
+            "tests/test_criteria.py::test_diagonal_restriction_three_circles_unique",
+        ),
+    ),
+    Mutant(
+        "analyze does not negate the correction", "criteria.py",
+        "multitwist_correctable=-correction if correction is not None else None",
+        "multitwist_correctable=correction",
+        (
+            "tests/test_cli.py::test_pinned_stdout_for_two_component_config",
+            "tests/test_criteria.py::test_correctable_round_trip_on_multitwist",
+        ),
+    ),
+    Mutant(
+        "analyze skips the zero test of the identity extension", "criteria.py",
+        "extension_by_identity_torelli=weakly_torelli and delta.is_zero()",
+        "extension_by_identity_torelli=weakly_torelli",
+        (
+            "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
+            "tests/test_criteria.py::test_extension_by_identity_decider",
         ),
     ),
 )

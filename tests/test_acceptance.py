@@ -209,7 +209,7 @@ def test_criterion_09_basis_change():
                     entries[r][c] = entries[c][r] = rng.randint(-2, 2)
             matrix = IntMatrix(entries, cols=size)
             coeffs = sym_basis_change(matrix, size)
-            assert reconstruct_from_coefficients(coeffs) == matrix
+            assert reconstruct_from_coefficients(coeffs, size) == matrix
 
 
 def test_criterion_10_ranks():

@@ -80,6 +80,9 @@ def test_invalid_plans_rejected():
         TrialPlan(max_boundary_count=0)
     with pytest.raises(ValueError, match="boundary and component bounds must be positive"):
         TrialPlan(max_components=0)  # a plan checks itself when it is built
+    for field, value in (("trials", 2.5), ("seed", "0"), ("exponent_bound", 1.5)):
+        with pytest.raises(TypeError):
+            TrialPlan(**{field: value})
 
 
 def test_fault_injection_breaks_adjunction():

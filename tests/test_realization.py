@@ -82,7 +82,7 @@ def test_basis_change_rejects_asymmetric():
 @given(symmetric_matrices())
 def test_basis_change_round_trip(matrix):
     coeffs = sym_basis_change(matrix, matrix.rows)
-    assert reconstruct_from_coefficients(coeffs) == matrix
+    assert reconstruct_from_coefficients(coeffs, matrix.rows) == matrix
 
 
 def test_indicator_matrix_shape():
@@ -137,6 +137,9 @@ def test_peripheral_class_rejects_missing_component(four_circle_model):
         with pytest.raises(DimensionMismatch) as info:
             peripheral_class(four_circle_model, j, [1])
         assert str(info.value) == f"no complement component {j}"
+    for i in (4, -1):  # a missing circle is circle_class's error
+        with pytest.raises(DimensionMismatch, match=f"^component 0 has no circle {i}$"):
+            peripheral_class(four_circle_model, 0, [1, i])
 
 
 def test_peripheral_delta_matches_word(four_circle_model):

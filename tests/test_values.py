@@ -1,4 +1,5 @@
-"""The immutable value classes: repr, equality, hash and the frozen guard.
+"""The immutable value classes: repr, equality, hash, the frozen guard and
+how their constructors bind arguments to fields.
 
 Each class is pinned by one small value.  The repr strings are the ones the
 classes printed when they were frozen dataclasses, and the hash is that of
@@ -10,12 +11,12 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from torelli.criteria import DiagonalMap, analyze
-from torelli.exactlin import IntMatrix, IntVector, smith_normal_form
+from torelli.criteria import AnalysisReport, DiagonalMap, analyze
+from torelli.exactlin import IntMatrix, IntVector, SNFResult, smith_normal_form
 from torelli.mapping_class import LOCUS_Q, DifferenceMap, TwistFactor, TwistWord
 from torelli.oracle import TrialPlan
-from torelli.realization import realize_delta, sym_basis_change
-from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
+from torelli.realization import Realization, realize_delta
+from torelli.surface_model import ComplementComponent, HomologyModel, SubsurfaceConfig, build_model
 
 
 def _model():
@@ -40,7 +41,7 @@ VALUES = {  # class: (a factory of one value, its field names, its repr)
     IntMatrix: (
         lambda: IntMatrix([[1, 2]]), ("entries", "rows", "cols"), "IntMatrix(entries=((1, 2),), rows=1, cols=2)",
     ),
-    type(smith_normal_form(IntMatrix([[1]]))): (
+    SNFResult: (
         lambda: smith_normal_form(IntMatrix([[-2]])), ("U", "D", "V"),
         "SNFResult(U=IntMatrix(entries=((-1,),), rows=1, cols=1), "
         f"D=IntMatrix(entries=((2,),), rows=1, cols=1), V={_ONE})",
@@ -52,7 +53,7 @@ VALUES = {  # class: (a factory of one value, its field names, its repr)
     SubsurfaceConfig: (
         lambda: SubsurfaceConfig(0, [ComplementComponent(0, 2)]), ("q_genus", "components"), _CONFIG,
     ),
-    type(_model()): (
+    HomologyModel: (
         _model,
         ("config", "genus", "rank", "pairing_sign", "labels", "circle_order", "reduced_order", "block_ranges"),
         f"HomologyModel(config={_CONFIG}, genus=1, rank=2, pairing_sign=1, "
@@ -63,7 +64,7 @@ VALUES = {  # class: (a factory of one value, its field names, its repr)
     TwistWord: (_word, ("factors",), f"TwistWord(factors=({_FACTOR},))"),
     DifferenceMap: (_delta, ("matrix", "block_ranges"), _DELTA),
     DiagonalMap: (lambda: DiagonalMap([1, -1]), ("exponents",), "DiagonalMap(exponents=(1, -1))"),
-    type(analyze(_model(), _word())): (
+    AnalysisReport: (
         lambda: analyze(_model(), _word()),
         ("weakly_torelli", "delta", "symmetric", "completely_reducible", "extension_by_identity_torelli",
          "extendable_to_torelli", "multitwist_correctable", "component_matrices"),
@@ -72,11 +73,7 @@ VALUES = {  # class: (a factory of one value, its field names, its repr)
         "multitwist_correctable=DiagonalMap(exponents=(0, -2)), "
         "component_matrices=(IntMatrix(entries=((2,),), rows=1, cols=1),))",
     ),
-    type(sym_basis_change(IntMatrix([[2]]), 1)): (
-        lambda: sym_basis_change(IntMatrix([[2]]), 1), ("size", "coefficients"),
-        "SymBasisCoefficients(size=1, coefficients={(1, 1): 2})",
-    ),
-    type(realize_delta(_model(), _delta())): (
+    Realization: (
         lambda: realize_delta(_model(), _delta()), ("word", "components"),
         f"Realization(word=TwistWord(factors=({_FACTOR},)), components=(0,))",
     ),
@@ -98,13 +95,7 @@ def test_value_semantics(cls):
     assert repr(value) == text
 
     values = tuple(getattr(value, name) for name in fields)
-    try:
-        expected = hash(values)
-    except TypeError:  # SymBasisCoefficients holds a dict
-        with pytest.raises(TypeError):
-            hash(value)
-    else:
-        assert hash(value) == hash(same) == expected
+    assert hash(value) == hash(same) == hash(values)
 
     assert value == same and not value != same
     # A class with the same fields and field values is another class: never equal.
@@ -117,3 +108,27 @@ def test_value_semantics(cls):
     with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{fields[0]}'"):
         delattr(value, fields[0])
     assert tuple(getattr(value, name) for name in fields) == values
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [SNFResult, ComplementComponent, SubsurfaceConfig, HomologyModel, DifferenceMap, AnalysisReport, Realization,
+     TrialPlan],
+    ids=lambda cls: cls.__name__,
+)
+def test_constructor_binds_fields(cls):
+    make, fields, _ = VALUES[cls]
+    value = make()
+    values = [getattr(value, name) for name in fields]
+    assert cls(*values) == cls(**dict(zip(fields, values))) == value
+
+    bad = [
+        (values[:-1], {"unknown": values[-1]}),  # an unknown keyword in place of the last field
+        (values, {fields[0]: values[0]}),  # the first field given twice
+        (values + [None], {}),  # one positional argument too many
+    ]
+    if cls is not TrialPlan:  # every plan field has a default
+        bad.append((values[:-1], {}))  # the last field missing
+    for args, kwargs in bad:
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args, **kwargs)
