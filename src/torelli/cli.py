@@ -5,9 +5,9 @@ map as a word, run the randomized invariant suite, print lattice ranks,
 and run the built-in four-circle regression example.
 
 Exit codes: 0 success; 1 invariant failures from ``check``; 2 parse or
-schema error; 3 locus or dimension violation; 4 difference map not
-symmetric; 5 difference map not completely reducible.  stdout carries the
-payload, stderr the diagnostics.
+schema error, or an output integer too long to print; 3 locus or dimension
+violation; 4 difference map not symmetric; 5 difference map not completely
+reducible.  stdout carries the payload, stderr the diagnostics.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ EXIT_NOT_REDUCIBLE = 5
 
 class _ParseFailure(Exception):
     pass
+
+
+class _TooLongToPrint(Exception):
+    """An output integer has more digits than the interpreter will print."""
 
 
 def _load_json(path: str) -> object:
@@ -103,8 +107,18 @@ def _load_delta(path: str, model):
         raise read.error(str(exc))
 
 
+def _printable(render, *args, **kwargs) -> str:
+    """``render(...)``, with CPython's int-to-string digit limit, its guard
+    against quadratic-time conversion, reported as ``_TooLongToPrint``."""
+    try:
+        return render(*args, **kwargs)
+    except ValueError:  # the payloads hold only ints, strings, bools and None
+        limit = sys.get_int_max_str_digits()
+        raise _TooLongToPrint(f"an output integer has more than {limit} digits, too many to print") from None
+
+
 def _emit(payload: object) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_printable(json.dumps, payload, indent=2, sort_keys=True))
 
 
 def _report_text(report) -> str:
@@ -151,7 +165,7 @@ def _cmd_analyze(args) -> int:
     if args.format == "json":
         _emit(report.to_json_dict())
     else:
-        print(_report_text(report))
+        print(_printable(_report_text, report))
     return EXIT_OK
 
 
@@ -246,6 +260,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except _TooLongToPrint as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (LocusViolation, NotWeaklyTorelli, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)

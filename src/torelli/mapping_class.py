@@ -204,24 +204,6 @@ def transvection_action(model: HomologyModel, word: TwistWord) -> IntMatrix:
     return result
 
 
-def _require_in_q(model: HomologyModel, word: TwistWord) -> tuple[list[TwistFactor], list[TwistFactor]]:
-    """Every factor has locus Q and a class in the subsurface image: Q
-    handles plus the circle block.  ``_check_locus`` words the error.
-    Returns the circle-block factors and the others, each in word order."""
-    lo, hi = model.rank - 2 * model.k0_rank, model.rank - model.k0_rank
-    block, rest = [], []
-    for pos, factor in enumerate(word.factors):
-        if factor.locus != LOCUS_Q:
-            got = json.dumps(_locus_to_json(factor.locus), default=repr)
-            raise LocusViolation(f'factor {pos}: locus must be "Q", got {got}')
-        if factor.rank == model.rank and factor._within(lo, hi):
-            block.append(factor)
-        else:
-            _check_locus(model, factor, pos)
-            rest.append(factor)
-    return block, rest
-
-
 def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]]:
     """Displacements (image minus itself) of the basis vectors under the
     word, as rows[r][c]: nonzero coordinate r of class c's displacement.
@@ -248,57 +230,52 @@ def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]
     return rows
 
 
-def _sum_of_runs(factors: Sequence[TwistFactor], lo: int, hi: int) -> list[list[int]]:
-    """Sum m * u u^T over the factors, u being each class's slice [lo, hi),
-    outside which every class must be zero.
-
-    The 2D difference array of u u^T is d d^T, d being u's first difference
-    (d[0] = u[0], d[i] = u[i] - u[i-1]): the class's stored edges in
-    [lo, hi), nonzero only where a run of one value starts or ends.  So an
-    interval class adds at most four corner updates, and one 2D prefix sum
-    turns the summed difference arrays into the matrix.
-    """
-    k = hi - lo
-    corners = [[0] * k for _ in range(k)]
-    for factor in factors:
-        d = [(i - lo, step) for i, step in factor.edges if lo <= i < hi]
-        m = factor.exponent
-        for i, di in d:
-            row, md = corners[i], m * di
-            for j, dj in d:
-                row[j] += md * dj
-    matrix, above = [], [0] * k
-    for row in corners:
-        above = list(map(add, above, accumulate(row)))
-        matrix.append(above)
-    return matrix
-
-
 def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, Optional[DifferenceMap]]:
     """Whether the word is weakly Torelli and, if so, its difference map.
 
-    Each circle pairs only with its dual, so a class u in the circle block
-    pairs to zero with the subsurface image, where every class of the word
-    lies.  Its twist commutes with every factor and moves a class a by
-    m <a, u> u (the paper's a -> m <a, [U]> [U]) whatever the others do.
-    The map is thus sum m * u u^T over the circle-block factors, u being
-    the class's slice of the block, summed as constant rectangles at its
-    stored run edges, plus the map of one sparse pass of the other factors
-    over the basis.  The block terms move only the duals, so that pass
-    alone gives the verdict: weakly Torelli when no Q handle and no circle
-    moves, and every displacement must then lie in the circle span.
-    Dual(j, i) has boundary pairing_sign * o_{j,i} and every other class
-    boundary 0, so column (j, i) gains the sign times the displacement of
-    dual(j, i); the rest of the boundary system says no class before the
-    duals moves.
+    Each factor must have locus Q and a class in the subsurface image: Q
+    handles plus the circle block (``_check_locus`` words the error).  Each
+    circle pairs only with its dual, so a class u in the circle block pairs
+    to zero with that image.  Its twist commutes with every factor and moves
+    a class a by m <a, u> u (the paper's a -> m <a, [U]> [U]) whatever the
+    others do.  So the map is sum m * u u^T over the circle-block factors,
+    u being the class's slice of the block, plus the map of one sparse pass
+    of the other factors over the basis (of every factor, when a circle
+    meets more than its dual).  One walk over the word checks the factors
+    and adds each u u^T as its 2D difference array d d^T, d being u's first
+    difference: the class's stored edges, nonzero only where a run of one
+    value starts or ends, so an interval class adds four corner updates.
+    One 2D prefix sum then turns the sum into the matrix.
+
+    The block terms move only the duals, so the pass alone gives the
+    verdict: weakly Torelli when no Q handle and no circle moves, and every
+    displacement must then lie in the circle span.  Dual(j, i) has boundary
+    pairing_sign * o_{j,i} and every other class boundary 0, so column
+    (j, i) gains the sign times the displacement of dual(j, i); the rest of
+    the boundary system says no class before the duals moves.
     """
-    block, rest = _require_in_q(model, word)
-    k = model.k0_rank
-    lo, hi = model.rank - 2 * k, model.rank - k  # the circle block
+    k, rank = model.k0_rank, model.rank
+    lo, hi = rank - 2 * k, rank - k  # the circle block
     h2, s = 2 * model.config.q_genus, model.pairing_sign
-    if not all(model.partner(lo + p) == (hi + p, s) for p in range(k)):
-        block, rest = [], word.factors  # a circle meets more than its dual
-    matrix = _sum_of_runs(block, lo, hi)
+    runs = all(model.partner(lo + p) == (hi + p, s) for p in range(k))  # each circle meets only its dual
+    corners, rest = [[0] * (k + 1) for _ in range(k + 1)], []  # row and column k take the edges at hi
+    for pos, factor in enumerate(word.factors):
+        if factor.locus != LOCUS_Q:
+            got = json.dumps(_locus_to_json(factor.locus), default=repr)
+            raise LocusViolation(f'factor {pos}: locus must be "Q", got {got}')
+        if runs and factor.rank == rank and factor._within(lo, hi):
+            m = factor.exponent
+            for i, di in factor.edges:
+                row, md = corners[i - lo], m * di
+                for j, dj in factor.edges:
+                    row[j - lo] += md * dj
+        else:
+            _check_locus(model, factor, pos)
+            rest.append(factor)
+    matrix, above = [], [0] * k
+    for row in corners[:k]:
+        above = list(map(add, above, accumulate(row)))  # map stops at column k
+        matrix.append(above)
     if rest:
         rows = _displacements(model, TwistWord(rest))
         moved = set().union(*rows)

@@ -16,7 +16,7 @@ word extends to a Torelli map.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from torelli.criteria import (
     DiagonalMap,
@@ -59,28 +59,30 @@ def sym_basis_change(matrix: IntMatrix, size: int) -> dict[tuple[int, int], int]
     entries outside the matrix read as 0; zero coefficients are dropped.
     Summed over k <= i and l >= j it telescopes back to M[i, j].
 
-    ``realize_delta`` skips the shape and symmetry checks: once it has tested
-    the whole map, it reads each block with the private ``_sym_coefficients``.
+    The private ``_sym_coefficients`` reads them; ``realize_delta`` calls it
+    on each block of a map it has tested whole, without these checks.
     """
     if (matrix.rows, matrix.cols) != (size, size):
         raise DimensionMismatch(f"expected a {size}x{size} matrix")
     if matrix.entries != tuple(zip(*matrix.entries)):
         raise NotSymmetric("matrix is not symmetric")
-    return _sym_coefficients(matrix)
+    return {(r + 1, c + 1): value for r, c, value in _sym_coefficients(matrix.entries, 0, size)}
 
 
-def _sym_coefficients(matrix: IntMatrix) -> dict[tuple[int, int], int]:
-    """Nonzero second differences of a square matrix, keys in order; no check."""
-    size = matrix.rows
-    padded = [(0,) * (size + 1)] + [(*row, 0) for row in matrix.entries]  # padded[k][l-1] = M[k,l]
-    coeffs: dict[tuple[int, int], int] = {}
-    for k in range(1, size + 1):
-        above, row = padded[k - 1], padded[k]
-        for l in range(k, size + 1):
-            c = row[l - 1] - above[l - 1] - row[l] + above[l]
-            if c:
-                coeffs[(k, l)] = c
-    return coeffs
+def _sym_coefficients(rows: Sequence[Sequence[int]], start: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """Nonzero second differences (r, c, value), r <= c in order, of the block
+    [start, stop) of ``rows``, read in place, 0 outside it; no check."""
+    for r in range(start, stop):
+        row, up = rows[r], rows[r - 1]
+        first = r == start  # the row above the block reads as 0
+        here = row[r] if first else row[r] - up[r]  # M[r, c] - M[r-1, c] at c = r
+        for c in range(r + 1, stop):
+            right = row[c] if first else row[c] - up[c]
+            if here != right:
+                yield r, c - 1, here - right
+            here = right
+        if here:
+            yield r, stop - 1, here
 
 
 def reconstruct_from_coefficients(coeffs: Mapping[tuple[int, int], int], size: int) -> IntMatrix:
@@ -148,7 +150,8 @@ def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
     Requires the map to be symmetric and completely reducible.  Factors are
     peripheral twists about contiguous unions of circles, one per nonzero
     basis coefficient, components in order and index pairs lexicographic.
-    The class of the union of circles k..l (k >= 1) is the constant
+    ``_sym_coefficients`` reads them off the map's rows, block by block, in
+    place.  The class of the union of circles k..l (k >= 1) is the constant
     interval of ones over their basis indices, so each factor stores just
     its two edges and no dense class is built.
     """
@@ -156,12 +159,13 @@ def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
         raise NotSymmetric("difference map is not symmetric")
     if not is_completely_reducible(model, delta):
         raise NotCompletelyReducible("difference map mixes complement components")
+    rank, rows = model.rank, delta.matrix.entries
+    lo = rank - 2 * model.k0_rank  # circle p sits at lo + p
     factors, components = [], []
     for j, (start, stop) in enumerate(model.block_ranges):
-        before = model.rank - 2 * model.k0_rank + start - 1  # circle (j, i) sits at before + i
-        for (k, l), value in _sym_coefficients(delta.block(j)).items():
-            factors.append(TwistFactor._interval(model.rank, before + k, before + l + 1, value, LOCUS_Q))
-            components.append(j)
+        for r, c, value in _sym_coefficients(rows, start, stop):
+            factors.append(TwistFactor._interval(rank, lo + r, lo + c + 1, value, LOCUS_Q))
+        components += [j] * (len(factors) - len(components))  # one entry per factor of block j
     return Realization(word=TwistWord(factors), components=tuple(components))
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from torelli._schema import Reader
@@ -296,36 +297,21 @@ def build_model(config: SubsurfaceConfig, *, pairing_sign: int = 1) -> HomologyM
     h = config.q_genus
     comps = config.components
 
-    labels: list[tuple] = []
-    for i in range(h):
-        labels.append(("qa", i))
-        labels.append(("qb", i))
-    for j, comp in enumerate(comps):
-        for g in range(comp.genus):
-            labels.append(("pa", j, g))
-            labels.append(("pb", j, g))
-    for j, comp in enumerate(comps):
-        for i in range(1, comp.boundary_count):
-            labels.append(("circle", j, i))
-    for j, comp in enumerate(comps):
-        for i in range(1, comp.boundary_count):
-            labels.append(("dual", j, i))
-
+    reduced_order = tuple((j, i) for j, comp in enumerate(comps) for i in range(1, comp.boundary_count))
+    labels = (
+        [(tag, i) for i in range(h) for tag in ("qa", "qb")]
+        + [(tag, j, g) for j, comp in enumerate(comps) for g in range(comp.genus) for tag in ("pa", "pb")]
+        + [(tag, *ji) for tag in ("circle", "dual") for ji in reduced_order]
+    )
     rank = len(labels)
     genus = config.genus
     assert rank == 2 * genus
 
     circle_order = tuple((j, i) for j, comp in enumerate(comps) for i in range(comp.boundary_count))
-    reduced_order = tuple((j, i) for j, comp in enumerate(comps) for i in range(1, comp.boundary_count))
-
-    block_ranges = []
-    start = 0
-    for comp in comps:
-        stop = start + comp.boundary_count - 1
-        block_ranges.append((start, stop))
-        start = stop
+    stops = tuple(accumulate(comp.boundary_count - 1 for comp in comps))
+    block_ranges = tuple(zip((0, *stops), stops))
 
     return HomologyModel(
         config=config, genus=genus, rank=rank, pairing_sign=pairing_sign, labels=tuple(labels),
-        circle_order=circle_order, reduced_order=reduced_order, block_ranges=tuple(block_ranges),
+        circle_order=circle_order, reduced_order=reduced_order, block_ranges=block_ranges,
     )

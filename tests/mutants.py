@@ -46,7 +46,7 @@ MUTANTS = (
     ),
     Mutant(
         "corner updates skip each class's first edge", "mapping_class.py",
-        "for j, dj in d:", "for j, dj in d[1:]:",
+        "for j, dj in factor.edges:", "for j, dj in factor.edges[1:]:",
         (
             "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
             "tests/test_mapping_class.py::test_fast_path_matches_dense_reference[1]",
@@ -54,7 +54,7 @@ MUTANTS = (
     ),
     Mutant(
         "run edges read one place late", "mapping_class.py",
-        "d = [(i - lo, step) for i, step", "d = [(i - lo + 1, step) for i, step",
+        "row, md = corners[i - lo], m * di", "row, md = corners[i - lo + 1], m * di",
         (
             "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
             "tests/test_criteria.py::test_blockwise_word_reducible",
@@ -206,7 +206,7 @@ MUTANTS = (
     ),
     Mutant(
         "the circle-block sum is dropped", "mapping_class.py",
-        "matrix = _sum_of_runs(block, lo, hi)", "matrix = _sum_of_runs([], lo, hi)",
+        "row[j - lo] += md * dj", "pass",
         (
             "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
             "tests/test_cli.py::test_example4_command",
@@ -214,7 +214,7 @@ MUTANTS = (
     ),
     Mutant(
         "the partner layout guard is dropped", "mapping_class.py",
-        "if not all(model.partner(lo + p) == (hi + p, s) for p in range(k)):", "if False:",
+        "runs = all(model.partner(lo + p) == (hi + p, s) for p in range(k))", "runs = True",
         (
             "tests/test_mapping_class.py::test_inconsistent_system_is_reported",
         ),
@@ -229,7 +229,7 @@ MUTANTS = (
     ),
     Mutant(
         "every factor is sent to the pass", "mapping_class.py",
-        "if factor.rank == model.rank and factor._within(lo, hi):", "if False:",
+        "if runs and factor.rank == rank and factor._within(lo, hi):", "if False:",
         (
             "tests/test_mapping_class.py::test_circle_runs_skip_the_word_pass",
             "tests/test_mapping_class.py::test_realized_words_never_build_a_dense_class",
@@ -343,6 +343,32 @@ MUTANTS = (
         (
             "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
             "tests/test_criteria.py::test_extension_by_identity_decider",
+        ),
+    ),
+    Mutant(
+        "the shared second-difference reader puts each coefficient one column late", "realization.py",
+        "yield r, c - 1, here - right", "yield r, c, here - right",
+        (
+            "tests/test_acceptance.py::test_criterion_09_basis_change",
+            "tests/test_realization.py::test_basis_change_elementary_off_diagonal",
+        ),
+    ),
+    Mutant(
+        "block ranges shifted by one place", "surface_model.py",
+        "block_ranges = tuple(zip((0, *stops), stops))",
+        "block_ranges = tuple((a + 1, b + 1) for a, b in zip((0, *stops), stops))",
+        (
+            "tests/test_criteria.py::test_block_range_is_checked",
+            "tests/test_surface_model.py::test_layout_fields_match_explicit_loops",
+        ),
+    ),
+    Mutant(
+        "diagonal exponents give up on every block of three rows with a nonzero first row", "criteria.py",
+        "if any(x != base for r, row in enumerate(rows)",
+        "if len(rows) > 2 and any(rows[0]) or any(x != base for r, row in enumerate(rows)",
+        (
+            "tests/test_criteria.py::test_block_readers_match_entrywise_reference",
+            "tests/test_criteria.py::test_analyze_matches_entrywise_reference",
         ),
     ),
 )

@@ -507,6 +507,31 @@ def test_unparseable_json_files_exit_2(tmp_path, capsys):
         assert_parse_error(capsys, ["analyze", "--config", config, "--word", str(huge)], "huge.json")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-string digit limit")
+def test_outputs_past_the_digit_limit_exit_2(tmp_path, capsys):
+    # Every input integer fits the limit; a sum or a difference of them does not.
+    limit = sys.get_int_max_str_digits()
+    big = "9" * limit
+    config = write_json(tmp_path / "config.json", {"q_genus": 1, "components": [{"genus": 0, "boundary_count": 3}]})
+    factor = '{"class": [0, 0, 1, 0, 0, 0], "exponent": %s, "locus": "Q"}' % big
+    word = tmp_path / "word.json"
+    word.write_text('{"factors": [%s]}' % ", ".join([factor] * 20), encoding="utf-8")
+    delta = tmp_path / "delta.json"
+    delta.write_text('{"blocks": {"0": [[%s, -%s], [-%s, %s]]}}' % (big, big, big, big), encoding="utf-8")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"q_genus": 0, "components": [{"genus": 0, "boundary_count": 1%s}]}' % ("0" * 3000),
+                    encoding="utf-8")
+    for args in (
+        ["analyze", "--config", config, "--word", str(word)],
+        ["analyze", "--config", config, "--word", str(word), "--format", "text"],
+        ["realize", "--config", config, "--delta", str(delta)],
+        ["ranks", "--config", str(huge)],
+    ):
+        code, out, err = run_main(capsys, args)
+        assert (code, out) == (2, "")
+        assert err == f"error: {args[0]}: an output integer has more than {limit} digits, too many to print\n"
+
+
 def test_realize_rejects_ambiguous_delta_files(tmp_path, capsys):
     config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
     zero = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]

@@ -119,6 +119,30 @@ def test_weakly_torelli_requires_subsurface_locus(four_circle_model):
         is_weakly_torelli(model, word)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (
+            ("out of Q", "P locus"),
+            "factor 1: class meets basis index 8 (dual of circle (0, 2)), outside the subsurface image",
+        ),
+        (("P locus", "out of Q"), 'factor 1: locus must be "Q", got {"P": 0}'),
+    ],
+)
+def test_first_bad_factor_is_reported(four_circle_model, bad, message):
+    # A circle-block factor leads, so the walk has added a term before it meets the bad ones.
+    model = four_circle_model
+    circle = model.circle_class(0, 1)
+    kinds = {
+        "out of Q": TwistFactor(basis_vector(model, ("dual", 0, 2)), 1, LOCUS_Q),
+        "P locus": TwistFactor(circle, 1, in_complement(0)),
+    }
+    word = TwistWord([TwistFactor(circle, 2, LOCUS_Q), *(kinds[kind] for kind in bad)])
+    with pytest.raises(LocusViolation) as info:
+        analyze(model, word)
+    assert str(info.value) == message
+
+
 def test_delta_of_empty_word_is_zero(four_circle_model):
     model = four_circle_model
     delta = delta_difference(model, TwistWord())

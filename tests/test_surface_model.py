@@ -225,6 +225,37 @@ def test_positions_agree_with_basis_order():
             assert reduced_index(model, j, i) == model.reduced_order.index((j, i))
 
 
+def _layout_by_loops(config):
+    """``build_model``'s four layout fields, written as explicit loops."""
+    labels = []
+    for i in range(config.q_genus):
+        labels.append(("qa", i))
+        labels.append(("qb", i))
+    for j, comp in enumerate(config.components):
+        for g in range(comp.genus):
+            labels.append(("pa", j, g))
+            labels.append(("pb", j, g))
+    for kind in ("circle", "dual"):
+        for j, comp in enumerate(config.components):
+            for i in range(1, comp.boundary_count):
+                labels.append((kind, j, i))
+    circle_order, reduced_order, block_ranges, start = [], [], [], 0
+    for j, comp in enumerate(config.components):
+        circle_order += [(j, i) for i in range(comp.boundary_count)]
+        reduced_order += [(j, i) for i in range(1, comp.boundary_count)]
+        block_ranges.append((start, start + comp.boundary_count - 1))
+        start += comp.boundary_count - 1
+    return tuple(labels), tuple(circle_order), tuple(reduced_order), tuple(block_ranges)
+
+
+def test_layout_fields_match_explicit_loops():
+    for config, sign in product(small_configs(), (1, -1)):
+        model = build_model(config, pairing_sign=sign)
+        fields = (model.labels, model.circle_order, model.reduced_order, model.block_ranges)
+        assert fields == _layout_by_loops(config)
+        assert all(type(field) is tuple for field in fields)
+
+
 def test_partner_is_the_form_column():
     for config, sign in product(small_configs(max_genus=1, max_circles=4, max_components=3), (1, -1)):
         model = build_model(config, pairing_sign=sign)
