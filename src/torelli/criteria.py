@@ -206,8 +206,8 @@ def analyze(model: HomologyModel, word: TwistWord) -> AnalysisReport:
         reducible = is_completely_reducible(model, delta)
     if reducible:
         blocks = [delta.block(j) for j in range(model.n_components)]
-        # a symmetric block is its own transpose (CHANGES, the analyze transpose line)
-        components = tuple(blocks) if symmetric else tuple(block.transpose() for block in blocks)
+        # weakly Torelli maps are pairing-symmetric, so each block is its own transpose
+        components = tuple(blocks)
         correction = _diagonal_exponents(blocks)
     return AnalysisReport(
         weakly_torelli=weakly_torelli,

@@ -532,6 +532,19 @@ def test_outputs_past_the_digit_limit_exit_2(tmp_path, capsys):
         assert err == f"error: {args[0]}: an output integer has more than {limit} digits, too many to print\n"
 
 
+def test_other_value_errors_keep_their_traceback(tmp_path, monkeypatch):
+    # Only the digit limit maps to exit 2; a ValueError from a fault propagates.
+    config = write_json(tmp_path / "config.json", {"q_genus": 1, "components": [{"genus": 0, "boundary_count": 3}]})
+
+    def broken(report):
+        raise ValueError("not a digit-limit failure")
+
+    monkeypatch.setattr(cli, "_report_text", broken)
+    word = write_json(tmp_path / "word.json", {"factors": []})
+    with pytest.raises(ValueError, match="not a digit-limit failure"):
+        cli.main(["analyze", "--config", config, "--word", word, "--format", "text"])
+
+
 def test_realize_rejects_ambiguous_delta_files(tmp_path, capsys):
     config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
     zero = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
