@@ -127,9 +127,9 @@ def restriction_of_diagonal(model: HomologyModel, diagonal: DiagonalMap) -> Diff
     if len(diagonal) != model.n_circles:
         raise DimensionMismatch(f"need {model.n_circles} exponents")
     blocks = {}
-    for j, (start, stop) in enumerate(model.block_ranges):
+    for j, (first, end) in enumerate(model.chain_ranges):
         # image of o_{j,i} is e_i [C_i] - e_0 [C_0] = (e_i + e_0)[C_i] + e_0 * (others)
-        base, *diag = diagonal.exponents[start + j:stop + j + 1]
+        base, *diag = diagonal.exponents[first:end]
         blocks[j] = IntMatrix([base + e * (r == c) for c in range(len(diag))] for r, e in enumerate(diag))
     return delta_from_blocks(model, blocks)
 

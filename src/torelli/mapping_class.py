@@ -83,11 +83,6 @@ class TwistFactor(_Value):
         factor.__dict__.update(rank=rank, edges=edges, exponent=exponent, locus=locus)
         return factor
 
-    @classmethod
-    def _interval(cls, rank: int, start: int, stop: int, exponent: int, locus: Locus) -> "TwistFactor":
-        """The factor about the class with ones on [start, stop), start < stop."""
-        return cls._of_edges(rank, ((start, 1), (stop, -1)), exponent, locus)
-
     def _with(self, exponent: int, locus: Locus) -> "TwistFactor":
         return self._of_edges(self.rank, self.edges, exponent, locus)
 
@@ -168,23 +163,19 @@ def _check_locus(model: HomologyModel, factor: TwistFactor, position: int) -> No
     if locus == LOCUS_AMBIENT:
         return
     # A locus permits one range of handles and one slice of the circle block.
+    lo, hi = model.circle_block
     if locus == LOCUS_Q:
-        handles = (0, 2 * model.config.q_genus)
-        circles = (0, model.k0_rank)
+        a, b = model.handle_ranges[0]
         where = "the subsurface image"
     elif isinstance(locus, tuple) and len(locus) == 2 and locus[0] == "P":
         j = locus[1]
         if not (0 <= j < model.n_components):
             raise LocusViolation(f"factor {position}: no complement component {j}")
-        comps = model.config.components
-        first = 2 * (model.config.q_genus + sum(c.genus for c in comps[:j]))
-        handles = (first, first + 2 * comps[j].genus)
-        circles = model.block_ranges[j]
+        a, b = model.handle_ranges[1 + j]
+        lo, hi = (lo + c for c in model.block_ranges[j])
         where = f"complement component {j}"
     else:
         raise LocusViolation(f"factor {position}: unknown locus {locus!r}")
-    lo, hi = (model.rank - 2 * model.k0_rank + c for c in circles)
-    a, b = handles
     if any(z[:a]) or any(z[b:lo]) or any(z[hi:]):
         idx = next(i for i, x in enumerate(z) if x and not (a <= i < b or lo <= i < hi))
         raise LocusViolation(f"factor {position}: class meets {model.describe_index(idx)}, outside {where}")
@@ -254,9 +245,8 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, O
     (j, i) gains the sign times the displacement of dual(j, i); the rest of
     the boundary system says no class before the duals moves.
     """
-    k, rank = model.k0_rank, model.rank
-    lo, hi = rank - 2 * k, rank - k  # the circle block
-    h2, s = 2 * model.config.q_genus, model.pairing_sign
+    rank, (lo, hi), s = model.rank, model.circle_block, model.pairing_sign
+    k, h2 = hi - lo, model.handle_ranges[0][1]
     runs = all(model.partner(lo + p) == (hi + p, s) for p in range(k))  # each circle meets only its dual
     corners, rest = [[0] * (k + 1) for _ in range(k + 1)], []  # row and column k take the edges at hi
     for pos, factor in enumerate(word.factors):

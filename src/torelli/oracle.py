@@ -121,12 +121,12 @@ def random_bounding_pair_product(model: HomologyModel, rng: random.Random) -> Tw
     subsurface image by x -> x - <x, z> c and the shifts add, so the product
     is weakly Torelli; its difference map is in general not completely
     reducible (the homological shadow of bounding-pair maps)."""
-    h2, lo, k = 2 * model.config.q_genus, model.rank - 2 * model.k0_rank, model.k0_rank
+    h2 = model.handle_ranges[0][1]
 
     def handle_class():
-        return IntVector([rng.randint(-2, 2) for _ in range(h2)] + [0] * (model.rank - h2))
+        return IntVector(rng.randint(-2, 2) if i < h2 else 0 for i in range(model.rank))
 
-    c = IntVector([0] * lo + [rng.randint(-1, 1) for _ in range(k)] + [0] * k)
+    c = model.ambient_from_h1bar(IntVector(rng.randint(-1, 1) for _ in range(model.k0_rank)))
 
     def shift(z):
         return TwistWord([TwistFactor(z, 1, LOCUS_Q), TwistFactor(z + c, -1, LOCUS_Q)])
@@ -473,6 +473,14 @@ def _check_multitwist_difference(plan, index, model_factory):
     return None
 
 
+def reconstruct_from_coefficients(coeffs: dict[tuple[int, int], int], size: int) -> IntMatrix:
+    """The telescoping definition of the basis change: M[i][j] is the sum of
+    the coefficients c(k, l), 1-based, over k <= min(i, j) and l >= max(i, j)."""
+    cells = range(1, size + 1)
+    sums = ([sum(v for (k, l), v in coeffs.items() if k <= min(i, j) <= max(i, j) <= l) for j in cells] for i in cells)
+    return IntMatrix(sums, cols=size)
+
+
 def _check_basis_change(plan, index, model_factory):
     rng = random.Random(_subseed(plan.seed, 25, index))
     size = rng.randint(1, 5)
@@ -482,7 +490,7 @@ def _check_basis_change(plan, index, model_factory):
             entries[r][c] = entries[c][r] = rng.randint(-2, 2)
     matrix = IntMatrix(entries, cols=size)
     coeffs = realization.sym_basis_change(matrix, size)
-    if realization.reconstruct_from_coefficients(coeffs, size) != matrix:
+    if reconstruct_from_coefficients(coeffs, size) != matrix:
         return {"matrix": matrix.to_lists(), "problem": "basis change does not reconstruct"}
     return None
 

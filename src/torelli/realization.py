@@ -16,7 +16,7 @@ word extends to a Torelli map.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from torelli.criteria import (
     DiagonalMap,
@@ -34,19 +34,6 @@ from torelli.mapping_class import (
     in_complement,
 )
 from torelli.surface_model import HomologyModel
-
-
-def indicator_matrix(size: int, members: Iterable[int]) -> IntMatrix:
-    """Symmetric 0/1 matrix with ones on the rows and columns in ``members``
-    (1-based indices)."""
-    chosen = set(members)
-    return IntMatrix(
-        (
-            [1 if (r + 1) in chosen and (c + 1) in chosen else 0 for c in range(size)]
-            for r in range(size)
-        ),
-        cols=size,
-    )
 
 
 def sym_basis_change(matrix: IntMatrix, size: int) -> dict[tuple[int, int], int]:
@@ -83,15 +70,6 @@ def _sym_coefficients(rows: Sequence[Sequence[int]], start: int, stop: int) -> I
             here = right
         if here:
             yield r, stop - 1, here
-
-
-def reconstruct_from_coefficients(coeffs: Mapping[tuple[int, int], int], size: int) -> IntMatrix:
-    """Sum of coefficient times contiguous-indicator matrix, size x size; the
-    basis-change round-trip oracle."""
-    total = IntMatrix.zeros(size, size)
-    for (k, l), value in coeffs.items():
-        total = total + value * indicator_matrix(size, range(k, l + 1))
-    return total
 
 
 def peripheral_class(model: HomologyModel, j: int, subset: Iterable[int]) -> IntVector:
@@ -159,12 +137,11 @@ def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
         raise NotSymmetric("difference map is not symmetric")
     if not is_completely_reducible(model, delta):
         raise NotCompletelyReducible("difference map mixes complement components")
-    rank, rows = model.rank, delta.matrix.entries
-    lo = rank - 2 * model.k0_rank  # circle p sits at lo + p
+    rank, rows, lo = model.rank, delta.matrix.entries, model.circle_block[0]  # circle p sits at lo + p
     factors, components = [], []
     for j, (start, stop) in enumerate(model.block_ranges):
-        for r, c, value in _sym_coefficients(rows, start, stop):
-            factors.append(TwistFactor._interval(rank, lo + r, lo + c + 1, value, LOCUS_Q))
+        for r, c, value in _sym_coefficients(rows, start, stop):  # the ones on [lo + r, lo + c + 1)
+            factors.append(TwistFactor._of_edges(rank, ((lo + r, 1), (lo + c + 1, -1)), value, LOCUS_Q))
         components += [j] * (len(factors) - len(components))  # one entry per factor of block j
     return Realization(word=TwistWord(factors), components=tuple(components))
 

@@ -26,17 +26,18 @@ of the others, so it never appears as a basis vector.  0-chain coordinates
 list circles 0..n_j-1 of each component in turn; reduced coordinates drop
 circle 0.
 
-Every position the model hands out is computed from this order.  With
-k = k0_rank and start_j = block_ranges[j][0], circle (j, i >= 1) is basis
-index rank - 2k + start_j + i - 1, its dual is basis index
-rank - k + start_j + i - 1, its reduced coordinate is start_j + i - 1 and
-its 0-chain coordinate is start_j + j + i.
+Every position the model hands out is read from ``HomologyModel``'s
+``circle_block`` [lo, hi), ``handle_ranges`` and ``chain_ranges``, the one
+owner of this order.  With start_j = block_ranges[j][0], circle (j, i >= 1)
+is basis index lo + start_j + i - 1, its dual hi + start_j + i - 1, its
+reduced coordinate start_j + i - 1 and its 0-chain coordinate
+chain_ranges[j][0] + i.
 
 The form J (J[r][c] = <e_r, e_c>) has sign s = pairing_sign: <a, b> = s
 for each handle pair and <dual, circle> = s for each circle.  So column c
 of J has one nonzero entry (r, J[r][c]), which ``partner`` computes:
 (a + 1, -s) for a handle at even index a, (a, s) for its partner at a + 1,
-(c + k, s) for a circle c and (d - k, -s) for a dual d.
+(c + k, s) for a circle c and (d - k, -s) for a dual d, k = hi - lo.
 """
 
 from __future__ import annotations
@@ -114,9 +115,10 @@ class SubsurfaceConfig(_Value):
 class HomologyModel(_Value):
     """Explicit basis data for the split surface; immutable after build.
 
-    The fields are the O(rank) basis layout.  The five dense matrices are
-    cached views, not fields: repr, equality and hash leave them out, and
-    each is built on its first access.
+    The fields are the O(rank) basis layout.  Its positions and the five
+    dense matrices are views, not fields: repr, equality and hash leave
+    them out.  ``circle_block``, which ``partner`` reads on every call, and
+    the matrices are cached on first access.
     """
 
     config: SubsurfaceConfig
@@ -128,7 +130,7 @@ class HomologyModel(_Value):
     reduced_order: tuple[tuple[int, int], ...]
     block_ranges: tuple[tuple[int, int], ...]
 
-    # -- index helpers (arithmetic on the basis order; see module docstring)
+    # -- the basis order's positions (see module docstring) ----------------
 
     @property
     def n_circles(self) -> int:
@@ -142,12 +144,34 @@ class HomologyModel(_Value):
     def k0_rank(self) -> int:
         return len(self.reduced_order)
 
+    @cached_property
+    def circle_block(self) -> tuple[int, int]:
+        """Basis range [lo, hi) of the circles (j, i >= 1); the duals fill [hi, rank)."""
+        k = self.k0_rank
+        return self.rank - 2 * k, self.rank - k
+
+    @property
+    def handle_ranges(self) -> tuple[tuple[int, int], ...]:
+        """Basis range of the handle pairs of Q, then of each component."""
+        stop = 2 * self.config.q_genus
+        ranges = [(0, stop)]
+        for comp in self.config.components:
+            ranges.append((stop, stop + 2 * comp.genus))
+            stop += 2 * comp.genus
+        return tuple(ranges)
+
+    @property
+    def chain_ranges(self) -> tuple[tuple[int, int], ...]:
+        """Range of each component's circles 0..n_j-1 in 0-chain coordinates."""
+        return tuple((start + j, stop + j + 1) for j, (start, stop) in enumerate(self.block_ranges))
+
     def partner(self, c: int) -> tuple[int, int]:
         """The single nonzero entry (r, J[r][c]) of column c of the form."""
-        k, s = self.k0_rank, self.pairing_sign
-        if c < self.rank - 2 * k:  # handle pairs a, b sit side by side
+        (lo, hi), s = self.circle_block, self.pairing_sign
+        if c < lo:  # handle pairs a, b sit side by side
             return (c + 1, -s) if c % 2 == 0 else (c - 1, s)
-        return (c + k, s) if c < self.rank - k else (c - k, -s)
+        k = hi - lo
+        return (c + k, s) if c < hi else (c - k, -s)
 
     def describe_index(self, idx: int) -> str:
         """Basis index idx with its README name, e.g. ``basis index 2 (a_{0,0})``."""
@@ -163,7 +187,7 @@ class HomologyModel(_Value):
         if not (0 <= j < self.n_components and 0 <= i < self.config.components[j].boundary_count):
             raise DimensionMismatch(f"component {j} has no circle {i}")
         start, stop = self.block_ranges[j]
-        base = self.rank - 2 * self.k0_rank + start  # basis index of circle (j, 1)
+        base = self.circle_block[0] + start  # basis index of circle (j, 1)
         if i >= 1:
             return IntVector.unit(self.rank, base + i - 1)
         out = [0] * self.rank
@@ -174,25 +198,25 @@ class HomologyModel(_Value):
 
     @cached_property
     def intersection_form(self) -> IntMatrix:
-        rank, k, s = self.rank, self.k0_rank, self.pairing_sign
+        rank, (lo, hi), s = self.rank, self.circle_block, self.pairing_sign
         form = [[0] * rank for _ in range(rank)]
-        for a in range(0, rank - 2 * k, 2):  # handle pairs a, b sit side by side
+        for a in range(0, lo, 2):  # handle pairs a, b sit side by side
             form[a][a + 1] = s
             form[a + 1][a] = -s
-        for c in range(rank - 2 * k, rank - k):  # dual of the circle at c sits at c + k
-            form[c + k][c] = s
-            form[c][c + k] = -s
+        for c, d in zip(range(lo, hi), range(hi, rank)):  # circle c and its dual d
+            form[d][c] = s
+            form[c][d] = -s
         return IntMatrix(form, cols=rank)
 
     @cached_property
     def q_image(self) -> IntMatrix:
-        h2, lo = 2 * self.config.q_genus, self.rank - 2 * self.k0_rank
-        q_cols = [*range(0, h2, 2), *range(1, h2, 2), *range(lo, lo + self.k0_rank)]
+        (_, h2), (lo, hi) = self.handle_ranges[0], self.circle_block
+        q_cols = [*range(0, h2, 2), *range(1, h2, 2), *range(lo, hi)]
         return IntMatrix(([int(r == c) for c in q_cols] for r in range(self.rank)), cols=len(q_cols))
 
     @cached_property
     def circle_span(self) -> IntMatrix:
-        circles = range(self.rank - 2 * self.k0_rank, self.rank - self.k0_rank)
+        circles = range(*self.circle_block)
         return IntMatrix(([int(r == c) for c in circles] for r in range(self.rank)), cols=self.k0_rank)
 
     @cached_property
@@ -209,7 +233,7 @@ class HomologyModel(_Value):
         # Row for circle C: the functional a -> <a, [C]>.  <dual, circle> is the
         # pairing sign and circle 0 is minus the others, so it is the sign times
         # C's row of k0_basis, read on the duals.
-        pad, s = [0] * (self.rank - self.k0_rank), self.pairing_sign
+        pad, s = [0] * self.circle_block[1], self.pairing_sign
         return IntMatrix((pad + [s * x for x in row] for row in self.k0_basis.entries), cols=self.rank)
 
     # -- pairings and maps -----------------------------------------------
@@ -236,9 +260,8 @@ class HomologyModel(_Value):
         if len(b) != self.n_circles:
             raise DimensionMismatch(f"expected length {self.n_circles}, got {len(b)}")
         out = []
-        for j, (start, stop) in enumerate(self.block_ranges):
-            first = start + j  # 0-chain position of circle (j, 0)
-            out += [b[c] - b[first] for c in range(first + 1, stop + j + 1)]
+        for first, end in self.chain_ranges:  # circle (j, 0) sits at first
+            out += [b[c] - b[first] for c in range(first + 1, end)]
         return IntVector(out)
 
     def lift_k0(self, theta: IntVector) -> IntVector:
@@ -259,18 +282,18 @@ class HomologyModel(_Value):
         if len(theta) != self.n_circles:
             raise DimensionMismatch(f"expected length {self.n_circles}, got {len(theta)}")
         out = []
-        for j, (start, stop) in enumerate(self.block_ranges):
-            total = sum(theta[start + j:stop + j + 1])
+        for j, (first, end) in enumerate(self.chain_ranges):
+            total = sum(theta[first:end])
             if total != 0:
                 raise ValueError(f"class does not bound on both sides (component {j} sums to {total})")
-            out += theta[start + j + 1:stop + j + 1]
+            out += theta[first + 1:end]
         return IntVector(out)
 
     def h1bar_from_ambient(self, v: IntVector) -> IntVector:
         """Reduced coordinates of an ambient class lying in the circle span."""
         if len(v) != self.rank:
             raise DimensionMismatch(f"expected length {self.rank}, got {len(v)}")
-        lo, hi = self.rank - 2 * self.k0_rank, self.rank - self.k0_rank  # the circle block
+        lo, hi = self.circle_block
         outside = [idx for idx, x in enumerate(v) if x and not lo <= idx < hi]
         if outside:
             where = self.describe_index(outside[0])
@@ -281,7 +304,8 @@ class HomologyModel(_Value):
         """Ambient class of a reduced circle class (canonical basis circles)."""
         if len(v) != self.k0_rank:
             raise DimensionMismatch(f"expected length {self.k0_rank}, got {len(v)}")
-        return IntVector([0] * (self.rank - 2 * self.k0_rank) + list(v) + [0] * self.k0_rank)
+        lo, hi = self.circle_block
+        return IntVector([0] * lo + list(v) + [0] * (self.rank - hi))
 
 
 def build_model(config: SubsurfaceConfig, *, pairing_sign: int = 1) -> HomologyModel:

@@ -136,10 +136,19 @@ MUTANTS = (
     ),
     Mutant(
         "partner of a circle one place late", "surface_model.py",
-        "return (c + k, s) if c < self.rank - k", "return (c + k + 1, s) if c < self.rank - k",
+        "return (c + k, s) if c < hi", "return (c + k + 1, s) if c < hi",
         (
             "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
             "tests/test_criteria.py::test_extension_by_identity_decider",
+        ),
+    ),
+    Mutant(
+        "circle-block owner shifted by one place", "surface_model.py",
+        "return self.rank - 2 * k, self.rank - k", "return self.rank - 2 * k + 1, self.rank - k + 1",
+        (
+            "tests/test_surface_model.py::test_layout_owner_matches_labels",
+            "tests/test_surface_model.py::test_partner_is_the_form_column",
+            "tests/test_mapping_class.py::test_fast_path_matches_dense_reference[1]",
         ),
     ),
     Mutant(
@@ -151,8 +160,8 @@ MUTANTS = (
     ),
     Mutant(
         "partner flips the circle and dual signs", "surface_model.py",
-        "return (c + k, s) if c < self.rank - k else (c - k, -s)",
-        "return (c + k, -s) if c < self.rank - k else (c - k, s)",
+        "return (c + k, s) if c < hi else (c - k, -s)",
+        "return (c + k, -s) if c < hi else (c - k, s)",
         (
             "tests/test_acceptance.py::test_criterion_11_bounding_pair_product_fixture",
             "tests/test_mapping_class.py::test_delta_of_peripheral_twist_matches_expected",

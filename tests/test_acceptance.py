@@ -39,11 +39,11 @@ from torelli.oracle import (
     random_config,
     random_symmetric_reducible_delta,
     random_weakly_torelli_word,
+    reconstruct_from_coefficients,
 )
 from torelli.realization import (
     build_boundary_multitwist,
     realize_delta,
-    reconstruct_from_coefficients,
     sym_basis_change,
 )
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model

@@ -666,7 +666,7 @@ def test_run_edges_agree_with_the_dense_class(z):
 )
 def test_interval_factor_matches_the_dense_one(bounds, exponent, locus):
     rank, (start, stop) = bounds[0], sorted(bounds[1])
-    interval = TwistFactor._interval(rank, start, stop, exponent, locus)
+    interval = TwistFactor._of_edges(rank, ((start, 1), (stop, -1)), exponent, locus)
     dense = TwistFactor(IntVector([0] * start + [1] * (stop - start) + [0] * (rank - stop)), exponent, locus)
     assert interval == dense and hash(interval) == hash(dense)
     assert interval.curve_class == dense.curve_class

@@ -24,14 +24,17 @@ from torelli.mapping_class import (
     in_complement,
     transvection_action,
 )
-from torelli.oracle import TrialPlan, random_config, random_symmetric_reducible_delta
+from torelli.oracle import (
+    TrialPlan,
+    random_config,
+    random_symmetric_reducible_delta,
+    reconstruct_from_coefficients,
+)
 from torelli.realization import (
     build_boundary_multitwist,
-    indicator_matrix,
     peripheral_class,
     peripheral_twist_delta,
     realize_delta,
-    reconstruct_from_coefficients,
     sym_basis_change,
 )
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
@@ -85,10 +88,6 @@ def test_basis_change_round_trip(matrix):
     assert reconstruct_from_coefficients(coeffs, matrix.rows) == matrix
 
 
-def test_indicator_matrix_shape():
-    assert indicator_matrix(3, [1, 3]) == IntMatrix([[1, 0, 1], [0, 0, 0], [1, 0, 1]])
-
-
 @pytest.fixture
 def four_circle_model():
     return build_model(SubsurfaceConfig(1, [ComplementComponent(1, 4)]))
@@ -105,8 +104,9 @@ def test_peripheral_delta_of_contiguous_subset_is_indicator(four_circle_model):
     for m in (-2, 1, 3):
         for (k, l) in ((1, 1), (1, 2), (2, 3), (1, 3)):
             delta = peripheral_twist_delta(model, 0, range(k, l + 1), m)
-            block = delta.block(0)
-            assert block == m * indicator_matrix(3, range(k, l + 1))
+            inside = range(k, l + 1)  # 1-based rows and columns of the ones
+            expected = [[m * (r in inside and c in inside) for c in range(1, 4)] for r in range(1, 4)]
+            assert delta.block(0) == IntMatrix(expected)
 
 
 def test_peripheral_delta_zero_exponent(four_circle_model):

@@ -2,7 +2,10 @@
 orthogonal complements, boundary-map image, and the adjunction identity."""
 
 import random
+import re
+from importlib import import_module
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +29,9 @@ from torelli.surface_model import (
 
 
 # -- basis positions, read off the layout in the module docstring ---------------
-# The library computes these positions inline; the tests name them here.
+# The library reads these positions from HomologyModel's ``circle_block``,
+# ``handle_ranges`` and ``chain_ranges``; the tests compute them here on their
+# own, so they stay an independent reference.
 
 
 def circle_index(model, j, i):
@@ -254,6 +259,35 @@ def test_layout_fields_match_explicit_loops():
         fields = (model.labels, model.circle_order, model.reduced_order, model.block_ranges)
         assert fields == _layout_by_loops(config)
         assert all(type(field) is tuple for field in fields)
+
+
+def test_layout_owner_matches_labels():
+    for config, sign in product(small_configs(), (1, -1)):
+        model = build_model(config, pairing_sign=sign)
+        lo, hi = model.circle_block
+        assert model.labels[lo:hi] == tuple(("circle", j, i) for j, i in model.reduced_order)
+        assert model.labels[hi:] == tuple(("dual", j, i) for j, i in model.reduced_order)
+        handles = [[x for x in model.labels if x[0] in ("qa", "qb")]]
+        handles += [[x for x in model.labels if x[0] in ("pa", "pb") and x[1] == j] for j in range(model.n_components)]
+        assert [list(model.labels[a:b]) for a, b in model.handle_ranges] == handles
+        chains = [tuple((j, i) for i in range(c.boundary_count)) for j, c in enumerate(config.components)]
+        assert [model.circle_order[a:b] for a, b in model.chain_ranges] == chains
+
+
+# The spellings the basis layout took before one owner held it.  The rank
+# law's Euler characteristic, 2 - 2 * config.q_genus - ..., counts genus and
+# places nothing, so only the model's own q_genus is matched.
+LAYOUT_ARITHMETIC = re.compile(r"rank - |2 \* \w+\.config\.q_genus|k0_rank \+|start \+ j\b")
+
+
+def test_no_other_module_computes_a_basis_position():
+    found = [
+        f"{name}.py:{number}: {line.strip()}"
+        for name in ("mapping_class", "realization", "criteria", "oracle", "cli")
+        for number, line in enumerate(Path(import_module(f"torelli.{name}").__file__).read_text().splitlines(), 1)
+        if LAYOUT_ARITHMETIC.search(line)
+    ]
+    assert found == [], "read these positions from HomologyModel instead"
 
 
 def test_partner_is_the_form_column():
