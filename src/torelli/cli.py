@@ -51,56 +51,50 @@ class _ParseFailure(Exception):
     pass
 
 
-def _load_json(path: str) -> object:
+_READ = Reader(_ParseFailure)
+
+
+def _delta_from_json(data, model) -> DifferenceMap:
+    if isinstance(data, Mapping) and ("blocks" in data) == ("matrix" in data):
+        raise _READ.error("delta has both 'blocks' and 'matrix'; give one" if "blocks" in data
+                          else "delta needs a 'blocks' or 'matrix' field")
+    blocks, matrix = _READ.fields(data, "delta", ("blocks", "matrix"), required=(), what="a JSON object")
+    try:
+        if "matrix" in data:
+            return DifferenceMap(_READ.int_rows(matrix, "matrix"), model.block_ranges)
+        parsed = {}
+        for key, block in _READ.expect(blocks, Mapping, "field 'blocks'", "an object").items():
+            try:
+                j = int(key)
+                if str(j) != key:  # only canonical decimal keys, not " 0" or "+0"
+                    raise ValueError
+            except ValueError:
+                raise _READ.error(f"block key {key!r} is not a component index")
+            parsed[j] = _READ.int_rows(block, f"blocks[{key}]")
+        return delta_from_blocks(model, parsed)
+    except DimensionMismatch as exc:  # a block of the wrong size is a schema error
+        raise _READ.error(str(exc))
+
+
+def _load(path: str, parse, *args):
+    """``parse(document, *args)`` of the JSON file at ``path``; each error
+    names the file.  A word's class of the wrong length stays a dimension
+    error (exit 3)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}")
     except RecursionError:
         raise _ParseFailure(f"{path} is nested too deeply to parse")
     except ValueError as exc:  # malformed JSON, non-UTF-8 bytes, oversized integers
         raise _ParseFailure(f"{path} is not valid JSON: {exc}")
-
-
-def _load_config(path: str) -> SubsurfaceConfig:
     try:
-        return SubsurfaceConfig.from_json_dict(_load_json(path))
-    except InvalidConfig as exc:
-        raise _ParseFailure(f"{path}: {exc}")
-
-
-def _load_word(path: str, rank: int):
-    try:
-        return word_from_json_dict(_load_json(path), rank)
-    except WordParseError as exc:
+        return parse(data, *args)
+    except (_ParseFailure, InvalidConfig, WordParseError) as exc:
         raise _ParseFailure(f"{path}: {exc}")
     except DimensionMismatch as exc:
         raise DimensionMismatch(f"{path}: {exc}")
-
-
-def _load_delta(path: str, model):
-    data = _load_json(path)
-    read = Reader(lambda message: _ParseFailure(f"{path}: {message}"))
-    if isinstance(data, Mapping) and ("blocks" in data) == ("matrix" in data):
-        raise read.error("delta has both 'blocks' and 'matrix'; give one" if "blocks" in data
-                         else "delta needs a 'blocks' or 'matrix' field")
-    blocks, matrix = read.fields(data, "delta", ("blocks", "matrix"), required=(), what="a JSON object")
-    try:
-        if "matrix" in data:
-            return DifferenceMap(read.int_rows(matrix, "matrix"), model.block_ranges)
-        parsed = {}
-        for key, block in read.expect(blocks, Mapping, "field 'blocks'", "an object").items():
-            try:
-                j = int(key)
-                if str(j) != key:  # only canonical decimal keys, not " 0" or "+0"
-                    raise ValueError
-            except ValueError:
-                raise read.error(f"block key {key!r} is not a component index")
-            parsed[j] = read.int_rows(block, f"blocks[{key}]")
-        return delta_from_blocks(model, parsed)
-    except DimensionMismatch as exc:
-        raise read.error(str(exc))
 
 
 def _emit(payload: object) -> None:
@@ -136,9 +130,9 @@ def _report_text(report) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    config = _load_config(args.config)
+    config = _load(args.config, SubsurfaceConfig.from_json_dict)
     model = build_model(config)
-    word = _load_word(args.word, model.rank)
+    word = _load(args.word, word_from_json_dict, model.rank)
     report = analyze(model, word)
     for pos, factor in enumerate(word.factors):  # notes only for a word that analyze accepted
         content = gcd(*accumulate(step for _, step in factor.edges))  # the class's run values
@@ -156,9 +150,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    config = _load_config(args.config)
+    config = _load(args.config, SubsurfaceConfig.from_json_dict)
     model = build_model(config)
-    delta = _load_delta(args.delta, model)
+    delta = _load(args.delta, _delta_from_json, model)
     realized = realize_delta(model, delta)
     _emit(word_to_json_dict(realized.word))
     return EXIT_OK
@@ -166,16 +160,8 @@ def _cmd_realize(args) -> int:
 
 def _cmd_check(args) -> int:
     from torelli.oracle import TrialPlan, verify_all  # the harness stays off the decider's import path
-    try:
-        plan = TrialPlan(
-            seed=args.seed,
-            trials=args.trials,
-            max_q_genus=args.max_q_genus,
-            max_component_genus=args.max_component_genus,
-            max_boundary_count=args.max_boundary_count,
-            max_components=args.max_components,
-            exponent_bound=args.max_exponent,
-        )
+    try:  # only the flags given; TrialPlan holds the defaults
+        plan = TrialPlan(**{name: value for name, value in vars(args).items() if name not in ("command", "func")})
     except ValueError as exc:
         raise _ParseFailure(str(exc))
     reports = verify_all(plan)
@@ -188,7 +174,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_ranks(args) -> int:
-    config = _load_config(args.config)
+    config = _load(args.config, SubsurfaceConfig.from_json_dict)
     _emit(group_ranks(config))
     return EXIT_OK
 
@@ -218,14 +204,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_realize.add_argument("--delta", required=True, help="difference map JSON file")
     p_realize.set_defaults(func=_cmd_realize)
 
-    p_check = sub.add_parser("check", help="run the randomized invariant suite")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--trials", type=int, default=50)
-    p_check.add_argument("--max-q-genus", type=int, default=2, dest="max_q_genus")
-    p_check.add_argument("--max-component-genus", type=int, default=2, dest="max_component_genus")
-    p_check.add_argument("--max-boundary-count", type=int, default=4, dest="max_boundary_count")
-    p_check.add_argument("--max-components", type=int, default=3, dest="max_components")
-    p_check.add_argument("--max-exponent", type=int, default=3, dest="max_exponent")
+    p_check = sub.add_parser("check", help="run the randomized invariant suite", argument_default=argparse.SUPPRESS)
+    for flag in ("seed", "trials", "max-q-genus", "max-component-genus", "max-boundary-count", "max-components",
+                 "max-exponent"):  # each sets the TrialPlan field of its name, --max-exponent its exponent_bound
+        name = flag.replace("-", "_")
+        p_check.add_argument(f"--{flag}", type=int, metavar=name.upper(),
+                             dest="exponent_bound" if name == "max_exponent" else name)
     p_check.set_defaults(func=_cmd_check)
 
     p_ranks = sub.add_parser("ranks", help="print lattice ranks for a configuration")

@@ -54,7 +54,7 @@ class TwistFactor(_Value):
     stored as ``rank`` and the run edges of z: the nonzero steps
     (i, z[i] - z[i-1]) for i in 0..rank, z read as 0 outside [0, rank), so
     the union of circles k..l is two edges.  ``curve_class`` is the dense
-    view, kept from the constructor or else built on first read.
+    view, built on first read.
     """
 
     rank: int
@@ -74,7 +74,7 @@ class TwistFactor(_Value):
         if value:
             edges.append((end, -value))
         exponent = index(exponent)  # summed into difference maps unchecked
-        self.__dict__.update(rank=len(z), edges=tuple(edges), exponent=exponent, locus=locus, curve_class=curve_class)
+        self.__dict__.update(rank=len(z), edges=tuple(edges), exponent=exponent, locus=locus)
 
     @classmethod
     def _of_edges(cls, rank: int, edges: tuple, exponent: int, locus: Locus) -> "TwistFactor":

@@ -380,6 +380,29 @@ MUTANTS = (
             "tests/test_criteria.py::test_analyze_matches_entrywise_reference",
         ),
     ),
+    Mutant(
+        "the loader drops the path from schema errors", "cli.py",
+        'raise _ParseFailure(f"{path}: {exc}")', "raise _ParseFailure(str(exc))",
+        (
+            "tests/test_cli.py::test_reader_diagnostics_are_pinned[config-0]",
+            "tests/test_cli.py::test_reader_diagnostics_are_pinned[word-17]",
+            "tests/test_cli.py::test_reader_diagnostics_are_pinned[delta-36]",
+        ),
+    ),
+    Mutant(
+        "the loader sends a word's dimension error to exit 2", "cli.py",
+        'raise DimensionMismatch(f"{path}: {exc}")', 'raise _ParseFailure(f"{path}: {exc}")',
+        (
+            "tests/test_cli.py::test_class_length_error_names_the_word_file",
+        ),
+    ),
+    Mutant(
+        "check drops the exponent bound it was given", "cli.py",
+        'if name not in ("command", "func")', 'if name not in ("command", "func", "exponent_bound")',
+        (
+            "tests/test_cli.py::test_check_builds_its_plan_from_trial_plan_alone[--max-exponent]",
+        ),
+    ),
 )
 
 

@@ -863,6 +863,62 @@ def test_check_command_single_trial():
     assert again.stdout == result.stdout
 
 
+# Each check flag and the TrialPlan field it sets.
+CHECK_FLAGS = {
+    "--seed": "seed",
+    "--trials": "trials",
+    "--max-q-genus": "max_q_genus",
+    "--max-component-genus": "max_component_genus",
+    "--max-boundary-count": "max_boundary_count",
+    "--max-components": "max_components",
+    "--max-exponent": "exponent_bound",
+}
+
+
+@pytest.mark.parametrize("flag", [None, *CHECK_FLAGS], ids=lambda flag: flag or "no-flags")
+def test_check_builds_its_plan_from_trial_plan_alone(monkeypatch, capsys, flag):
+    from torelli import oracle
+
+    plans = []
+    monkeypatch.setattr(oracle, "verify_all", lambda plan: plans.append(plan) or [])
+    args = ["check"] if flag is None else ["check", flag, "7"]
+    assert run_main(capsys, args) == (0, "[]\n", "")
+    if flag is None:
+        assert plans == [oracle.TrialPlan()]
+    else:
+        field = CHECK_FLAGS[flag]
+        assert getattr(oracle.TrialPlan(), field) != 7
+        assert plans == [oracle.TrialPlan(**{field: 7})]  # its own field, the rest TrialPlan's defaults
+
+
+CHECK_HELP = """\
+usage: torelli check [-h] [--seed SEED] [--trials TRIALS]
+                     [--max-q-genus MAX_Q_GENUS]
+                     [--max-component-genus MAX_COMPONENT_GENUS]
+                     [--max-boundary-count MAX_BOUNDARY_COUNT]
+                     [--max-components MAX_COMPONENTS]
+                     [--max-exponent MAX_EXPONENT]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --trials TRIALS
+  --max-q-genus MAX_Q_GENUS
+  --max-component-genus MAX_COMPONENT_GENUS
+  --max-boundary-count MAX_BOUNDARY_COUNT
+  --max-components MAX_COMPONENTS
+  --max-exponent MAX_EXPONENT
+"""
+
+
+def test_check_usage_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["check", "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr() == (CHECK_HELP, "")
+
+
 def test_example4_command():
     result = run_cli(["example4", "--m", "2"])
     assert result.returncode == 0

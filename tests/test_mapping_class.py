@@ -709,7 +709,10 @@ def test_realized_words_never_build_a_dense_class(monkeypatch):
         assert analyze(model, invert(realized.word)).delta == -delta
         assert len(realized.torelli_witness) == 2 * len(realized.word)
         assert concat(realized.word, invert(realized.word)).factors[0].rank == model.rank
-        assert word_from_json_dict(word_to_json_dict(realized.word), model.rank) == realized.word
+        parsed = word_from_json_dict(word_to_json_dict(realized.word), model.rank)
+        assert parsed == realized.word
+        assert not any("curve_class" in vars(factor) for factor in parsed.factors)  # only the run edges
+        assert analyze(model, parsed).delta == delta
         assert dense == [], f"rank {model.rank}: {len(dense)} dense classes"
     assert len(realized.word) > 8000
     first = realized.word.factors[0]
