@@ -206,10 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the randomized invariant suite", argument_default=argparse.SUPPRESS)
     for flag in ("seed", "trials", "max-q-genus", "max-component-genus", "max-boundary-count", "max-components",
-                 "max-exponent"):  # each sets the TrialPlan field of its name, --max-exponent its exponent_bound
-        name = flag.replace("-", "_")
-        p_check.add_argument(f"--{flag}", type=int, metavar=name.upper(),
-                             dest="exponent_bound" if name == "max_exponent" else name)
+                 "max-exponent"):  # each sets the TrialPlan field of its name
+        p_check.add_argument(f"--{flag}", type=int)
     p_check.set_defaults(func=_cmd_check)
 
     p_ranks = sub.add_parser("ranks", help="print lattice ranks for a configuration")

@@ -59,20 +59,18 @@ class TrialPlan(_Value):
     max_component_genus: int
     max_boundary_count: int
     max_components: int
-    exponent_bound: int
+    max_exponent: int
+
+    _FLOORS = {"trials": 1, "max_q_genus": 0, "max_component_genus": 0, "max_boundary_count": 1,
+               "max_components": 1, "max_exponent": 1}  # the least value of each bounded field; the seed is free
 
     def __init__(self, seed=0, trials=50, max_q_genus=2, max_component_genus=2, max_boundary_count=4,
-                 max_components=3, exponent_bound=3):
+                 max_components=3, max_exponent=3):
         super().__init__(*map(operator.index, (seed, trials, max_q_genus, max_component_genus, max_boundary_count,
-                                               max_components, exponent_bound)))
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.max_q_genus < 0 or self.max_component_genus < 0:
-            raise ValueError("genus bounds must be nonnegative")
-        if self.max_boundary_count < 1 or self.max_components < 1:
-            raise ValueError("boundary and component bounds must be positive")
-        if self.exponent_bound < 1:
-            raise ValueError("exponent bound must be positive")
+                                               max_components, max_exponent)))
+        for name, least in self._FLOORS.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 def random_config(plan: TrialPlan, index: int) -> SubsurfaceConfig:
@@ -111,7 +109,7 @@ def random_weakly_torelli_word(model: HomologyModel, plan: TrialPlan, index: int
     rng = random.Random(_subseed(plan.seed, 2, index))
     length = rng.randint(0, 4)
     return TwistWord(
-        [_random_circle_factor(model, rng, plan.exponent_bound) for _ in range(length)]
+        [_random_circle_factor(model, rng, plan.max_exponent) for _ in range(length)]
     )
 
 
@@ -304,7 +302,7 @@ def _check_circle_orthogonality(plan, index, model_factory):
 def _check_symplectic(plan, index, model_factory):
     config, model = _trial_model(plan, index, model_factory)
     rng = random.Random(_subseed(plan.seed, 20, index))
-    word = _random_ambient_word(model, rng, plan.exponent_bound)
+    word = _random_ambient_word(model, rng, plan.max_exponent)
     action = transvection_action(model, word)
     J = model.intersection_form
     if action.transpose() * J * action != J:
@@ -462,7 +460,7 @@ def _check_multitwist_difference(plan, index, model_factory):
     config, model = _trial_model(plan, index, model_factory)
     rng = random.Random(_subseed(plan.seed, 24, index))
     exponents = criteria.DiagonalMap(
-        [rng.randint(-plan.exponent_bound, plan.exponent_bound) for _ in range(model.n_circles)]
+        [rng.randint(-plan.max_exponent, plan.max_exponent) for _ in range(model.n_circles)]
     )
     word = realization.build_boundary_multitwist(model, exponents)
     expected = criteria.restriction_of_diagonal(model, exponents)
@@ -501,7 +499,7 @@ def _check_peripheral_formula(plan, index, model_factory):
     j = rng.randrange(model.n_components)
     count = model.config.components[j].boundary_count
     subset = [i for i in range(count) if rng.random() < 0.5] or [rng.randrange(count)]
-    exponent = rng.randint(-plan.exponent_bound, plan.exponent_bound)
+    exponent = rng.randint(-plan.max_exponent, plan.max_exponent)
     word = TwistWord([TwistFactor(realization.peripheral_class(model, j, subset), exponent, LOCUS_Q)])
     direct = realization.peripheral_twist_delta(model, j, subset, exponent)
     if delta_difference(model, word).matrix != direct.matrix:

@@ -8,15 +8,16 @@ boundary circles, and the lattices that control the extension problem:
 
 * ``k0_basis`` spans the degree-zero boundary classes that bound on both
   sides of the splitting (rank n - r for n circles and r components);
-* ``circle_span`` spans the image of the circle classes in the ambient
-  homology, the canonical model of the reduced circle homology group;
 * ``boundary_matrix`` is the Mayer-Vietoris boundary map, sending an
   ambient class a to the 0-chain class sum_C <a, [C]> o_C.
 
-``build_model`` computes only the basis layout, in O(rank).  These three
-matrices, the form ``intersection_form`` and the subsurface image
-``q_image`` are dense views built from the layout on first access and
-cached on the model; the first access pays O(rank^2) time and memory.
+A model is its two inputs, the configuration and the pairing sign, so
+``build_model`` only checks the sign, in O(1).  The basis layout is views
+of the configuration, cached on first read; only diagnostics, the
+peripheral and multi-twist builders and the oracle read its O(rank)
+enumerations ``labels``, ``circle_order`` and ``reduced_order``.  The three dense matrices, the form
+``intersection_form``, ``k0_basis`` and ``boundary_matrix``, are built from
+the layout on first access and cached, for O(rank^2) time and memory.
 
 Basis order (used for all coordinates, including the JSON word schema):
 Q-handle pairs a_0, b_0, ..., then for each component its handle pairs,
@@ -113,28 +114,51 @@ class SubsurfaceConfig(_Value):
 
 
 class HomologyModel(_Value):
-    """Explicit basis data for the split surface; immutable after build.
+    """Explicit basis data for the split surface; immutable.
 
-    The fields are the O(rank) basis layout.  Its positions and the five
-    dense matrices are views, not fields: repr, equality and hash leave
-    them out.  ``circle_block``, which ``partner`` reads on every call, and
-    the matrices are cached on first access.
+    The fields are the two inputs, ``config`` and ``pairing_sign``, so repr,
+    equality and hash read only them.  The basis layout, its positions and
+    the three dense matrices are views derived from the fields; the layout
+    and the matrices are cached on first access.
     """
 
     config: SubsurfaceConfig
-    genus: int
-    rank: int
     pairing_sign: int
-    labels: tuple[tuple, ...]
-    circle_order: tuple[tuple[int, int], ...]
-    reduced_order: tuple[tuple[int, int], ...]
-    block_ranges: tuple[tuple[int, int], ...]
 
-    # -- the basis order's positions (see module docstring) ----------------
+    # -- the basis layout and its positions (see module docstring) ---------
+
+    @cached_property
+    def block_ranges(self) -> tuple[tuple[int, int], ...]:
+        """Range of each component's circles 1..n_j-1 in reduced coordinates."""
+        stops = tuple(accumulate(comp.boundary_count - 1 for comp in self.config.components))
+        return tuple(zip((0, *stops), stops))
+
+    @cached_property
+    def rank(self) -> int:
+        rank = self.handle_ranges[-1][1] + 2 * self.k0_rank
+        assert rank == 2 * self.config.genus
+        return rank
+
+    @cached_property
+    def labels(self) -> tuple[tuple, ...]:
+        comps = self.config.components
+        return (
+            *((tag, i) for i in range(self.config.q_genus) for tag in ("qa", "qb")),
+            *((tag, j, g) for j, comp in enumerate(comps) for g in range(comp.genus) for tag in ("pa", "pb")),
+            *((tag, *ji) for tag in ("circle", "dual") for ji in self.reduced_order),
+        )
+
+    @cached_property
+    def circle_order(self) -> tuple[tuple[int, int], ...]:
+        return tuple((j, i) for j, comp in enumerate(self.config.components) for i in range(comp.boundary_count))
+
+    @cached_property
+    def reduced_order(self) -> tuple[tuple[int, int], ...]:
+        return tuple((j, i) for j, comp in enumerate(self.config.components) for i in range(1, comp.boundary_count))
 
     @property
     def n_circles(self) -> int:
-        return len(self.circle_order)
+        return self.config.total_boundary
 
     @property
     def n_components(self) -> int:
@@ -142,7 +166,7 @@ class HomologyModel(_Value):
 
     @property
     def k0_rank(self) -> int:
-        return len(self.reduced_order)
+        return self.block_ranges[-1][1]
 
     @cached_property
     def circle_block(self) -> tuple[int, int]:
@@ -207,17 +231,6 @@ class HomologyModel(_Value):
             form[d][c] = s
             form[c][d] = -s
         return IntMatrix(form, cols=rank)
-
-    @cached_property
-    def q_image(self) -> IntMatrix:
-        (_, h2), (lo, hi) = self.handle_ranges[0], self.circle_block
-        q_cols = [*range(0, h2, 2), *range(1, h2, 2), *range(lo, hi)]
-        return IntMatrix(([int(r == c) for c in q_cols] for r in range(self.rank)), cols=len(q_cols))
-
-    @cached_property
-    def circle_span(self) -> IntMatrix:
-        circles = range(*self.circle_block)
-        return IntMatrix(([int(r == c) for c in circles] for r in range(self.rank)), cols=self.k0_rank)
 
     @cached_property
     def k0_basis(self) -> IntMatrix:
@@ -318,24 +331,4 @@ def build_model(config: SubsurfaceConfig, *, pairing_sign: int = 1) -> HomologyM
     """
     if pairing_sign not in (1, -1):
         raise InvalidConfig("pairing_sign must be +1 or -1")
-    h = config.q_genus
-    comps = config.components
-
-    reduced_order = tuple((j, i) for j, comp in enumerate(comps) for i in range(1, comp.boundary_count))
-    labels = (
-        [(tag, i) for i in range(h) for tag in ("qa", "qb")]
-        + [(tag, j, g) for j, comp in enumerate(comps) for g in range(comp.genus) for tag in ("pa", "pb")]
-        + [(tag, *ji) for tag in ("circle", "dual") for ji in reduced_order]
-    )
-    rank = len(labels)
-    genus = config.genus
-    assert rank == 2 * genus
-
-    circle_order = tuple((j, i) for j, comp in enumerate(comps) for i in range(comp.boundary_count))
-    stops = tuple(accumulate(comp.boundary_count - 1 for comp in comps))
-    block_ranges = tuple(zip((0, *stops), stops))
-
-    return HomologyModel(
-        config=config, genus=genus, rank=rank, pairing_sign=pairing_sign, labels=tuple(labels),
-        circle_order=circle_order, reduced_order=reduced_order, block_ranges=block_ranges,
-    )
+    return HomologyModel(config, pairing_sign)

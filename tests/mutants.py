@@ -185,9 +185,24 @@ MUTANTS = (
     ),
     Mutant(
         "trial plan skips its trials test", "oracle.py",
-        "if self.trials < 1:", "if False:",
+        '{"trials": 1, ', "{",
         (
             "tests/test_oracle.py::test_invalid_plans_rejected",
+        ),
+    ),
+    Mutant(
+        "the plan's rule for max_components is dropped", "oracle.py",
+        '"max_components": 1, ', "",
+        (
+            "tests/test_cli.py::test_check_names_the_bound_that_failed[--max-components]",
+            "tests/test_oracle.py::test_invalid_plans_rejected",
+        ),
+    ),
+    Mutant(
+        "build_model accepts any pairing sign", "surface_model.py",
+        "if pairing_sign not in (1, -1):", "if False:",
+        (
+            "tests/test_surface_model.py::test_a_model_holds_only_its_two_inputs",
         ),
     ),
     Mutant(
@@ -364,8 +379,8 @@ MUTANTS = (
     ),
     Mutant(
         "block ranges shifted by one place", "surface_model.py",
-        "block_ranges = tuple(zip((0, *stops), stops))",
-        "block_ranges = tuple((a + 1, b + 1) for a, b in zip((0, *stops), stops))",
+        "return tuple(zip((0, *stops), stops))",
+        "return tuple((a + 1, b + 1) for a, b in zip((0, *stops), stops))",
         (
             "tests/test_criteria.py::test_block_range_is_checked",
             "tests/test_surface_model.py::test_layout_fields_match_explicit_loops",
@@ -398,7 +413,7 @@ MUTANTS = (
     ),
     Mutant(
         "check drops the exponent bound it was given", "cli.py",
-        'if name not in ("command", "func")', 'if name not in ("command", "func", "exponent_bound")',
+        'if name not in ("command", "func")', 'if name not in ("command", "func", "max_exponent")',
         (
             "tests/test_cli.py::test_check_builds_its_plan_from_trial_plan_alone[--max-exponent]",
         ),

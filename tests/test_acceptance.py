@@ -62,7 +62,7 @@ def criterion(number, description):
 
 
 PLAN = TrialPlan(seed=20170404, trials=200, max_q_genus=2, max_component_genus=2,
-                 max_boundary_count=4, max_components=3, exponent_bound=3)
+                 max_boundary_count=4, max_components=3, max_exponent=3)
 
 
 def test_criterion_01_four_circle_regression():
@@ -146,7 +146,7 @@ def test_criterion_06_multitwist_law():
 
 def test_criterion_07_three_circle_guarantee():
     plan = TrialPlan(seed=PLAN.seed, trials=200, max_q_genus=2, max_component_genus=2,
-                     max_boundary_count=3, max_components=3, exponent_bound=3)
+                     max_boundary_count=3, max_components=3, max_exponent=3)
     with criterion(7, "on <=3-circle components, extendable iff multi-twist correctable"):
         rng = random.Random(7070)
         for index in range(plan.trials):

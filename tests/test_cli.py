@@ -871,7 +871,7 @@ CHECK_FLAGS = {
     "--max-component-genus": "max_component_genus",
     "--max-boundary-count": "max_boundary_count",
     "--max-components": "max_components",
-    "--max-exponent": "exponent_bound",
+    "--max-exponent": "max_exponent",
 }
 
 
@@ -889,6 +889,24 @@ def test_check_builds_its_plan_from_trial_plan_alone(monkeypatch, capsys, flag):
         field = CHECK_FLAGS[flag]
         assert getattr(oracle.TrialPlan(), field) != 7
         assert plans == [oracle.TrialPlan(**{field: 7})]  # its own field, the rest TrialPlan's defaults
+
+
+# Each bounded check flag and the least value its TrialPlan field takes.
+CHECK_FLOORS = {
+    "--trials": ("trials", 1),
+    "--max-q-genus": ("max_q_genus", 0),
+    "--max-component-genus": ("max_component_genus", 0),
+    "--max-boundary-count": ("max_boundary_count", 1),
+    "--max-components": ("max_components", 1),
+    "--max-exponent": ("max_exponent", 1),
+}
+
+
+@pytest.mark.parametrize("flag", list(CHECK_FLOORS))
+def test_check_names_the_bound_that_failed(capsys, flag):
+    field, least = CHECK_FLOORS[flag]
+    args = ["check", flag, str(least - 1)] + (["--trials", "1"] if flag != "--trials" else [])
+    assert run_main(capsys, args) == (2, "", f"error: {field} must be at least {least}\n")
 
 
 CHECK_HELP = """\

@@ -39,7 +39,7 @@ from torelli.oracle import (
 from torelli.realization import build_boundary_multitwist, realize_delta
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
 
-from test_surface_model import basis_vector, label_index, small_configs
+from test_surface_model import basis_vector, label_index, reference_views, small_configs
 
 
 @pytest.fixture
@@ -199,7 +199,7 @@ def test_residuals_in_circle_span_iff_weakly_torelli():
 
     model = build_model(SubsurfaceConfig(2, [ComplementComponent(0, 3)]))
     rng = random.Random(321)
-    q_columns = list(map(IntVector, model.q_image.transpose().entries))
+    q_columns = list(map(IntVector, reference_views(model)["q_image"].transpose().entries))
     for _ in range(80):
         factors = []
         for _ in range(rng.randint(1, 3)):
@@ -272,8 +272,9 @@ def test_locus_check_agrees_with_lattice_membership(four_circle_model):
     model = four_circle_model
     inside = model.circle_class(0, 0) + 2 * basis_vector(model, ("qa", 0))
     outside = basis_vector(model, ("dual", 0, 2))
-    assert solve_integer(model.q_image, inside) is not None
-    assert solve_integer(model.q_image, outside) is None
+    q_image = reference_views(model)["q_image"]
+    assert solve_integer(q_image, inside) is not None
+    assert solve_integer(q_image, outside) is None
     transvection_action(model, TwistWord([TwistFactor(inside, 1, LOCUS_Q)]))
     with pytest.raises(LocusViolation):
         transvection_action(model, TwistWord([TwistFactor(outside, 1, LOCUS_Q)]))
@@ -352,7 +353,8 @@ def _reference_weakly_torelli_delta(model, word):
     """Dense action plus an exact solve of the boundary system over every
     basis class: the independent route the fast path must agree with."""
     action = transvection_action(model, word)
-    if any(action.apply(col) != col for col in map(IntVector, model.q_image.transpose().entries)):
+    q_columns = map(IntVector, reference_views(model)["q_image"].transpose().entries)
+    if any(action.apply(col) != col for col in q_columns):
         return False, None
     k = model.k0_rank
     lhs_rows, rhs_rows = [], []

@@ -54,11 +54,7 @@ VALUES = {  # class: (a factory of one value, its field names, its repr)
         lambda: SubsurfaceConfig(0, [ComplementComponent(0, 2)]), ("q_genus", "components"), _CONFIG,
     ),
     HomologyModel: (
-        _model,
-        ("config", "genus", "rank", "pairing_sign", "labels", "circle_order", "reduced_order", "block_ranges"),
-        f"HomologyModel(config={_CONFIG}, genus=1, rank=2, pairing_sign=1, "
-        "labels=(('circle', 0, 1), ('dual', 0, 1)), circle_order=((0, 0), (0, 1)), "
-        "reduced_order=((0, 1),), block_ranges=((0, 1),))",
+        _model, ("config", "pairing_sign"), f"HomologyModel(config={_CONFIG}, pairing_sign=1)",
     ),
     TwistFactor: (lambda: _word().factors[0], ("rank", "edges", "exponent", "locus"), _FACTOR),
     TwistWord: (_word, ("factors",), f"TwistWord(factors=({_FACTOR},))"),
@@ -80,9 +76,9 @@ VALUES = {  # class: (a factory of one value, its field names, its repr)
     TrialPlan: (
         lambda: TrialPlan(seed=7, trials=2),
         ("seed", "trials", "max_q_genus", "max_component_genus", "max_boundary_count", "max_components",
-         "exponent_bound"),
+         "max_exponent"),
         "TrialPlan(seed=7, trials=2, max_q_genus=2, max_component_genus=2, max_boundary_count=4, "
-        "max_components=3, exponent_bound=3)",
+        "max_components=3, max_exponent=3)",
     ),
 }
 
