@@ -3,19 +3,21 @@ and lattice equality by invariant factors.
 
 Everything runs on Python's arbitrary-precision integers.  Matrices and
 vectors are immutable; every operation returns a fresh value, so the whole
-module is safe for concurrent use.
+module is safe for concurrent use.  A ``cached_view`` takes no lock: two
+threads racing its first read compute the view twice and store equal values.
 
-The trust rule: ``IntVector(...)`` and ``IntMatrix(...)`` check every entry
-with ``operator.index`` and the shape; ``IntVector._of_ints`` and
-``IntMatrix._of_rows`` check nothing, and are only for values the library
-built from ints it had already checked.
+The trust rule: ``IntVector(...)`` and ``IntMatrix(...)`` make every entry
+an exact int, by one C-level type test or else ``operator.index``, and
+check the shape; ``IntVector._of_ints`` and ``IntMatrix._of_rows`` check
+nothing, and are only for values the library built from ints it had
+already checked.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -23,17 +25,35 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
 
 
+class cached_view:
+    """A view computed on first read and stored in the instance ``__dict__``,
+    where later reads find it; unlike ``functools.cached_property``, no lock."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class _Value:
     """Base of the library's immutable value classes.
 
     A subclass's fields are the names its own body annotates, in order.
-    The constructor binds its arguments to them, each exactly once, or
-    raises ``TypeError`` naming the class; a subclass that converts or
-    checks its arguments calls it from its own ``__init__``.  Equality
+    The constructor binds its arguments to them, each exactly once (one
+    positional argument per field needs no check), or raises ``TypeError``
+    naming the class; a subclass that converts or checks its arguments
+    calls it from its own ``__init__``.  Equality
     (same class, equal fields), the hash of the field tuple and
     ``Name(field=value, ...)`` repr read the fields; assigning or deleting
     any attribute raises ``dataclasses.FrozenInstanceError``.  Hot
-    constructors and ``cached_property`` views write ``__dict__`` directly.
+    constructors and ``cached_view``s write ``__dict__`` directly.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -44,6 +64,9 @@ class _Value:
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
 
     def __init__(self, *args, **kwargs):
+        if len(args) == len(self._fields) and not kwargs:
+            self.__dict__.update(zip(self._fields, args))
+            return
         values = dict(zip(self._fields, args), **kwargs)
         if len(args) + len(kwargs) != len(self._fields) or values.keys() != self._field_set:
             raise TypeError(f"{type(self).__name__} takes each of the fields {self._fields} exactly once")
@@ -80,7 +103,10 @@ class IntVector(_Value):
     entries: tuple[int, ...]
 
     def __init__(self, entries: Iterable[int]):
-        object.__setattr__(self, "entries", tuple(map(operator.index, entries)))
+        entries = tuple(entries)
+        if not set(map(type, entries)) <= {int}:
+            entries = tuple(map(operator.index, entries))
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def _of_ints(cls, entries: Iterable[int]) -> "IntVector":
@@ -134,7 +160,9 @@ class IntMatrix(_Value):
     cols: int
 
     def __init__(self, rows_data: Iterable[Iterable[int]], *, cols: Optional[int] = None):
-        data = tuple(tuple(map(operator.index, row)) for row in rows_data)
+        data = tuple(map(tuple, rows_data))
+        if not set(map(type, chain.from_iterable(data))) <= {int}:
+            data = tuple(tuple(map(operator.index, row)) for row in data)
         if data:
             ncols = len(data[0])
             if any(len(row) != ncols for row in data):

@@ -17,13 +17,12 @@ questions answered in :mod:`torelli.criteria`.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from itertools import accumulate, compress
 from operator import add, index
 from typing import Mapping, Optional, Sequence, Union
 
 from torelli._schema import Reader
-from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, _Value
+from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, _Value, cached_view
 from torelli.surface_model import HomologyModel
 
 #: Locus of a twist factor: the subsurface, one complement component, or
@@ -80,15 +79,15 @@ class TwistFactor(_Value):
     def _of_edges(cls, rank: int, edges: tuple, exponent: int, locus: Locus) -> "TwistFactor":
         """A factor from canonical edges and an int exponent; no check."""
         factor = object.__new__(cls)
-        factor.__dict__.update(rank=rank, edges=edges, exponent=exponent, locus=locus)
+        fields = factor.__dict__  # one store per field: no keyword dict to build
+        fields["rank"] = rank
+        fields["edges"] = edges
+        fields["exponent"] = exponent
+        fields["locus"] = locus
         return factor
 
     def _with(self, exponent: int, locus: Locus) -> "TwistFactor":
         return self._of_edges(self.rank, self.edges, exponent, locus)
-
-    def _within(self, lo: int, hi: int) -> bool:
-        """Whether the class is zero outside [lo, hi)."""
-        return not self.edges or lo <= self.edges[0][0] and self.edges[-1][0] <= hi
 
     def _entries(self) -> list[int]:
         """The class as a fresh list, written one slice per run."""
@@ -98,7 +97,7 @@ class TwistFactor(_Value):
             out[i:j] = [value] * (j - i)
         return out
 
-    @cached_property
+    @cached_view
     def curve_class(self) -> IntVector:
         return IntVector._of_ints(self._entries())
 
@@ -253,15 +252,23 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, O
         if factor.locus != LOCUS_Q:
             got = json.dumps(_locus_to_json(factor.locus), default=repr)
             raise LocusViolation(f'factor {pos}: locus must be "Q", got {got}')
-        if runs and factor.rank == rank and factor._within(lo, hi):
-            m = factor.exponent
-            for i, di in factor.edges:
-                row, md = corners[i - lo], m * di
-                for j, dj in factor.edges:
-                    row[j - lo] += md * dj
-        else:
+        edges = factor.edges  # the class is zero outside [lo, hi) when its edges lie in [lo, hi]
+        if not (runs and factor.rank == rank and (not edges or lo <= edges[0][0] and edges[-1][0] <= hi)):
             _check_locus(model, factor, pos)
             rest.append(factor)
+        elif len(edges) == 2:  # the interval [i, j) of one value v: m v^2 at four corners
+            (i, v), (j, _) = edges
+            i, j, w = i - lo, j - lo, factor.exponent * v * v
+            corners[i][i] += w
+            corners[j][j] += w
+            corners[i][j] -= w
+            corners[j][i] -= w
+        else:
+            m = factor.exponent
+            for i, di in edges:
+                row, md = corners[i - lo], m * di
+                for j, dj in edges:
+                    row[j - lo] += md * dj
     matrix, above = [], [0] * k
     for row in corners[:k]:
         above = list(map(add, above, accumulate(row)))  # map stops at column k

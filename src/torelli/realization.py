@@ -15,7 +15,6 @@ word extends to a Torelli map.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from torelli.criteria import (
@@ -25,7 +24,7 @@ from torelli.criteria import (
     is_completely_reducible,
     is_symmetric,
 )
-from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, _Value
+from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, _Value, cached_view
 from torelli.mapping_class import (
     LOCUS_Q,
     DifferenceMap,
@@ -114,7 +113,7 @@ class Realization(_Value):
     word: TwistWord
     components: tuple[int, ...]
 
-    @cached_property
+    @cached_view
     def torelli_witness(self) -> TwistWord:
         witness = []
         for factor, j in zip(self.word.factors, self.components):
@@ -143,7 +142,7 @@ def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
         for r, c, value in _sym_coefficients(rows, start, stop):  # the ones on [lo + r, lo + c + 1)
             factors.append(TwistFactor._of_edges(rank, ((lo + r, 1), (lo + c + 1, -1)), value, LOCUS_Q))
         components += [j] * (len(factors) - len(components))  # one entry per factor of block j
-    return Realization(word=TwistWord(factors), components=tuple(components))
+    return Realization(TwistWord(factors), tuple(components))
 
 
 def build_boundary_multitwist(model: HomologyModel, exponents: DiagonalMap) -> TwistWord:

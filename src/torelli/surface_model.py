@@ -12,12 +12,13 @@ boundary circles, and the lattices that control the extension problem:
   ambient class a to the 0-chain class sum_C <a, [C]> o_C.
 
 A model is its two inputs, the configuration and the pairing sign, so
-``build_model`` only checks the sign, in O(1).  The basis layout is views
-of the configuration, cached on first read; only diagnostics, the
-peripheral and multi-twist builders and the oracle read its O(rank)
-enumerations ``labels``, ``circle_order`` and ``reduced_order``.  The three dense matrices, the form
-``intersection_form``, ``k0_basis`` and ``boundary_matrix``, are built from
-the layout on first access and cached, for O(rank^2) time and memory.
+``build_model`` only checks the sign, in O(1).  The basis layout and the
+three dense matrices (the form ``intersection_form``, ``k0_basis`` and
+``boundary_matrix``, O(rank^2) in time and memory) are views of the
+configuration, most of them ``exactlin.cached_view``s, stored on first read
+without a lock.  Only diagnostics, the peripheral and multi-twist builders
+and the oracle read the O(rank) enumerations ``labels``, ``circle_order``
+and ``reduced_order``.
 
 Basis order (used for all coordinates, including the JSON word schema):
 Q-handle pairs a_0, b_0, ..., then for each component its handle pairs,
@@ -44,12 +45,11 @@ of J has one nonzero entry (r, J[r][c]), which ``partner`` computes:
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 from itertools import accumulate
 from typing import Mapping, Sequence
 
 from torelli._schema import Reader
-from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, _Value
+from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, _Value, cached_view
 
 
 class InvalidConfig(ValueError):
@@ -118,8 +118,8 @@ class HomologyModel(_Value):
 
     The fields are the two inputs, ``config`` and ``pairing_sign``, so repr,
     equality and hash read only them.  The basis layout, its positions and
-    the three dense matrices are views derived from the fields; the layout
-    and the matrices are cached on first access.
+    the three dense matrices are views derived from the fields, most of
+    them ``cached_view``s, stored on first read.
     """
 
     config: SubsurfaceConfig
@@ -127,19 +127,19 @@ class HomologyModel(_Value):
 
     # -- the basis layout and its positions (see module docstring) ---------
 
-    @cached_property
+    @cached_view
     def block_ranges(self) -> tuple[tuple[int, int], ...]:
         """Range of each component's circles 1..n_j-1 in reduced coordinates."""
         stops = tuple(accumulate(comp.boundary_count - 1 for comp in self.config.components))
         return tuple(zip((0, *stops), stops))
 
-    @cached_property
+    @cached_view
     def rank(self) -> int:
         rank = self.handle_ranges[-1][1] + 2 * self.k0_rank
         assert rank == 2 * self.config.genus
         return rank
 
-    @cached_property
+    @cached_view
     def labels(self) -> tuple[tuple, ...]:
         comps = self.config.components
         return (
@@ -148,11 +148,11 @@ class HomologyModel(_Value):
             *((tag, *ji) for tag in ("circle", "dual") for ji in self.reduced_order),
         )
 
-    @cached_property
+    @cached_view
     def circle_order(self) -> tuple[tuple[int, int], ...]:
         return tuple((j, i) for j, comp in enumerate(self.config.components) for i in range(comp.boundary_count))
 
-    @cached_property
+    @cached_view
     def reduced_order(self) -> tuple[tuple[int, int], ...]:
         return tuple((j, i) for j, comp in enumerate(self.config.components) for i in range(1, comp.boundary_count))
 
@@ -168,13 +168,13 @@ class HomologyModel(_Value):
     def k0_rank(self) -> int:
         return self.block_ranges[-1][1]
 
-    @cached_property
+    @cached_view
     def circle_block(self) -> tuple[int, int]:
         """Basis range [lo, hi) of the circles (j, i >= 1); the duals fill [hi, rank)."""
         k = self.k0_rank
         return self.rank - 2 * k, self.rank - k
 
-    @property
+    @cached_view
     def handle_ranges(self) -> tuple[tuple[int, int], ...]:
         """Basis range of the handle pairs of Q, then of each component."""
         stop = 2 * self.config.q_genus
@@ -220,7 +220,7 @@ class HomologyModel(_Value):
 
     # -- dense views, built from the basis order on first access ----------
 
-    @cached_property
+    @cached_view
     def intersection_form(self) -> IntMatrix:
         rank, (lo, hi), s = self.rank, self.circle_block, self.pairing_sign
         form = [[0] * rank for _ in range(rank)]
@@ -232,7 +232,7 @@ class HomologyModel(_Value):
             form[c][d] = -s
         return IntMatrix(form, cols=rank)
 
-    @cached_property
+    @cached_view
     def k0_basis(self) -> IntMatrix:
         # Column o_{j,i} = o_i - o_0 is +1 on circle (j, i) and -1 on circle (j, 0).
         k, rows = self.k0_rank, []
@@ -241,7 +241,7 @@ class HomologyModel(_Value):
             rows += ([int(c == p) for c in range(k)] for p in range(start, stop))
         return IntMatrix(rows, cols=k)
 
-    @cached_property
+    @cached_view
     def boundary_matrix(self) -> IntMatrix:
         # Row for circle C: the functional a -> <a, [C]>.  <dual, circle> is the
         # pairing sign and circle 0 is minus the others, so it is the sign times
@@ -329,6 +329,7 @@ def build_model(config: SubsurfaceConfig, *, pairing_sign: int = 1) -> HomologyM
     oracle's ``sign_flip_invariance``).  A word with a Q-handle coordinate
     is another product under the flip, and its verdicts can differ.
     """
+    pairing_sign = operator.index(pairing_sign)
     if pairing_sign not in (1, -1):
         raise InvalidConfig("pairing_sign must be +1 or -1")
     return HomologyModel(config, pairing_sign)

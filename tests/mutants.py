@@ -46,18 +46,19 @@ MUTANTS = (
     ),
     Mutant(
         "corner updates skip each class's first edge", "mapping_class.py",
-        "for j, dj in factor.edges:", "for j, dj in factor.edges[1:]:",
+        "for j, dj in edges:", "for j, dj in edges[1:]:",
         (
-            "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
+            "tests/test_acceptance.py::test_criterion_02_symmetry_of_difference_maps",
             "tests/test_mapping_class.py::test_fast_path_matches_dense_reference[1]",
+            "tests/test_mapping_class.py::test_two_edge_and_many_edge_classes_match_the_entrywise_sum",
         ),
     ),
     Mutant(
         "run edges read one place late", "mapping_class.py",
         "row, md = corners[i - lo], m * di", "row, md = corners[i - lo + 1], m * di",
         (
-            "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
-            "tests/test_criteria.py::test_blockwise_word_reducible",
+            "tests/test_acceptance.py::test_criterion_02_symmetry_of_difference_maps",
+            "tests/test_criteria.py::test_analyze_matches_entrywise_reference",
         ),
     ),
     Mutant(
@@ -232,8 +233,9 @@ MUTANTS = (
         "the circle-block sum is dropped", "mapping_class.py",
         "row[j - lo] += md * dj", "pass",
         (
-            "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
-            "tests/test_cli.py::test_example4_command",
+            "tests/test_acceptance.py::test_criterion_03_functional_equation",
+            "tests/test_mapping_class.py::test_rectangle_sums_match_the_entrywise_sum[1]",
+            "tests/test_mapping_class.py::test_two_edge_and_many_edge_classes_match_the_entrywise_sum",
         ),
     ),
     Mutant(
@@ -253,7 +255,8 @@ MUTANTS = (
     ),
     Mutant(
         "every factor is sent to the pass", "mapping_class.py",
-        "if runs and factor.rank == rank and factor._within(lo, hi):", "if False:",
+        "if not (runs and factor.rank == rank and (not edges or lo <= edges[0][0] and edges[-1][0] <= hi)):",
+        "if True:",
         (
             "tests/test_mapping_class.py::test_circle_runs_skip_the_word_pass",
             "tests/test_mapping_class.py::test_realized_words_never_build_a_dense_class",
@@ -416,6 +419,39 @@ MUTANTS = (
         'if name not in ("command", "func")', 'if name not in ("command", "func", "max_exponent")',
         (
             "tests/test_cli.py::test_check_builds_its_plan_from_trial_plan_alone[--max-exponent]",
+        ),
+    ),
+    Mutant(
+        "the two-edge update drops one off-diagonal corner", "mapping_class.py",
+        "            corners[j][i] -= w\n", "            pass\n",
+        (
+            "tests/test_acceptance.py::test_criterion_05_realization_round_trip",
+            "tests/test_cli.py::test_pinned_stdout_for_two_component_config",
+            "tests/test_mapping_class.py::test_two_edge_and_many_edge_classes_match_the_entrywise_sum",
+        ),
+    ),
+    Mutant(
+        "the cached view does not store its value", "exactlin.py",
+        "value = instance.__dict__[self.name] = self.func(instance)", "value = self.func(instance)",
+        (
+            "tests/test_exactlin.py::test_cached_view_stores_its_first_read",
+            "tests/test_realization.py::test_realized_classes_are_the_peripheral_classes",
+        ),
+    ),
+    Mutant(
+        "the exact-int test also accepts float", "exactlin.py",
+        "set(map(type, entries)) <= {int}", "set(map(type, entries)) <= {int, float}",
+        (
+            "tests/test_exactlin.py::test_entries_must_be_integers",
+            "tests/test_mapping_class.py::test_library_built_matrices_skip_the_public_checks",
+        ),
+    ),
+    Mutant(
+        "the positional fast path is taken at the wrong arity", "exactlin.py",
+        "if len(args) == len(self._fields) and not kwargs:", "if len(args) >= len(self._fields) and not kwargs:",
+        (
+            "tests/test_values.py::test_constructor_binds_fields[SNFResult]",
+            "tests/test_values.py::test_constructor_binds_fields[Realization]",
         ),
     ),
 )

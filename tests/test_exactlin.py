@@ -4,9 +4,11 @@ Every decomposition property is verified by direct multiplication, never
 by trusting the algorithm's internals.
 """
 
+import ast
 from collections import Counter
 from itertools import product
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,15 @@ from torelli.exactlin import (
     DimensionMismatch,
     IntMatrix,
     IntVector,
+    _Value,
+    cached_view,
     determinant,
     kernel_basis,
     lattices_equal,
     smith_normal_form,
     solve_integer,
 )
+from torelli.surface_model import ComplementComponent, HomologyModel, SubsurfaceConfig, build_model
 from linetrace import missed_lines
 
 matrices = st.integers(min_value=0, max_value=4).flatmap(
@@ -54,13 +59,62 @@ def assert_smith_contract(a, snf):
 
 
 def test_entries_must_be_integers():
-    assert IntVector([True, 2]).entries == (1, 2)
+    # One exact-int type test passes plain ints through; anything else goes
+    # through operator.index, which turns a bool into the exact int.
+    vector, matrix = IntVector([True, 2]), IntMatrix([[3, True], [False, -1]])
+    assert vector.entries == (1, 2) and matrix.entries == ((3, 1), (0, -1))
+    assert {type(x) for x in (*vector, *matrix.entries[0], *matrix.entries[1])} == {int}
     assert type(IntMatrix([[False]]).entries[0][0]) is int
-    for bad in (2.7, -0.5, 3.0, "3"):
+    for bad in (1.5, 2.7, -0.5, 3.0, "1", "3"):
         with pytest.raises(TypeError):
             IntVector([bad])
         with pytest.raises(TypeError):
             IntMatrix([[0, bad]])
+
+
+def test_cached_view_stores_its_first_read():
+    calls = []
+
+    class Square(_Value):
+        side: int
+
+        @cached_view
+        def area(self) -> int:
+            """The side squared."""
+            calls.append(self.side)
+            return self.side * self.side
+
+    view = Square.__dict__["area"]
+    assert Square.area is view and view.func.__name__ == "area" and view.__doc__ == "The side squared."
+    square = Square(3)
+    assert vars(square) == {"side": 3}
+    assert square.area == 9 and vars(square) == {"side": 3, "area": 9} and calls == [3]
+    assert square.area == 9 and calls == [3]  # the second read calls nothing
+    assert square == Square(3) and hash(square) == hash((3,)) and repr(square).endswith("Square(side=3)")
+
+    model = build_model(SubsurfaceConfig(1, [ComplementComponent(1, 3), ComplementComponent(0, 2)]))
+    names = ("handle_ranges", "circle_block", "block_ranges", "rank")
+    assert all(type(HomologyModel.__dict__[name]) is cached_view for name in names)
+    assert vars(model) == {"config": model.config, "pairing_sign": 1}
+    first = [getattr(model, name) for name in names]
+    assert [vars(model)[name] for name in names] == first
+    assert all(getattr(model, name) is value for name, value in zip(names, first))
+    assert model.handle_ranges == ((0, 2), (2, 4), (4, 4))
+    assert model == build_model(model.config) and hash(model) == hash((model.config, 1))
+
+
+def test_no_module_imports_cached_property():
+    # functools.cached_property takes a lock on each first read; the library's
+    # views are exactlin.cached_view, which does not.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(exactlin.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        and any(alias.name == "cached_property" for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 3)])

@@ -631,6 +631,48 @@ def test_rectangle_sums_match_the_entrywise_sum(pairing_sign):
     assert min(shapes.values()) >= 20, shapes
 
 
+_BLOCK_CONFIGS = [  # k0_rank 2, 3, 5 and 7
+    SubsurfaceConfig(0, [ComplementComponent(0, 3)]),
+    SubsurfaceConfig(1, [ComplementComponent(1, 4)]),
+    SubsurfaceConfig(1, [ComplementComponent(0, 3), ComplementComponent(1, 4)]),
+    SubsurfaceConfig(2, [ComplementComponent(0, 5), ComplementComponent(1, 1), ComplementComponent(0, 4)]),
+]
+
+
+def _edge_count(u):
+    return sum(a != b for a, b in zip([0, *u], [*u, 0]))
+
+
+@st.composite
+def _circle_block_words(draw):
+    """A model at either pairing sign and a word of circle-block classes that
+    mixes intervals of one value (two edges) with classes of three or more
+    edges, values beyond +-1 and exponents of both signs, in any order."""
+    model = build_model(draw(st.sampled_from(_BLOCK_CONFIGS)), pairing_sign=draw(st.sampled_from((1, -1))))
+    k = model.k0_rank
+    lo = model.rank - 2 * k
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        start, stop = sorted(draw(st.lists(st.integers(0, k), min_size=2, max_size=2, unique=True)))
+        value = draw(st.integers(-4, 4).filter(bool))
+        blocks.append([0] * start + [value] * (stop - start) + [0] * (k - stop))
+    many = st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(lambda u: _edge_count(u) > 2)
+    blocks += draw(st.lists(many, min_size=1, max_size=4))
+    factors = [
+        TwistFactor(IntVector([0] * lo + u + [0] * k), draw(st.integers(-3, 3)), LOCUS_Q)
+        for u in draw(st.permutations(blocks))
+    ]
+    return model, TwistWord(factors)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_circle_block_words())
+def test_two_edge_and_many_edge_classes_match_the_entrywise_sum(model_and_word):
+    model, word = model_and_word
+    assert {len(factor.edges) == 2 for factor in word.factors} == {True, False}
+    assert delta_difference(model, word).matrix.entries == _entrywise_sum_of_squares(model, word)
+
+
 def _classes():
     """Dense classes as runs of one value: negative runs, a nonzero first or
     last entry, gaps of zeros, the zero class, and lengths 0 and 1."""
@@ -653,9 +695,6 @@ def test_run_edges_agree_with_the_dense_class(z):
     assert "curve_class" not in vars(rebuilt)
     assert rebuilt.curve_class == IntVector(z)
     assert rebuilt == factor and hash(rebuilt) == hash(factor) and repr(rebuilt) == repr(factor)
-    for lo in range(len(z) + 1):
-        for hi in range(lo, len(z) + 1):
-            assert factor._within(lo, hi) == (not any(z[:lo]) and not any(z[hi:]))
 
 
 @settings(derandomize=True, max_examples=200)

@@ -349,6 +349,12 @@ def test_a_model_holds_only_its_two_inputs():
     for sign in (0, 2, -2):
         with pytest.raises(InvalidConfig, match=r"pairing_sign must be \+1 or -1"):
             build_model(config, pairing_sign=sign)
+    model = build_model(config, pairing_sign=True)  # an integer-like sign becomes the exact int
+    assert type(model.pairing_sign) is int and model == build_model(config)
+    assert repr(model).endswith("pairing_sign=1)")
+    for sign in (-1.0, 1.0):  # as ComplementComponent(1.0, 3) does
+        with pytest.raises(TypeError):
+            build_model(config, pairing_sign=sign)
 
 
 def test_dense_views_match_the_pairing_rules():
