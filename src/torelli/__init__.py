@@ -19,12 +19,10 @@ from torelli.criteria import (
     decide_extendable,
     decide_extension_by_identity,
     decide_multitwist_correctable,
-    diagonal_restriction,
     group_ranks,
     guaranteed_correctable,
     is_completely_reducible,
     is_symmetric,
-    matrix_presentation,
 )
 from torelli.realization import (
     Realization,
@@ -54,8 +52,6 @@ __all__ = [
     "analyze",
     "is_symmetric",
     "is_completely_reducible",
-    "matrix_presentation",
-    "diagonal_restriction",
     "decide_extension_by_identity",
     "decide_extendable",
     "decide_multitwist_correctable",

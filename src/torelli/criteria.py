@@ -1,8 +1,8 @@
 """Deciders for the extension questions, driven by a word's difference map.
 
-All verdicts are functions of two things only: whether the word is weakly
-Torelli, and its difference map.  Each reads the map through its component
-blocks, the ``model.block_ranges`` slices; ``analyze`` takes them once.
+Every verdict is a view of one thing: the word's difference map, or None
+when the word is not weakly Torelli (``AnalysisReport``).  Each map check
+reads the map's own ``block_ranges``, its component blocks.
 
 * identity extension is Torelli  <=>  the difference map vanishes;
 * some Torelli extension exists  <=>  the difference map is completely
@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from typing import Mapping, Optional
 
-from torelli.exactlin import DimensionMismatch, IntMatrix, _Value
+from torelli.exactlin import DimensionMismatch, IntMatrix, _Value, cached_view
 from torelli.mapping_class import (
     DifferenceMap,
     NotWeaklyTorelli,
@@ -55,37 +55,36 @@ class DiagonalMap(_Value):
         return list(self.exponents)
 
 
-def _require_layout(model: HomologyModel, delta: DifferenceMap) -> None:
-    if delta.block_ranges != model.block_ranges:
-        raise DimensionMismatch("difference map lives on another configuration's blocks")
-
-
-def is_symmetric(model: HomologyModel, delta: DifferenceMap) -> bool:
+def is_symmetric(delta: DifferenceMap) -> bool:
     """Pairing symmetry: <a, delta(b)> = <b, delta(a)> on all basis pairs.
 
     The two-point and reduced circle bases are dual under the induced
     pairing, so the identity is literal symmetry of the matrix.
     """
-    _require_layout(model, delta)
     entries = delta.matrix.entries
     return entries == tuple(zip(*entries))
 
 
-def is_completely_reducible(model: HomologyModel, delta: DifferenceMap) -> bool:
+def is_completely_reducible(delta: DifferenceMap) -> bool:
     """Does the map send each component's block into the same component,
     i.e. does every row of a component's range vanish outside that range?"""
-    _require_layout(model, delta)
     rows = delta.matrix.entries
     return not any(
         any(row[:start]) or any(row[stop:])
-        for start, stop in model.block_ranges
+        for start, stop in delta.block_ranges
         for row in rows[start:stop]
     )
 
 
-def _diagonal_exponents(blocks: list[IntMatrix]) -> Optional[DiagonalMap]:
-    """Exponents [base, *(diagonal - base)] per block, in circle order, or
-    None when some block's off-diagonal entries disagree."""
+def _diagonal_exponents(blocks: tuple[IntMatrix, ...]) -> Optional[DiagonalMap]:
+    """Exponents of a diagonal map restricting to the given blocks, or None.
+
+    Over a component with circles 0..n-1 the restriction of the diagonal
+    map with exponents e_0..e_{n-1} has block e_0 * ones + diag(e_1..e_{n-1}),
+    so a block qualifies exactly when all its off-diagonal entries agree.
+    Underdetermined components (at most two circles) take e_0 = 0 for a
+    canonical representative.
+    """
     exponents = []
     for block in blocks:
         rows = block.entries
@@ -94,32 +93,6 @@ def _diagonal_exponents(blocks: list[IntMatrix]) -> Optional[DiagonalMap]:
             return None
         exponents += [base, *(row[r] - base for r, row in enumerate(rows))]
     return DiagonalMap(exponents)
-
-
-def matrix_presentation(model: HomologyModel, delta: DifferenceMap, j: int) -> IntMatrix:
-    """Component block of a completely reducible map.
-
-    Row i holds the coefficients of the image of the i-th two-point class,
-    so the block is the transpose of the column-action submatrix; for the
-    symmetric maps the theory produces, the two agree.
-    """
-    if not is_completely_reducible(model, delta):
-        raise NotCompletelyReducible("map mixes complement components")
-    return delta.block(j).transpose()
-
-
-def diagonal_restriction(model: HomologyModel, delta: DifferenceMap) -> Optional[DiagonalMap]:
-    """Exponents of a diagonal map restricting to the given difference map.
-
-    Over a component with circles 0..n-1 the restriction of the diagonal
-    map with exponents e_0..e_{n-1} has block e_0 * ones + diag(e_1..e_{n-1}),
-    so a block qualifies exactly when all its off-diagonal entries agree.
-    Underdetermined components (at most two circles) take e_0 = 0 for a
-    canonical representative.  Returns None when no integer solution exists.
-    """
-    if not is_completely_reducible(model, delta):
-        return None
-    return _diagonal_exponents([delta.block(j) for j in range(model.n_components)])
 
 
 def restriction_of_diagonal(model: HomologyModel, diagonal: DiagonalMap) -> DifferenceMap:
@@ -173,14 +146,45 @@ def group_ranks(config: SubsurfaceConfig) -> dict[str, int]:
 
 
 class AnalysisReport(_Value):
-    weakly_torelli: bool
+    """The verdicts on a word, each a view of its difference map ``delta``,
+    which is None when the word is not weakly Torelli."""
+
     delta: Optional[DifferenceMap]
-    symmetric: bool
-    completely_reducible: bool
-    extension_by_identity_torelli: bool
-    extendable_to_torelli: bool
-    multitwist_correctable: Optional[DiagonalMap]
-    component_matrices: Optional[tuple[IntMatrix, ...]]
+
+    @property
+    def weakly_torelli(self) -> bool:
+        return self.delta is not None
+
+    @cached_view
+    def symmetric(self) -> bool:
+        return self.weakly_torelli and is_symmetric(self.delta)
+
+    @cached_view
+    def completely_reducible(self) -> bool:
+        return self.weakly_torelli and is_completely_reducible(self.delta)
+
+    @cached_view
+    def extension_by_identity_torelli(self) -> bool:
+        return self.weakly_torelli and self.delta.is_zero()
+
+    @property
+    def extendable_to_torelli(self) -> bool:
+        return self.completely_reducible
+
+    @cached_view
+    def component_matrices(self) -> Optional[tuple[IntMatrix, ...]]:
+        """The map's component blocks when it is completely reducible, else None."""
+        if not self.completely_reducible:
+            return None
+        return tuple(map(self.delta.block, range(len(self.delta.block_ranges))))
+
+    @cached_view
+    def multitwist_correctable(self) -> Optional[DiagonalMap]:
+        """Exponents of the boundary multi-twist that corrects the identity
+        extension to Torelli (the negated diagonal solution), or None."""
+        blocks = self.component_matrices
+        correction = None if blocks is None else _diagonal_exponents(blocks)
+        return None if correction is None else -correction
 
     def to_json_dict(self) -> dict:
         delta, correction, blocks = self.delta, self.multitwist_correctable, self.component_matrices
@@ -197,28 +201,9 @@ class AnalysisReport(_Value):
 
 
 def analyze(model: HomologyModel, word: TwistWord) -> AnalysisReport:
-    """Run every decider on a subsurface word and collect the verdicts."""
-    weakly_torelli, delta = weakly_torelli_delta(model, word)
-    symmetric = reducible = False
-    correction = components = None
-    if weakly_torelli:
-        symmetric = is_symmetric(model, delta)
-        reducible = is_completely_reducible(model, delta)
-    if reducible:
-        blocks = [delta.block(j) for j in range(model.n_components)]
-        # weakly Torelli maps are pairing-symmetric, so each block is its own transpose
-        components = tuple(blocks)
-        correction = _diagonal_exponents(blocks)
-    return AnalysisReport(
-        weakly_torelli=weakly_torelli,
-        delta=delta,
-        symmetric=symmetric,
-        completely_reducible=reducible,
-        extension_by_identity_torelli=weakly_torelli and delta.is_zero(),
-        extendable_to_torelli=reducible,
-        multitwist_correctable=-correction if correction is not None else None,
-        component_matrices=components,
-    )
+    """The report on a subsurface word: its difference map, with every
+    verdict a view of it."""
+    return AnalysisReport(weakly_torelli_delta(model, word))
 
 
 # -- difference-map construction from block data -----------------------------
@@ -226,7 +211,8 @@ def analyze(model: HomologyModel, word: TwistWord) -> AnalysisReport:
 
 def delta_from_blocks(model: HomologyModel, blocks: Mapping[int, IntMatrix]) -> DifferenceMap:
     """Assemble a (completely reducible) difference map from per-component
-    blocks given in row-as-input convention, matching ``matrix_presentation``."""
+    blocks, each placed as given: rows are the reduced circle classes and
+    columns the two-point classes, as in the full matrix."""
     k = model.k0_rank
     matrix = [[0] * k for _ in range(k)]
     for j, block in blocks.items():
@@ -238,7 +224,6 @@ def delta_from_blocks(model: HomologyModel, blocks: Mapping[int, IntMatrix]) -> 
             raise DimensionMismatch(
                 f"component {j} block must be {size}x{size}, got {block.rows}x{block.cols}"
             )
-        # row-as-input blocks transpose into column-action rows
-        for row, column in zip(matrix[start:stop], zip(*block.entries)):
-            row[start:stop] = column
+        for row, block_row in zip(matrix[start:stop], block.entries):
+            row[start:stop] = block_row
     return DifferenceMap(IntMatrix._of_rows(matrix, k), model.block_ranges)

@@ -220,8 +220,8 @@ def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]
     return rows
 
 
-def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, Optional[DifferenceMap]]:
-    """Whether the word is weakly Torelli and, if so, its difference map.
+def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> Optional[DifferenceMap]:
+    """The word's difference map, or None when it is not weakly Torelli.
 
     Each factor must have locus Q and a class in the subsurface image: Q
     handles plus the circle block (``_check_locus`` words the error).  Each
@@ -277,7 +277,7 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, O
         rows = _displacements(model, TwistWord(rest))
         moved = set().union(*rows)
         if any(c < h2 or lo <= c < hi for c in moved):
-            return False, None
+            return None
         outside = [(c, r) for r, row in enumerate(rows) if not lo <= r < hi for c in row]
         if outside:
             idx, r = min(outside)
@@ -290,18 +290,18 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> tuple[bool, O
         for r, row in enumerate(matrix):
             for c, x in rows[lo + r].items():
                 row[c - hi] += s * x
-    return True, DifferenceMap(IntMatrix._of_rows(matrix, k), model.block_ranges)
+    return DifferenceMap(IntMatrix._of_rows(matrix, k), model.block_ranges)
 
 
 def is_weakly_torelli(model: HomologyModel, word: TwistWord) -> bool:
     """Does the word fix the subsurface homology image pointwise?"""
-    return weakly_torelli_delta(model, word)[0]
+    return weakly_torelli_delta(model, word) is not None
 
 
 def delta_difference(model: HomologyModel, word: TwistWord) -> DifferenceMap:
     """Difference map of a weakly Torelli word."""
-    weakly_torelli, delta = weakly_torelli_delta(model, word)
-    if not weakly_torelli:
+    delta = weakly_torelli_delta(model, word)
+    if delta is None:
         raise NotWeaklyTorelli("word does not fix the subsurface homology image")
     return delta
 

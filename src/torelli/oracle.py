@@ -379,7 +379,7 @@ def _check_delta_symmetric(plan, index, model_factory):
     config, model = _trial_model(plan, index, model_factory)
     word = random_weakly_torelli_word(model, plan, index)
     delta = delta_difference(model, word)
-    if not criteria.is_symmetric(model, delta):
+    if not criteria.is_symmetric(delta):
         return _model_witness(
             config, word=word_to_json_dict(word), delta=delta.matrix.to_lists(),
             problem="difference map not symmetric",
@@ -432,7 +432,7 @@ def _check_three_circle_guarantee(plan, index, model_factory):
             config, word=word_to_json_dict(word), problem="guarantee broken on a word"
         )
     delta = random_symmetric_reducible_delta(model, rng)
-    if criteria.diagonal_restriction(model, delta) is None:
+    if criteria.AnalysisReport(delta).multitwist_correctable is None:
         return _model_witness(
             config, delta=delta.matrix.to_lists(), problem="symmetric map without diagonal restriction"
         )
@@ -561,7 +561,7 @@ def _check_bounding_pair_products(plan, index, model_factory):
             config, word=word_to_json_dict(word), delta=delta.matrix.to_lists(),
             problem=f"reducibility verdict differs from the entry-wise test ({reducible})",
         )
-    if not criteria.is_symmetric(model, delta):
+    if not criteria.is_symmetric(delta):
         return _model_witness(
             config, word=word_to_json_dict(word), delta=delta.matrix.to_lists(), problem="difference map not symmetric"
         )

@@ -124,17 +124,20 @@ class Realization(_Value):
 def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
     """Build a subsurface word whose difference map is the given one.
 
-    Requires the map to be symmetric and completely reducible.  Factors are
-    peripheral twists about contiguous unions of circles, one per nonzero
-    basis coefficient, components in order and index pairs lexicographic.
+    Requires the map to lie on the model's component blocks and to be
+    symmetric and completely reducible.  Factors are peripheral twists
+    about contiguous unions of circles, one per nonzero basis coefficient,
+    components in order and index pairs lexicographic.
     ``_sym_coefficients`` reads them off the map's rows, block by block, in
     place.  The class of the union of circles k..l (k >= 1) is the constant
     interval of ones over their basis indices, so each factor stores just
     its two edges and no dense class is built.
     """
-    if not is_symmetric(model, delta):
+    if delta.block_ranges != model.block_ranges:
+        raise DimensionMismatch("difference map lives on another configuration's blocks")
+    if not is_symmetric(delta):
         raise NotSymmetric("difference map is not symmetric")
-    if not is_completely_reducible(model, delta):
+    if not is_completely_reducible(delta):
         raise NotCompletelyReducible("difference map mixes complement components")
     rank, rows, lo = model.rank, delta.matrix.entries, model.circle_block[0]  # circle p sits at lo + p
     factors, components = [], []

@@ -215,7 +215,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "deciders skip the layout comparison", "criteria.py",
+        "realize_delta skips the layout comparison", "realization.py",
         "if delta.block_ranges != model.block_ranges:", "if False:",
         (
             "tests/test_criteria.py::test_map_from_another_configuration_is_rejected",
@@ -355,18 +355,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "analyze does not negate the correction", "criteria.py",
-        "multitwist_correctable=-correction if correction is not None else None",
-        "multitwist_correctable=correction",
+        "the correctable view does not negate the correction", "criteria.py",
+        "return None if correction is None else -correction",
+        "return correction",
         (
             "tests/test_cli.py::test_pinned_stdout_for_two_component_config",
             "tests/test_criteria.py::test_correctable_round_trip_on_multitwist",
         ),
     ),
     Mutant(
-        "analyze skips the zero test of the identity extension", "criteria.py",
-        "extension_by_identity_torelli=weakly_torelli and delta.is_zero()",
-        "extension_by_identity_torelli=weakly_torelli",
+        "the identity-extension view skips the zero test", "criteria.py",
+        "return self.weakly_torelli and self.delta.is_zero()",
+        "return self.weakly_torelli",
         (
             "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
             "tests/test_criteria.py::test_extension_by_identity_decider",
@@ -452,6 +452,22 @@ MUTANTS = (
         (
             "tests/test_values.py::test_constructor_binds_fields[SNFResult]",
             "tests/test_values.py::test_constructor_binds_fields[Realization]",
+        ),
+    ),
+    Mutant(
+        "the extendable view reads weakly Torelli", "criteria.py",
+        "return self.completely_reducible", "return self.weakly_torelli",
+        (
+            "tests/test_criteria.py::test_cross_component_entry_detected",
+            "tests/test_criteria.py::test_block_readers_match_entrywise_reference",
+            "tests/test_criteria.py::test_analyze_matches_entrywise_reference",
+        ),
+    ),
+    Mutant(
+        "blocks are transposed again", "criteria.py",
+        "zip(matrix[start:stop], block.entries)", "zip(matrix[start:stop], zip(*block.entries))",
+        (
+            "tests/test_criteria.py::test_blocks_read_the_same_in_every_place",
         ),
     ),
 )

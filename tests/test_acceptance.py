@@ -11,11 +11,11 @@ from contextlib import contextmanager
 from itertools import product
 
 from torelli.criteria import (
+    AnalysisReport,
     DiagonalMap,
     analyze,
     decide_extendable,
     decide_multitwist_correctable,
-    diagonal_restriction,
     group_ranks,
     restriction_of_diagonal,
 )
@@ -87,7 +87,7 @@ def test_criterion_02_symmetry_of_difference_maps():
         for index in range(PLAN.trials):
             model = build_model(random_config(PLAN, index))
             word = random_weakly_torelli_word(model, PLAN, index)
-            assert is_symmetric(model, delta_difference(model, word))
+            assert is_symmetric(delta_difference(model, word))
         assert time.perf_counter() - start < 30.0
 
 
@@ -156,7 +156,7 @@ def test_criterion_07_three_circle_guarantee():
             correction = decide_multitwist_correctable(model, word)
             assert extendable == (correction is not None)
             delta = random_symmetric_reducible_delta(model, rng, bound=3)
-            assert diagonal_restriction(model, delta) is not None
+            assert AnalysisReport(delta).multitwist_correctable is not None
 
 
 def test_criterion_08_model_invariants_exhaustive():

@@ -1,4 +1,5 @@
-"""Extension deciders: symmetry, reducibility, diagonal restriction, ranks."""
+"""Extension deciders: symmetry, reducibility, diagonal restriction, ranks,
+and the report whose verdicts are views of one difference map."""
 
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from torelli import criteria
 from torelli.criteria import (
+    AnalysisReport,
     DiagonalMap,
     NotCompletelyReducible,
     analyze,
@@ -13,12 +15,10 @@ from torelli.criteria import (
     decide_extension_by_identity,
     decide_multitwist_correctable,
     delta_from_blocks,
-    diagonal_restriction,
     group_ranks,
     guaranteed_correctable,
     is_completely_reducible,
     is_symmetric,
-    matrix_presentation,
     restriction_of_diagonal,
 )
 from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
@@ -53,13 +53,20 @@ def two_component_model():
     return build_model(SubsurfaceConfig(0, [ComplementComponent(0, 2), ComplementComponent(0, 2)]))
 
 
+def diagonal_solution(delta):
+    """The diagonal map restricting to ``delta``, or None: the report's
+    correcting multi-twist, negated."""
+    correction = AnalysisReport(delta).multitwist_correctable
+    return None if correction is None else -correction
+
+
 def peripheral_word(model, m):
     cls = model.circle_class(0, 0) + model.circle_class(0, 1)
     return TwistWord([TwistFactor(cls, m, LOCUS_Q)])
 
 
 def test_zero_map_is_symmetric(four_circle_model):
-    assert is_symmetric(four_circle_model, zero_difference_map(four_circle_model))
+    assert is_symmetric(zero_difference_map(four_circle_model))
 
 
 def test_extracted_deltas_are_symmetric():
@@ -67,13 +74,13 @@ def test_extracted_deltas_are_symmetric():
     for index in range(plan.trials):
         model = build_model(random_config(plan, index))
         word = random_weakly_torelli_word(model, plan, index)
-        assert is_symmetric(model, delta_difference(model, word))
+        assert is_symmetric(delta_difference(model, word))
 
 
 def test_asymmetric_matrix_detected():
     model = build_model(SubsurfaceConfig(0, [ComplementComponent(0, 3)]))
     delta = DifferenceMap(IntMatrix([[0, 1], [0, 0]]), model.block_ranges)
-    assert not is_symmetric(model, delta)
+    assert not is_symmetric(delta)
 
 
 def test_symmetry_test_matches_matrix_transpose():
@@ -91,7 +98,7 @@ def test_symmetry_test_matches_matrix_transpose():
                     entries[rng.randrange(k)][rng.randrange(k)] += 1
             matrix = IntMatrix(entries, cols=k)
             expected = matrix == matrix.transpose()
-            assert is_symmetric(model, DifferenceMap(matrix, model.block_ranges)) == expected
+            assert is_symmetric(DifferenceMap(matrix, model.block_ranges)) == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -115,25 +122,20 @@ def test_pairing_symmetry_equals_matrix_symmetry():
             for a in units
             for b in units
         )
-        assert is_symmetric(model, delta) == pairing_symmetric == (matrix == matrix.transpose())
+        assert is_symmetric(delta) == pairing_symmetric == (matrix == matrix.transpose())
 
 
 def test_single_component_always_reducible(four_circle_model):
     model = four_circle_model
     delta = DifferenceMap(IntMatrix([[1, 2, 0], [2, 0, 1], [0, 1, 5]]), model.block_ranges)
-    assert is_completely_reducible(model, delta)
+    assert is_completely_reducible(delta)
 
 
 def test_cross_component_entry_detected(two_component_model):
     model = two_component_model
     delta = DifferenceMap(IntMatrix([[0, 1], [0, 0]]), model.block_ranges)
-    assert not is_completely_reducible(model, delta)
-    assert not decide_extendable_on_delta(model, delta)
-
-
-def decide_extendable_on_delta(model, delta):
-    # deciders consume only the weakly-Torelli flag and the difference map
-    return is_completely_reducible(model, delta)
+    assert not is_completely_reducible(delta)
+    assert not AnalysisReport(delta).extendable_to_torelli
 
 
 def test_blockwise_word_reducible(two_component_model):
@@ -144,61 +146,56 @@ def test_blockwise_word_reducible(two_component_model):
             TwistFactor(model.circle_class(1, 0), -1, LOCUS_Q),
         ]
     )
-    assert is_completely_reducible(model, delta_difference(model, word))
+    assert is_completely_reducible(delta_difference(model, word))
 
 
-def test_matrix_presentation_values(four_circle_model):
+def test_component_matrices_values(four_circle_model):
     model = four_circle_model
-    assert matrix_presentation(model, zero_difference_map(model), 0) == IntMatrix.zeros(3, 3)
+    assert AnalysisReport(zero_difference_map(model)).component_matrices == (IntMatrix.zeros(3, 3),)
     delta = delta_difference(model, peripheral_word(model, 1))
-    assert matrix_presentation(model, delta, 0) == IntMatrix([[0, 0, 0], [0, 1, 1], [0, 1, 1]])
+    assert AnalysisReport(delta).component_matrices == (IntMatrix([[0, 0, 0], [0, 1, 1], [0, 1, 1]]),)
 
 
 def test_map_from_another_configuration_is_rejected():
-    """A map built on A's blocks has B's size but not B's blocks, so every
-    (model, delta) entry point raises rather than reading it on B."""
+    """A map built on A's blocks has B's size but not B's blocks.  The map
+    checks read the map's own blocks, and realize_delta, the one entry point
+    that reads a map against a model, raises rather than reading it on B."""
     a = build_model(SubsurfaceConfig(0, [ComplementComponent(0, 3), ComplementComponent(0, 2)]))
     b = build_model(SubsurfaceConfig(0, [ComplementComponent(0, 2), ComplementComponent(0, 3)]))
     delta = DifferenceMap(IntMatrix([[1, 0, 0], [0, 2, 3], [0, 3, 4]]), a.block_ranges)
-    assert is_symmetric(a, delta) and not is_completely_reducible(a, delta)
-    entry_points = (
-        realize_delta,
-        lambda model, d: matrix_presentation(model, d, 1),
-        diagonal_restriction,
-        is_symmetric,
-        is_completely_reducible,
-    )
-    for entry_point in entry_points:
-        with pytest.raises(DimensionMismatch, match="another configuration"):
-            entry_point(b, delta)
+    assert is_symmetric(delta) and not is_completely_reducible(delta)
+    with pytest.raises(NotCompletelyReducible):
+        realize_delta(a, delta)
+    with pytest.raises(DimensionMismatch, match="another configuration"):
+        realize_delta(b, delta)
     with pytest.raises(DimensionMismatch, match="difference map must be 3x3"):
         DifferenceMap(IntMatrix([[1, 0], [0, 1]]), ((0, 3),))
 
 
-def test_matrix_presentation_requires_reducible(two_component_model):
+def test_component_matrices_require_reducible(two_component_model):
     model = two_component_model
-    delta = DifferenceMap(IntMatrix([[0, 1], [1, 0]]), model.block_ranges)
-    with pytest.raises(NotCompletelyReducible):
-        matrix_presentation(model, delta, 0)
+    report = AnalysisReport(DifferenceMap(IntMatrix([[0, 1], [1, 0]]), model.block_ranges))
+    assert report.symmetric and not report.completely_reducible
+    assert report.component_matrices is None and report.multitwist_correctable is None
 
 
 def test_diagonal_restriction_of_zero(four_circle_model):
     model = four_circle_model
-    restriction = diagonal_restriction(model, zero_difference_map(model))
+    restriction = diagonal_solution(zero_difference_map(model))
     assert restriction == DiagonalMap([0, 0, 0, 0])
 
 
 def test_diagonal_restriction_blocked_by_four_circles(four_circle_model):
     model = four_circle_model
     delta = delta_difference(model, peripheral_word(model, 1))
-    assert diagonal_restriction(model, delta) is None
+    assert AnalysisReport(delta).multitwist_correctable is None
 
 
 def test_diagonal_restriction_three_circles_unique():
     model = build_model(SubsurfaceConfig(0, [ComplementComponent(1, 3)]))
     m1, m, m2 = 4, -2, 7
     delta = delta_from_blocks(model, {0: IntMatrix([[m1, m], [m, m2]])})
-    restriction = diagonal_restriction(model, delta)
+    restriction = diagonal_solution(delta)
     assert restriction is not None
     n0, n1, n2 = restriction.exponents
     assert (n0, n1, n2) == (m, m1 - m, m2 - m)
@@ -213,7 +210,7 @@ def test_diagonal_restriction_round_trip_random():
     for _ in range(50):
         exponents = DiagonalMap([rng.randint(-4, 4) for _ in range(model.n_circles)])
         delta = restriction_of_diagonal(model, exponents)
-        recovered = diagonal_restriction(model, delta)
+        recovered = diagonal_solution(delta)
         assert recovered is not None
         assert restriction_of_diagonal(model, recovered).matrix == delta.matrix
 
@@ -221,7 +218,7 @@ def test_diagonal_restriction_round_trip_random():
 def test_canonical_representative_for_two_circles():
     model = build_model(SubsurfaceConfig(0, [ComplementComponent(1, 2)]))
     delta = delta_from_blocks(model, {0: IntMatrix([[5]])})
-    restriction = diagonal_restriction(model, delta)
+    restriction = diagonal_solution(delta)
     assert restriction == DiagonalMap([0, 5])
 
 
@@ -351,12 +348,10 @@ def test_block_range_is_checked(two_component_model):
     for j in (-1, model.n_components):
         with pytest.raises(DimensionMismatch, match=f"no complement component {j}"):
             delta.block(j)
-        with pytest.raises(DimensionMismatch, match=f"no complement component {j}"):
-            matrix_presentation(model, delta, j)
 
 
-def test_analyze_tests_reducibility_once(monkeypatch, two_component_model):
-    model = two_component_model
+def counted_reducibility_tests(monkeypatch):
+    """The list that collects one entry per call of is_completely_reducible."""
     calls = []
     original = criteria.is_completely_reducible
 
@@ -365,6 +360,12 @@ def test_analyze_tests_reducibility_once(monkeypatch, two_component_model):
         return original(*args)
 
     monkeypatch.setattr(criteria, "is_completely_reducible", counted)
+    return calls
+
+
+def test_analyze_tests_reducibility_once(monkeypatch, two_component_model):
+    model = two_component_model
+    calls = counted_reducibility_tests(monkeypatch)
     word = build_boundary_multitwist(model, DiagonalMap([1, 0, 0, 2]))
     report = analyze(model, word)
     assert report.weakly_torelli and report.extendable_to_torelli
@@ -372,8 +373,50 @@ def test_analyze_tests_reducibility_once(monkeypatch, two_component_model):
     assert len(calls) == 1
 
 
+def test_each_decider_computes_only_its_verdict(monkeypatch, two_component_model):
+    model = two_component_model
+    calls = counted_reducibility_tests(monkeypatch)
+    word = build_boundary_multitwist(model, DiagonalMap([1, 0, 0, 2]))
+    assert not decide_extension_by_identity(model, word)
+    assert calls == []
+    assert decide_extendable(model, word)
+    assert len(calls) == 1
+
+
+def test_a_report_is_its_difference_map(two_component_model):
+    model = two_component_model
+    assert AnalysisReport._fields == ("delta",)
+    word = build_boundary_multitwist(model, DiagonalMap([1, 0, 0, 2]))
+    report = analyze(model, word)
+    assert vars(report) == {"delta": delta_difference(model, word)}  # no verdict is computed yet
+    assert AnalysisReport(None).to_json_dict() == {
+        "weakly_torelli": False,
+        "delta": None,
+        "symmetric": False,
+        "completely_reducible": False,
+        "extension_by_identity_torelli": False,
+        "extendable_to_torelli": False,
+        "multitwist_correctable": None,
+        "component_matrices": None,
+    }
+
+
+def test_blocks_read_the_same_in_every_place():
+    """A block is placed in the map as given, so non-symmetric blocks come
+    back unchanged as the report's component matrices."""
+    model = build_model(SubsurfaceConfig(0, [ComplementComponent(0, 3), ComplementComponent(1, 4)]))
+    blocks = {0: IntMatrix([[1, 2], [0, -1]]), 1: IntMatrix([[0, 1, 0], [3, 0, 0], [0, -2, 5]])}
+    delta = delta_from_blocks(model, blocks)
+    for j, block in blocks.items():
+        start, stop = model.block_ranges[j]
+        assert [row[start:stop] for row in delta.matrix.entries[start:stop]] == list(block.entries)
+    report = AnalysisReport(delta)
+    assert not report.symmetric and report.completely_reducible
+    assert report.component_matrices == (blocks[0], blocks[1])
+
+
 # -- entry-wise reference for the block readers --------------------------------
-# The deciders read the map through block_ranges slices.  These are the
+# The report's views read the map through block_ranges slices.  These are the
 # entry-by-entry definitions they replace: component labels for
 # reducibility, and per-entry circle_index loops for the diagonal readers.
 
@@ -474,18 +517,20 @@ def test_block_readers_match_entrywise_reference():
             assert restriction_of_diagonal(model, DiagonalMap(exponents)).matrix.to_lists() == expected
         for matrix in reference_maps(model, rng):
             delta = DifferenceMap(IntMatrix(matrix, cols=model.k0_rank), model.block_ranges)
+            report = AnalysisReport(delta)
             reducible = reference_reducible(model, delta)
-            assert is_completely_reducible(model, delta) == reducible
-            restriction = diagonal_restriction(model, delta)
+            assert report.weakly_torelli
+            assert report.symmetric == all(row == list(col) for row, col in zip(matrix, zip(*matrix)))
+            assert report.completely_reducible == report.extendable_to_torelli == reducible
+            assert report.extension_by_identity_torelli == (not any(map(any, matrix)))
+            correction = report.multitwist_correctable
             expected = reference_diagonal_restriction(model, delta)
-            assert (None if restriction is None else list(restriction.exponents)) == expected
-            for j in range(model.n_components):
-                if reducible:
-                    presentation = matrix_presentation(model, delta, j)
-                    assert presentation.transpose().to_lists() == reference_block(model, delta, j)
-                else:
-                    with pytest.raises(NotCompletelyReducible):
-                        matrix_presentation(model, delta, j)
+            assert (None if correction is None else [-e for e in correction.exponents]) == expected
+            if reducible:
+                blocks = [reference_block(model, delta, j) for j in range(model.n_components)]
+                assert [m.to_lists() for m in report.component_matrices] == blocks
+            else:
+                assert report.component_matrices is None
 
 
 def test_analyze_matches_entrywise_reference():
@@ -518,6 +563,6 @@ def test_analyze_matches_entrywise_reference():
                 assert (None if correction is None else [-e for e in correction.exponents]) == expected
                 if reducible:
                     blocks = [reference_block(model, delta, j) for j in range(model.n_components)]
-                    assert [m.transpose().to_lists() for m in report.component_matrices] == blocks
+                    assert [m.to_lists() for m in report.component_matrices] == blocks
                 else:
                     assert report.component_matrices is None
