@@ -134,8 +134,8 @@ def _cmd_analyze(args) -> int:
     model = build_model(config)
     word = _load(args.word, word_from_json_dict, model.rank)
     report = analyze(model, word)
-    for pos, factor in enumerate(word.factors):  # notes only for a word that analyze accepted
-        content = gcd(*accumulate(step for _, step in factor.edges))  # the class's run values
+    for pos, (edges, _, _) in enumerate(word.table):  # notes only for a word that analyze accepted
+        content = gcd(*accumulate(step for _, step in edges))  # the class's run values
         if content > 1:
             print(
                 f"note: factor {pos} class is non-primitive (content {content}); "

@@ -2,8 +2,9 @@
 
 A mapping class is given as an ordered word of twist factors; each factor
 acts on ambient homology by the transvection x -> x + m <x, z> z about its
-circle class z.  Words are stored in composition order: the last factor of
-the list acts first.
+circle class z.  A word is one edge table, a row per factor (its class's run
+edges, exponent and locus) in composition order, so the last row acts
+first; ``TwistWord.factors`` is a view of the rows, built on first read.
 
 For a word supported in the subsurface that fixes the image of the
 subsurface homology pointwise (a weakly Torelli word), the action moves
@@ -48,13 +49,35 @@ def in_complement(j: int) -> Locus:
     return ("P", j)
 
 
+def _run_edges(z: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The run edges of the class z: its nonzero steps (i, z[i] - z[i-1]) for i
+    in 0..len(z), z read as 0 outside it, so the union of circles k..l is two edges."""
+    edges, end, value = [], 0, 0
+    for i in compress(range(len(z)), z):  # walk the nonzero entries
+        if i > end and value:  # zeros since the last nonzero entry
+            edges.append((end, -value))
+            value = 0
+        if z[i] != value:
+            edges.append((i, z[i] - value))
+        end, value = i + 1, z[i]
+    if value:
+        edges.append((end, -value))
+    return tuple(edges)
+
+
+def _dense(rank: int, edges: tuple) -> list[int]:
+    """The class of the run edges as a fresh list, written one slice per run."""
+    out, value = [0] * rank, 0
+    for (i, step), (j, _) in zip(edges, edges[1:]):  # the run [i, j)
+        value += step
+        out[i:j] = [value] * (j - i)
+    return out
+
+
 class TwistFactor(_Value):
     """A twist about the class z = ``curve_class`` to the power ``exponent``,
-    stored as ``rank`` and the run edges of z: the nonzero steps
-    (i, z[i] - z[i-1]) for i in 0..rank, z read as 0 outside [0, rank), so
-    the union of circles k..l is two edges.  ``curve_class`` is the dense
-    view, built on first read.
-    """
+    stored as ``rank`` and the run edges of z; ``curve_class`` is the dense
+    view, built on first read."""
 
     rank: int
     edges: tuple[tuple[int, int], ...]
@@ -62,59 +85,57 @@ class TwistFactor(_Value):
     locus: Locus
 
     def __init__(self, curve_class: IntVector, exponent: int, locus: Locus):
-        z, edges, end, value = curve_class.entries, [], 0, 0
-        for i in compress(range(len(z)), z):  # walk the nonzero entries
-            if i > end and value:  # zeros since the last nonzero entry
-                edges.append((end, -value))
-                value = 0
-            if z[i] != value:
-                edges.append((i, z[i] - value))
-            end, value = i + 1, z[i]
-        if value:
-            edges.append((end, -value))
-        exponent = index(exponent)  # summed into difference maps unchecked
-        self.__dict__.update(rank=len(z), edges=tuple(edges), exponent=exponent, locus=locus)
+        z, exponent = curve_class.entries, index(exponent)  # summed into difference maps unchecked
+        self.__dict__.update(rank=len(z), edges=_run_edges(z), exponent=exponent, locus=locus)
 
     @classmethod
     def _of_edges(cls, rank: int, edges: tuple, exponent: int, locus: Locus) -> "TwistFactor":
         """A factor from canonical edges and an int exponent; no check."""
         factor = object.__new__(cls)
-        fields = factor.__dict__  # one store per field: no keyword dict to build
-        fields["rank"] = rank
-        fields["edges"] = edges
-        fields["exponent"] = exponent
-        fields["locus"] = locus
+        factor.__dict__.update(rank=rank, edges=edges, exponent=exponent, locus=locus)
         return factor
 
     def _with(self, exponent: int, locus: Locus) -> "TwistFactor":
         return self._of_edges(self.rank, self.edges, exponent, locus)
 
-    def _entries(self) -> list[int]:
-        """The class as a fresh list, written one slice per run."""
-        out, value = [0] * self.rank, 0
-        for (i, step), (j, _) in zip(self.edges, self.edges[1:]):  # the run [i, j)
-            value += step
-            out[i:j] = [value] * (j - i)
-        return out
-
     @cached_view
     def curve_class(self) -> IntVector:
-        return IntVector._of_ints(self._entries())
+        return IntVector._of_ints(_dense(self.rank, self.edges))
 
     def __repr__(self) -> str:
         return f"TwistFactor(curve_class={self.curve_class!r}, exponent={self.exponent!r}, locus={self.locus!r})"
 
 
 class TwistWord(_Value):
-    """Composition-ordered twist factors (the last factor acts first)."""
+    """Composition-ordered twist factors (the last acts first) as one edge
+    table: ``rank`` (None when empty) and ``table``, row i factor i's (run
+    edges, exponent, locus).  The one field, ``factors``, views the rows as
+    ``TwistFactor``s, built on first read; ``TwistWord(factors)`` fills the
+    table from the factors and keeps their tuple as the view."""
 
     factors: tuple[TwistFactor, ...]
 
     def __init__(self, factors: Sequence[TwistFactor] = ()):
-        object.__setattr__(self, "factors", tuple(factors))
+        factors = tuple(factors)
+        rank = factors[0].rank if factors else None
+        for pos, factor in enumerate(factors):
+            if factor.rank != rank:
+                raise DimensionMismatch(f"factor {pos}: class has length {factor.rank}, factor 0's has {rank}")
+        self.__dict__.update(factors=factors, rank=rank, table=tuple((f.edges, f.exponent, f.locus) for f in factors))
+
+    @classmethod
+    def _of_table(cls, rank: int, table: Sequence[tuple[tuple, int, Locus]]) -> "TwistWord":
+        """A word from rows of canonical edges, an int exponent and a locus; no check."""
+        word = object.__new__(cls)
+        word.__dict__.update(rank=rank if table else None, table=tuple(table))
+        return word
+
+    @cached_view
+    def factors(self) -> tuple[TwistFactor, ...]:
+        return tuple(TwistFactor._of_edges(self.rank, *row) for row in self.table)
 
     def __len__(self) -> int:
-        return len(self.factors)
+        return len(self.table)
 
 
 class DifferenceMap(_Value):
@@ -155,9 +176,7 @@ class DifferenceMap(_Value):
 def _check_locus(model: HomologyModel, factor: TwistFactor, position: int) -> None:
     z = factor.curve_class.entries
     if len(z) != model.rank:
-        raise DimensionMismatch(
-            f"factor {position}: class has length {len(z)}, model rank is {model.rank}"
-        )
+        raise DimensionMismatch(f"factor {position}: class has length {len(z)}, model rank is {model.rank}")
     locus = factor.locus
     if locus == LOCUS_AMBIENT:
         return
@@ -246,25 +265,24 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> Optional[Diff
     """
     rank, (lo, hi), s = model.rank, model.circle_block, model.pairing_sign
     k, h2 = hi - lo, model.handle_ranges[0][1]
-    runs = all(model.partner(lo + p) == (hi + p, s) for p in range(k))  # each circle meets only its dual
+    runs = model.circles_meet_only_duals and word.rank == rank  # else every factor takes the checks
     corners, rest = [[0] * (k + 1) for _ in range(k + 1)], []  # row and column k take the edges at hi
-    for pos, factor in enumerate(word.factors):
-        if factor.locus != LOCUS_Q:
-            got = json.dumps(_locus_to_json(factor.locus), default=repr)
+    for pos, (edges, m, locus) in enumerate(word.table):  # a class is 0 outside [lo, hi) if its edges lie in [lo, hi]
+        if locus != LOCUS_Q:
+            got = json.dumps(_locus_to_json(locus), default=repr)
             raise LocusViolation(f'factor {pos}: locus must be "Q", got {got}')
-        edges = factor.edges  # the class is zero outside [lo, hi) when its edges lie in [lo, hi]
-        if not (runs and factor.rank == rank and (not edges or lo <= edges[0][0] and edges[-1][0] <= hi)):
+        if not (runs and (not edges or lo <= edges[0][0] and edges[-1][0] <= hi)):
+            factor = TwistFactor._of_edges(word.rank, edges, m, locus)
             _check_locus(model, factor, pos)
             rest.append(factor)
         elif len(edges) == 2:  # the interval [i, j) of one value v: m v^2 at four corners
             (i, v), (j, _) = edges
-            i, j, w = i - lo, j - lo, factor.exponent * v * v
+            i, j, w = i - lo, j - lo, m * v * v
             corners[i][i] += w
             corners[j][j] += w
             corners[i][j] -= w
             corners[j][i] -= w
         else:
-            m = factor.exponent
             for i, di in edges:
                 row, md = corners[i - lo], m * di
                 for j, dj in edges:
@@ -307,16 +325,16 @@ def delta_difference(model: HomologyModel, word: TwistWord) -> DifferenceMap:
 
 
 def concat(word_a: TwistWord, word_b: TwistWord) -> TwistWord:
-    """Composition word_a after word_b."""
-    if word_a.factors and word_b.factors:
-        if word_a.factors[0].rank != word_b.factors[0].rank:
-            raise DimensionMismatch("words live on different models")
-    return TwistWord(word_a.factors + word_b.factors)
+    """Composition word_a after word_b; the empty word matches any rank."""
+    rank = word_a.rank if word_b.rank is None else word_b.rank
+    if word_a.rank not in (None, rank):
+        raise DimensionMismatch("words live on different models")
+    return TwistWord._of_table(rank, word_a.table + word_b.table)
 
 
 def invert(word: TwistWord) -> TwistWord:
     """Formal inverse: reversed factors with negated exponents."""
-    return TwistWord(f._with(-f.exponent, f.locus) for f in reversed(word.factors))
+    return TwistWord._of_table(word.rank, [(edges, -m, locus) for edges, m, locus in reversed(word.table)])
 
 
 # -- JSON word schema --------------------------------------------------------
@@ -338,28 +356,24 @@ def _locus_to_json(locus: Locus):
 def word_to_json_dict(word: TwistWord) -> dict:
     return {
         "factors": [
-            {
-                "class": f._entries(),
-                "exponent": f.exponent,
-                "locus": _locus_to_json(f.locus),
-            }
-            for f in word.factors
+            {"class": _dense(word.rank, edges), "exponent": exponent, "locus": _locus_to_json(locus)}
+            for edges, exponent, locus in word.table
         ]
     }
 
 
 def word_from_json_dict(data: Mapping, rank: int) -> TwistWord:
     (items,) = _READ.fields(data, "word", ("factors",), what="a JSON object")
-    factors = []
+    table = []
     for pos, item in enumerate(_READ.expect(items, list, "field 'factors'", "a list")):
         cls, exponent, locus = _READ.fields(item, f"factors[{pos}]", ("class", "exponent", "locus"))
         cls = _READ.integers(cls, f"factors[{pos}].class")
         if len(cls) != rank:
             raise DimensionMismatch(f"factors[{pos}].class has length {len(cls)}, model rank is {rank}")
-        _READ.integer(exponent, f"factors[{pos}].exponent")
+        exponent = _READ.integer(exponent, f"factors[{pos}].exponent")
         if isinstance(locus, Mapping) and set(locus) == {"P"}:
             locus = in_complement(_READ.integer(locus["P"], f"factors[{pos}].locus.P"))
         elif locus != LOCUS_Q and locus != LOCUS_AMBIENT:
             raise WordParseError(f'factors[{pos}].locus must be "Q", "S" or {{"P": j}}')
-        factors.append(TwistFactor(cls, exponent, locus))
-    return TwistWord(factors)
+        table.append((_run_edges(cls.entries), exponent, locus))
+    return TwistWord._of_table(rank, table)

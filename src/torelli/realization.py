@@ -116,9 +116,9 @@ class Realization(_Value):
     @cached_view
     def torelli_witness(self) -> TwistWord:
         witness = []
-        for factor, j in zip(self.word.factors, self.components):
-            witness += factor, factor._with(-factor.exponent, in_complement(j))
-        return TwistWord(witness)
+        for (edges, m, locus), j in zip(self.word.table, self.components):
+            witness += (edges, m, locus), (edges, -m, in_complement(j))
+        return TwistWord._of_table(self.word.rank, witness)
 
 
 def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
@@ -131,7 +131,7 @@ def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
     ``_sym_coefficients`` reads them off the map's rows, block by block, in
     place.  The class of the union of circles k..l (k >= 1) is the constant
     interval of ones over their basis indices, so each factor stores just
-    its two edges and no dense class is built.
+    its two edges as a row of the word's table; no factor object is built.
     """
     if delta.block_ranges != model.block_ranges:
         raise DimensionMismatch("difference map lives on another configuration's blocks")
@@ -139,13 +139,13 @@ def realize_delta(model: HomologyModel, delta: DifferenceMap) -> Realization:
         raise NotSymmetric("difference map is not symmetric")
     if not is_completely_reducible(delta):
         raise NotCompletelyReducible("difference map mixes complement components")
-    rank, rows, lo = model.rank, delta.matrix.entries, model.circle_block[0]  # circle p sits at lo + p
-    factors, components = [], []
+    rows, lo = delta.matrix.entries, model.circle_block[0]  # circle p sits at lo + p
+    table, components = [], []
     for j, (start, stop) in enumerate(model.block_ranges):
         for r, c, value in _sym_coefficients(rows, start, stop):  # the ones on [lo + r, lo + c + 1)
-            factors.append(TwistFactor._of_edges(rank, ((lo + r, 1), (lo + c + 1, -1)), value, LOCUS_Q))
-        components += [j] * (len(factors) - len(components))  # one entry per factor of block j
-    return Realization(TwistWord(factors), tuple(components))
+            table.append((((lo + r, 1), (lo + c + 1, -1)), value, LOCUS_Q))
+        components += [j] * (len(table) - len(components))  # one entry per factor of block j
+    return Realization(TwistWord._of_table(model.rank, table), tuple(components))
 
 
 def build_boundary_multitwist(model: HomologyModel, exponents: DiagonalMap) -> TwistWord:
@@ -156,9 +156,5 @@ def build_boundary_multitwist(model: HomologyModel, exponents: DiagonalMap) -> T
     """
     if len(exponents) != model.n_circles:
         raise DimensionMismatch(f"need {model.n_circles} exponents")
-    factors = []
-    for pos, (j, i) in enumerate(model.circle_order):
-        factors.append(
-            TwistFactor(model.circle_class(j, i), exponents.exponents[pos], LOCUS_Q)
-        )
-    return TwistWord(factors)
+    pairs = zip(model.circle_order, exponents.exponents)
+    return TwistWord([TwistFactor(model.circle_class(j, i), m, LOCUS_Q) for (j, i), m in pairs])

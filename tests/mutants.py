@@ -239,8 +239,8 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the partner layout guard is dropped", "mapping_class.py",
-        "runs = all(model.partner(lo + p) == (hi + p, s) for p in range(k))", "runs = True",
+        "the partner layout guard is dropped", "surface_model.py",
+        "return all(self.partner(lo + p) == (hi + p, s) for p in range(hi - lo))", "return True",
         (
             "tests/test_mapping_class.py::test_inconsistent_system_is_reported",
         ),
@@ -255,7 +255,7 @@ MUTANTS = (
     ),
     Mutant(
         "every factor is sent to the pass", "mapping_class.py",
-        "if not (runs and factor.rank == rank and (not edges or lo <= edges[0][0] and edges[-1][0] <= hi)):",
+        "if not (runs and (not edges or lo <= edges[0][0] and edges[-1][0] <= hi)):",
         "if True:",
         (
             "tests/test_mapping_class.py::test_circle_runs_skip_the_word_pass",
@@ -468,6 +468,45 @@ MUTANTS = (
         "zip(matrix[start:stop], block.entries)", "zip(matrix[start:stop], zip(*block.entries))",
         (
             "tests/test_criteria.py::test_blocks_read_the_same_in_every_place",
+        ),
+    ),
+    Mutant(
+        "the shared edge walk drops a trailing run", "mapping_class.py",
+        "    if value:\n        edges.append((end, -value))\n    return tuple(edges)", "    return tuple(edges)",
+        (
+            "tests/test_mapping_class.py::test_run_edges_agree_with_the_dense_class",
+            "tests/test_mapping_class.py::test_the_table_agrees_with_its_factor_view[1]",
+            "tests/test_mapping_class.py::test_word_json_round_trip",
+        ),
+    ),
+    Mutant(
+        "invert keeps each exponent's sign", "mapping_class.py",
+        "[(edges, -m, locus) for edges, m, locus in reversed(word.table)]",
+        "[(edges, m, locus) for edges, m, locus in reversed(word.table)]",
+        (
+            "tests/test_acceptance.py::test_criterion_04_additivity_and_inversion",
+            "tests/test_mapping_class.py::test_word_times_formal_inverse_is_identity",
+        ),
+    ),
+    Mutant(
+        "the walk skips the word's rank test", "mapping_class.py",
+        "runs = model.circles_meet_only_duals and word.rank == rank", "runs = model.circles_meet_only_duals",
+        (
+            "tests/test_mapping_class.py::test_a_word_has_one_rank",
+        ),
+    ),
+    Mutant(
+        "a word of given factors skips its rank test", "mapping_class.py",
+        "if factor.rank != rank:", "if False:",
+        (
+            "tests/test_mapping_class.py::test_a_word_has_one_rank",
+        ),
+    ),
+    Mutant(
+        "concat skips its rank comparison", "mapping_class.py",
+        "if word_a.rank not in (None, rank):", "if False:",
+        (
+            "tests/test_mapping_class.py::test_a_word_has_one_rank",
         ),
     ),
 )

@@ -349,6 +349,53 @@ def test_word_json_round_trip(four_circle_model):
     assert word_from_json_dict(data, model.rank) == word
 
 
+def test_a_word_has_one_rank(four_circle_model):
+    model = four_circle_model  # rank 10, circle block [4, 7)
+    f10 = TwistFactor(model.circle_class(0, 1), 1, LOCUS_Q)
+    f12 = TwistFactor(IntVector([0] * 4 + [1] + [0] * 7), 2, LOCUS_Q)  # edges in [4, 7], one class too long
+    with pytest.raises(DimensionMismatch, match=r"^factor 2: class has length 12, factor 0's has 10$"):
+        TwistWord([f10, f10, f12])
+    with pytest.raises(DimensionMismatch, match=r"^factor 1: class has length 12, factor 0's has 10$"):
+        concat(TwistWord([f10]), TwistWord([f10, f12]))
+    short, long, empty = TwistWord([f10]), TwistWord([f12]), TwistWord()
+    for a, b in ((short, long), (long, short)):
+        with pytest.raises(DimensionMismatch, match="words live on different models"):
+            concat(a, b)
+    for a, b, rank in ((empty, long, 12), (long, empty, 12), (empty, empty, None), (short, short, 10)):
+        word = concat(a, b)
+        assert word.rank == rank and word == TwistWord(a.factors + b.factors)
+    # Every factor one wrong rank: analyze still names factor 0 against the model.
+    for word in (long, TwistWord([f12, f12]), concat(long, invert(long))):
+        with pytest.raises(DimensionMismatch) as info:
+            analyze(model, word)
+        assert str(info.value) == "factor 0: class has length 12, model rank is 10"
+
+
+def _table_writers(model, rng, plan, index):
+    """Words from every writer of the edge table, each also parsed back."""
+    realized = realize_delta(model, random_symmetric_reducible_delta(model, rng))
+    seeded = random_weakly_torelli_word(model, plan, index)
+    product = random_bounding_pair_product(model, rng)
+    words = [seeded, product, realized.word, realized.torelli_witness, invert(product), concat(product, seeded)]
+    return words + [word_from_json_dict(word_to_json_dict(word), model.rank) for word in words]
+
+
+@pytest.mark.parametrize("pairing_sign", [1, -1])
+def test_the_table_agrees_with_its_factor_view(pairing_sign):
+    plan, rng = TrialPlan(seed=61, trials=6), random.Random(61 * pairing_sign)
+    for index in range(plan.trials):
+        model = build_model(random_config(plan, index), pairing_sign=pairing_sign)
+        for word in _table_writers(model, rng, plan, index):
+            rebuilt = TwistWord(word.factors)
+            assert rebuilt == word and hash(rebuilt) == hash(word)
+            assert (rebuilt.rank, rebuilt.table) == (word.rank, word.table)
+            assert len(word) == len(word.factors) == len(word.table)
+            assert word.rank == (model.rank if len(word) else None)
+            for factor, (edges, exponent, locus) in zip(word.factors, word.table):
+                assert (factor.rank, factor.edges, factor.exponent, factor.locus) == (word.rank, edges, exponent, locus)
+                assert TwistFactor(factor.curve_class, exponent, locus) == factor  # the edges are canonical
+
+
 def _reference_weakly_torelli_delta(model, word):
     """Dense action plus an exact solve of the boundary system over every
     basis class: the independent route the fast path must agree with."""
@@ -726,17 +773,19 @@ def _plus_minus_one_block(rng, size):
     return IntMatrix(entries, cols=size)
 
 
-def test_realized_words_never_build_a_dense_class(monkeypatch):
+def _ladder_and_rank_496_maps():
+    """A seeded map on each ladder configuration, then the rank 496 case of
+    test_realize_then_analyze_at_rank_496."""
     rng = random.Random(59)
-    cases = []
-    for config in LADDER:
-        model = build_model(config)
-        cases.append((model, random_symmetric_reducible_delta(model, rng)))
-    # the rank 496 case of test_realize_then_analyze_at_rank_496
+    cases = [(model, random_symmetric_reducible_delta(model, rng)) for model in map(build_model, LADDER)]
     model = build_model(SubsurfaceConfig(10, [ComplementComponent(0, 120), ComplementComponent(0, 120)]))
     rng = random.Random(496)
     blocks = {j: _plus_minus_one_block(rng, 119) for j in range(2)}
-    cases.append((model, delta_from_blocks(model, blocks)))
+    return cases + [(model, delta_from_blocks(model, blocks))]
+
+
+def test_realized_words_never_build_a_dense_class(monkeypatch):
+    cases = _ladder_and_rank_496_maps()
     dense, build = [], TwistFactor.__dict__["curve_class"].func
 
     def spy(factor):
@@ -759,3 +808,30 @@ def test_realized_words_never_build_a_dense_class(monkeypatch):
     first = realized.word.factors[0]
     assert TwistFactor(first.curve_class, first.exponent, first.locus) == first
     assert dense == [first]  # the spy sees every read
+
+
+def test_realize_analyze_and_json_build_no_factor_object(monkeypatch):
+    cases = _ladder_and_rank_496_maps()
+    built, init, of_edges = [], TwistFactor.__init__, TwistFactor._of_edges.__func__
+
+    def spy_init(self, *args):
+        built.append("__init__")
+        init(self, *args)
+
+    def spy_of_edges(cls, *args):
+        built.append("_of_edges")
+        return of_edges(cls, *args)
+
+    monkeypatch.setattr(TwistFactor, "__init__", spy_init)
+    monkeypatch.setattr(TwistFactor, "_of_edges", classmethod(spy_of_edges))
+    for model, delta in cases:
+        word = realize_delta(model, delta).word
+        payload = analyze(model, word).to_json_dict()
+        assert payload["delta"] == delta.to_json_dict() and payload["completely_reducible"]
+        parsed = word_from_json_dict(word_to_json_dict(word), model.rank)
+        assert analyze(model, parsed).delta == delta
+        assert built == [], f"rank {model.rank}: {len(built)} factor objects"
+    assert len(word) > 8000 and "factors" not in vars(word) and "factors" not in vars(parsed)
+    assert len(word.factors) == len(word) and built == ["_of_edges"] * len(word)  # the spies see the view
+    TwistFactor(IntVector([1]), 1, LOCUS_Q)
+    assert built[-1] == "__init__"
