@@ -5,9 +5,10 @@ map as a word, run the randomized invariant suite, print lattice ranks,
 and run the built-in four-circle regression example.
 
 Exit codes: 0 success; 1 invariant failures from ``check``; 2 parse or
-schema error, or an output integer too long to print; 3 locus or dimension
-violation; 4 difference map not symmetric; 5 difference map not completely
-reducible.  stdout carries the payload, stderr the diagnostics.
+schema error, a k0_rank over ``MAX_K0_RANK``, or an output integer too long
+to print; 3 locus or dimension violation; 4 difference map not symmetric; 5
+difference map not completely reducible.  stdout carries the payload,
+stderr the diagnostics.
 """
 
 from __future__ import annotations
@@ -46,9 +47,18 @@ EXIT_LOCUS = 3
 EXIT_NOT_SYMMETRIC = 4
 EXIT_NOT_REDUCIBLE = 5
 
+#: The largest k0_rank ``analyze`` and ``realize`` accept: both build a
+#: k0_rank-square map, and at this cap the empty word peaks under 1 GiB.
+MAX_K0_RANK = 2048
+
 
 class _ParseFailure(Exception):
     pass
+
+
+#: Each exception that ends a command with one ``error:`` line, and its exit code.
+_EXIT_OF = {_ParseFailure: EXIT_PARSE, LocusViolation: EXIT_LOCUS, NotWeaklyTorelli: EXIT_LOCUS,
+            DimensionMismatch: EXIT_LOCUS, NotSymmetric: EXIT_NOT_SYMMETRIC, NotCompletelyReducible: EXIT_NOT_REDUCIBLE}
 
 
 _READ = Reader(_ParseFailure)
@@ -74,6 +84,13 @@ def _delta_from_json(data, model) -> DifferenceMap:
         return delta_from_blocks(model, parsed)
     except DimensionMismatch as exc:  # a block of the wrong size is a schema error
         raise _READ.error(str(exc))
+
+
+def _model(data):
+    model = build_model(SubsurfaceConfig.from_json_dict(data))
+    if model.k0_rank > MAX_K0_RANK:
+        raise _READ.error(f"k0_rank is {model.k0_rank}, over the limit of {MAX_K0_RANK}")
+    return model
 
 
 def _load(path: str, parse, *args):
@@ -130,8 +147,7 @@ def _report_text(report) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    config = _load(args.config, SubsurfaceConfig.from_json_dict)
-    model = build_model(config)
+    model = _load(args.config, _model)
     word = _load(args.word, word_from_json_dict, model.rank)
     report = analyze(model, word)
     for pos, (edges, _, _) in enumerate(word.table):  # notes only for a word that analyze accepted
@@ -150,8 +166,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    config = _load(args.config, SubsurfaceConfig.from_json_dict)
-    model = build_model(config)
+    model = _load(args.config, _model)
     delta = _load(args.delta, _delta_from_json, model)
     realized = realize_delta(model, delta)
     _emit(word_to_json_dict(realized.word))
@@ -226,18 +241,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ParseFailure as exc:
+    except tuple(_EXIT_OF) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (LocusViolation, NotWeaklyTorelli, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LOCUS
-    except NotSymmetric as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_SYMMETRIC
-    except NotCompletelyReducible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_REDUCIBLE
+        return next(code for kind, code in _EXIT_OF.items() if isinstance(exc, kind))
     except ValueError as exc:
         # Only CPython's int-to-string digit limit, its guard against
         # quadratic-time conversion (3.10.7 on); any other ValueError is a fault.

@@ -173,11 +173,9 @@ class DifferenceMap(_Value):
         return {"matrix": self.matrix.to_lists()}
 
 
-def _check_locus(model: HomologyModel, factor: TwistFactor, position: int) -> None:
-    z = factor.curve_class.entries
+def _check_locus(model: HomologyModel, z: Sequence[int], locus: Locus, position: int) -> None:
     if len(z) != model.rank:
         raise DimensionMismatch(f"factor {position}: class has length {len(z)}, model rank is {model.rank}")
-    locus = factor.locus
     if locus == LOCUS_AMBIENT:
         return
     # A locus permits one range of handles and one slice of the circle block.
@@ -205,28 +203,29 @@ def transvection_action(model: HomologyModel, word: TwistWord) -> IntMatrix:
     n = model.rank
     result = IntMatrix.identity(n)
     for pos, factor in enumerate(word.factors):
-        _check_locus(model, factor, pos)
         z = factor.curve_class.entries
+        _check_locus(model, z, factor.locus, pos)
         mjz = [factor.exponent * x for x in model.intersection_form.apply(factor.curve_class)]
         step = IntMatrix(([(r == c) + z[r] * mjz[c] for c in range(n)] for r in range(n)), cols=n)
         result = result * step
     return result
 
 
-def _displacements(model: HomologyModel, word: TwistWord) -> list[dict[int, int]]:
+def _displacements(model: HomologyModel, factors: Sequence[tuple[Sequence[int], int]]) -> list[dict[int, int]]:
     """Displacements (image minus itself) of the basis vectors under the
-    word, as rows[r][c]: nonzero coordinate r of class c's displacement.
+    factors, each a class's entries z and its exponent m in composition
+    order, as rows[r][c]: nonzero coordinate r of class c's displacement.
     Factors apply last first, each as the rank-1 update x += m <x, z> z on
     all images at once.  The form is a signed permutation in the model
     basis, so <x, z> reads only the partner rows of z's support, and a
     factor costs |supp z| times their nonzeros."""
     rows: list[dict[int, int]] = [{} for _ in range(model.rank)]
-    for factor in reversed(word.factors):
-        support = [(c, zc) for c, zc in enumerate(factor.curve_class) if zc]
+    for z, m in reversed(factors):
+        support = [(c, zc) for c, zc in enumerate(z) if zc]
         pairings: dict[int, int] = {}  # m <image c, z> for each basis vector c
         for c, zc in support:
             r, value = model.partner(c)
-            w = factor.exponent * value * zc
+            w = m * value * zc
             pairings[r] = pairings.get(r, 0) + w  # row r of the identity
             for col, x in rows[r].items():
                 pairings[col] = pairings.get(col, 0) + w * x
@@ -244,13 +243,14 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> Optional[Diff
 
     Each factor must have locus Q and a class in the subsurface image: Q
     handles plus the circle block (``_check_locus`` words the error).  Each
-    circle pairs only with its dual, so a class u in the circle block pairs
-    to zero with that image.  Its twist commutes with every factor and moves
-    a class a by m <a, u> u (the paper's a -> m <a, [U]> [U]) whatever the
-    others do.  So the map is sum m * u u^T over the circle-block factors,
-    u being the class's slice of the block, plus the map of one sparse pass
-    of the other factors over the basis (of every factor, when a circle
-    meets more than its dual).  One walk over the word checks the factors
+    circle pairs only with its dual (the layout that
+    ``test_partner_is_the_form_column`` checks), so a class u in the circle
+    block pairs to zero with that image.  Its twist commutes with every
+    factor and moves a class a by m <a, u> u (the paper's a -> m <a, [U]>
+    [U]) whatever the others do.  So the map is sum m * u u^T over the
+    circle-block factors, u being the class's slice of the block, plus the
+    map of one sparse pass of the other factors over the basis; a factor's
+    own edges pick its route.  One walk over the word checks the factors
     and adds each u u^T as its 2D difference array d d^T, d being u's first
     difference: the class's stored edges, nonzero only where a run of one
     value starts or ends, so an interval class adds four corner updates.
@@ -265,16 +265,16 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> Optional[Diff
     """
     rank, (lo, hi), s = model.rank, model.circle_block, model.pairing_sign
     k, h2 = hi - lo, model.handle_ranges[0][1]
-    runs = model.circles_meet_only_duals and word.rank == rank  # else every factor takes the checks
+    runs = word.rank == rank  # else every factor takes the checks
     corners, rest = [[0] * (k + 1) for _ in range(k + 1)], []  # row and column k take the edges at hi
     for pos, (edges, m, locus) in enumerate(word.table):  # a class is 0 outside [lo, hi) if its edges lie in [lo, hi]
         if locus != LOCUS_Q:
             got = json.dumps(_locus_to_json(locus), default=repr)
             raise LocusViolation(f'factor {pos}: locus must be "Q", got {got}')
         if not (runs and (not edges or lo <= edges[0][0] and edges[-1][0] <= hi)):
-            factor = TwistFactor._of_edges(word.rank, edges, m, locus)
-            _check_locus(model, factor, pos)
-            rest.append(factor)
+            z = _dense(word.rank, edges)
+            _check_locus(model, z, locus, pos)
+            rest.append((z, m))
         elif len(edges) == 2:  # the interval [i, j) of one value v: m v^2 at four corners
             (i, v), (j, _) = edges
             i, j, w = i - lo, j - lo, m * v * v
@@ -292,7 +292,7 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> Optional[Diff
         above = list(map(add, above, accumulate(row)))  # map stops at column k
         matrix.append(above)
     if rest:
-        rows = _displacements(model, TwistWord(rest))
+        rows = _displacements(model, rest)
         moved = set().union(*rows)
         if any(c < h2 or lo <= c < hi for c in moved):
             return None

@@ -197,13 +197,6 @@ class HomologyModel(_Value):
         k = hi - lo
         return (c + k, s) if c < hi else (c - k, -s)
 
-    @cached_view
-    def circles_meet_only_duals(self) -> bool:
-        """Does ``partner`` pair each circle with its own dual?  The difference
-        map's fast path reads this once per model."""
-        (lo, hi), s = self.circle_block, self.pairing_sign
-        return all(self.partner(lo + p) == (hi + p, s) for p in range(hi - lo))
-
     def describe_index(self, idx: int) -> str:
         """Basis index idx with its README name, e.g. ``basis index 2 (a_{0,0})``."""
         kind, *at = self.labels[idx]

@@ -532,6 +532,25 @@ def test_outputs_past_the_digit_limit_exit_2(tmp_path, capsys):
         assert err == f"error: {args[0]}: an output integer has more than {limit} digits, too many to print\n"
 
 
+# A child that runs ``torelli`` in at most 1 GiB of address space, so that an
+# unbounded allocation ends in a MemoryError there, not in the host's OOM killer.
+LIMITED_CLI = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); " \
+    "from torelli import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def test_configurations_over_the_cap_exit_2(tmp_path):
+    # At k0_rank 99 999 the map alone would hold 10^10 entries.
+    oversized = {"q_genus": 0, "components": [{"genus": 0, "boundary_count": 100000}]}
+    config = write_json(tmp_path / "config.json", oversized)
+    word = write_json(tmp_path / "word.json", {"factors": []})
+    delta = write_json(tmp_path / "delta.json", {"blocks": {}})
+    for args in (["analyze", "--config", config, "--word", word], ["realize", "--config", config, "--delta", delta]):
+        result = run_python(["-c", LIMITED_CLI, *args])
+        assert (result.returncode, result.stdout) == (2, ""), result.stderr[-300:]
+        assert result.stderr == f"error: {config}: k0_rank is 99999, over the limit of {cli.MAX_K0_RANK}\n"
+    assert cli.MAX_K0_RANK == 2048
+
+
 def test_other_value_errors_keep_their_traceback(tmp_path, monkeypatch):
     # Only the digit limit maps to exit 2; a ValueError from a fault propagates.
     config = write_json(tmp_path / "config.json", {"q_genus": 1, "components": [{"genus": 0, "boundary_count": 3}]})
@@ -773,6 +792,11 @@ def _containers(doc):
             yield from _containers(child)
 
 
+def oversized_config():
+    """A fresh configuration one circle past the cap on k0_rank that analyze and realize accept."""
+    return {"q_genus": 0, "components": [{"genus": 0, "boundary_count": cli.MAX_K0_RANK + 2}]}
+
+
 # What a list of integers may hide: a bool, a float, a string, a nested list,
 # or an integer too large for any machine word.
 BURIED = st.sampled_from([True, False, 1.0, -2.5, "1", "", [1], [[0, [2]]], 10**200, -(10**200)])
@@ -786,6 +810,8 @@ def malformed_documents(draw):
     of one of the word's or the delta's integer lists.  Returns the
     documents and the name of the one that hides a non-integer, or None."""
     docs = valid_documents(random.Random(draw(st.integers(0, 2**32))))
+    if draw(st.integers(0, 9)) == 0:
+        docs["config"] = oversized_config()
     for _ in range(draw(st.integers(0, 2))):
         name = draw(st.sampled_from(sorted(docs)))
         if draw(st.integers(0, 9)) == 0:
@@ -836,6 +862,8 @@ def test_malformed_documents_end_in_a_documented_exit(edited):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main(args)
+            if docs["config"] == oversized_config():  # unless an edit broke it
+                assert code == (0 if reads == "config" else 2), args
             assert code in ((2, 3) if reads == poisoned else (0, 2, 3, 4, 5)), args
             if code:
                 assert out.getvalue() == "", args

@@ -18,6 +18,7 @@ from torelli.mapping_class import (
     _check_locus,
     TwistFactor,
     TwistWord,
+    _dense,
     _displacements,
     concat,
     delta_difference,
@@ -244,9 +245,16 @@ def test_inconsistent_system_is_reported(four_circle_model, monkeypatch):
     monkeypatch.setattr(
         HomologyModel, "partner", lambda self, c: (handle, 1) if c == circle else layout(self, c)
     )
-    word = TwistWord([TwistFactor(model.circle_class(0, 1), 1, LOCUS_Q)])
+    # Each class has an a_0 coordinate, so each takes the pass.  The classes
+    # pair to zero, so the twists add: M = sum m z z^T is zero off its
+    # circle-(0, 1) diagonal entry 2, so the Q handles stay fixed and the P
+    # handle moves by 2 [circle (0, 1)], inside the circle span.
+    qa, c = basis_vector(model, ("qa", 0)), model.circle_class(0, 1)
+    word = TwistWord([TwistFactor(qa + c, 1, LOCUS_Q), TwistFactor(qa - c, 1, LOCUS_Q), TwistFactor(qa, -2, LOCUS_Q)])
     with pytest.raises(InconsistentDelta):
         delta_difference(model, word)
+    monkeypatch.undo()
+    assert delta_difference(model, word).matrix[0, 0] == 2
 
 
 def test_displacement_outside_circle_span_is_reported(four_circle_model, monkeypatch):
@@ -322,12 +330,14 @@ def test_locus_ranges_match_label_walk():
                         entries[rng.randrange(model.rank)] = 1
                 factor = TwistFactor(IntVector(entries), 1, locus)
                 expected = _label_walk_violation(model, factor, position)
+                (edges, _, _), = TwistWord([factor]).table
+                z = _dense(model.rank, edges)  # the class as the walk reads it off its row
                 if expected is None:
-                    _check_locus(model, factor, position)
+                    _check_locus(model, z, locus, position)
                     outcomes["passed"] += 1
                 else:
                     with pytest.raises(LocusViolation) as info:
-                        _check_locus(model, factor, position)
+                        _check_locus(model, z, locus, position)
                     assert str(info.value) == expected
                     outcomes["raised"] += 1
     assert min(outcomes.values()) > 50
@@ -479,7 +489,7 @@ def test_fast_path_matches_dense_reference(pairing_sign):
 def _read_off(model, word):
     """The general pass's map: the sign times the duals' displacements,
     with every other basis class fixed."""
-    rows = _displacements(model, word)
+    rows = _displacements(model, [(_dense(word.rank, edges), m) for edges, m, _ in word.table])
     k = model.k0_rank
     lo, hi = model.rank - 2 * k, model.rank - k
     assert all(hi <= c for row in rows for c in row)
@@ -520,9 +530,9 @@ LADDER = [
 def test_circle_runs_skip_the_word_pass(monkeypatch):
     calls = []
 
-    def spy(model, word):
-        calls.append(len(word))
-        return _displacements(model, word)
+    def spy(model, factors):
+        calls.append(len(factors))
+        return _displacements(model, factors)
 
     monkeypatch.setattr(mapping_class, "_displacements", spy)
     rng = random.Random(56)
@@ -541,6 +551,39 @@ def test_circle_runs_skip_the_word_pass(monkeypatch):
         assert analyze(model, concat(product, word)).delta == expected
         assert calls == [len(product)]
         calls.clear()
+
+
+@pytest.mark.parametrize("pairing_sign", [1, -1])
+def test_analyze_builds_no_factor_object(monkeypatch, pairing_sign):
+    rng = random.Random(59 + pairing_sign)
+    cases = []
+    for config in LADDER[:3]:
+        model = build_model(config, pairing_sign=pairing_sign)
+        delta = random_symmetric_reducible_delta(model, rng)
+        product = random_bounding_pair_product(model, rng)  # Q-handle classes: they take the pass
+        word = concat(product, realize_delta(model, delta).word)
+        read = word_from_json_dict(word_to_json_dict(word), model.rank)
+        cases.append((model, word, read, delta_difference(model, product) + delta))
+    built = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(TwistFactor, "__init__", spy("TwistFactor.__init__", TwistFactor.__init__))
+    real_of_edges = TwistFactor._of_edges.__func__
+    monkeypatch.setattr(TwistFactor, "_of_edges", classmethod(spy("TwistFactor._of_edges", real_of_edges)))
+    monkeypatch.setattr(TwistWord, "__init__", spy("TwistWord.__init__", TwistWord.__init__))
+    real_of_table = TwistWord._of_table.__func__
+    monkeypatch.setattr(TwistWord, "_of_table", classmethod(spy("TwistWord._of_table", real_of_table)))
+    for model, word, read, expected in cases:
+        for w in (word, read):
+            assert analyze(model, w).delta == expected
+            assert "factors" not in vars(w)
+    assert built == []
+    assert cases[0][2].factors and set(built) == {"TwistFactor._of_edges"}  # the spies see the view's factors
 
 
 def test_realize_and_analyze_build_classes_by_slices(monkeypatch):
@@ -787,27 +830,36 @@ def _ladder_and_rank_496_maps():
 def test_realized_words_never_build_a_dense_class(monkeypatch):
     cases = _ladder_and_rank_496_maps()
     dense, build = [], TwistFactor.__dict__["curve_class"].func
+    written, write = [], mapping_class._dense  # a class written out from its edges
 
     def spy(factor):
         dense.append(factor)
         return build(factor)
 
+    def spy_write(rank, edges):
+        written.append(edges)
+        return write(rank, edges)
+
     monkeypatch.setattr(TwistFactor, "curve_class", property(spy))
+    monkeypatch.setattr(mapping_class, "_dense", spy_write)
     for model, delta in cases:
         realized = realize_delta(model, delta)
         assert analyze(model, realized.word).delta == delta
         assert analyze(model, invert(realized.word)).delta == -delta
         assert len(realized.torelli_witness) == 2 * len(realized.word)
         assert concat(realized.word, invert(realized.word)).factors[0].rank == model.rank
-        parsed = word_from_json_dict(word_to_json_dict(realized.word), model.rank)
+        with monkeypatch.context() as writer:  # the JSON writer writes each class out, as it must
+            writer.setattr(mapping_class, "_dense", write)
+            data = word_to_json_dict(realized.word)
+        parsed = word_from_json_dict(data, model.rank)
         assert parsed == realized.word
         assert not any("curve_class" in vars(factor) for factor in parsed.factors)  # only the run edges
         assert analyze(model, parsed).delta == delta
-        assert dense == [], f"rank {model.rank}: {len(dense)} dense classes"
+        assert dense == written == [], f"rank {model.rank}: {len(dense) + len(written)} dense classes"
     assert len(realized.word) > 8000
     first = realized.word.factors[0]
     assert TwistFactor(first.curve_class, first.exponent, first.locus) == first
-    assert dense == [first]  # the spy sees every read
+    assert (dense, written) == ([first], [first.edges])  # the spies see every read
 
 
 def test_realize_analyze_and_json_build_no_factor_object(monkeypatch):
