@@ -190,10 +190,6 @@ class IntMatrix(_Value):
     def identity(n: int) -> "IntMatrix":
         return IntMatrix._of_rows(([1 if i == j else 0 for j in range(n)] for i in range(n)), n)
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix._of_rows(repeat((0,) * cols, rows), cols)
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i][j]

@@ -95,9 +95,6 @@ class TwistFactor(_Value):
         factor.__dict__.update(rank=rank, edges=edges, exponent=exponent, locus=locus)
         return factor
 
-    def _with(self, exponent: int, locus: Locus) -> "TwistFactor":
-        return self._of_edges(self.rank, self.edges, exponent, locus)
-
     @cached_view
     def curve_class(self) -> IntVector:
         return IntVector._of_ints(_dense(self.rank, self.edges))

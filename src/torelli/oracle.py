@@ -63,6 +63,7 @@ class TrialPlan(_Value):
 
     _FLOORS = {"trials": 1, "max_q_genus": 0, "max_component_genus": 0, "max_boundary_count": 1,
                "max_components": 1, "max_exponent": 1}  # the least value of each bounded field; the seed is free
+    MAX_SIZE = 2048  # at this rank and circle count, the dense views and one reference action step fit in 1 GiB
 
     def __init__(self, seed=0, trials=50, max_q_genus=2, max_component_genus=2, max_boundary_count=4,
                  max_components=3, max_exponent=3):
@@ -71,6 +72,9 @@ class TrialPlan(_Value):
         for name, least in self._FLOORS.items():
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        q, g, b, r = self.max_q_genus, self.max_component_genus, self.max_boundary_count, self.max_components
+        if max(2 * (q + r * (g + b - 1)), r * b) > self.MAX_SIZE:  # the largest rank and circle count it may draw
+            raise ValueError(f"the plan may draw a rank or a circle count over {self.MAX_SIZE}")
 
 
 def random_config(plan: TrialPlan, index: int) -> SubsurfaceConfig:
@@ -208,6 +212,15 @@ def _check_smith_form(plan, index, model_factory):
     return None
 
 
+def _box_solution(a: IntMatrix, b: IntVector) -> Optional[list[int]]:
+    """The first x of the box [-6, 6]^cols, in ``product`` order, with A·x = b, or None: an exhaustive search free
+    of the Smith form and of ``IntMatrix`` arithmetic, each A·x summed from its columns' multiples as plain ints."""
+    box = range(-6, 7)
+    multiples = [[tuple(x * c for c in column) for x in box] for column in zip(*a.entries)]
+    sums = (tuple(map(sum, zip(*parts))) for parts in product(*multiples))
+    return next((list(xs) for xs, ax in zip(product(box, repeat=a.cols), sums) if ax == b.entries), None)
+
+
 def _check_solver(plan, index, model_factory):
     rng = random.Random(_subseed(plan.seed, 11, index))
     a = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 3), bound=4)
@@ -217,12 +230,8 @@ def _check_solver(plan, index, model_factory):
     if x is None or a.apply(x) != b:
         return {"matrix": a.to_lists(), "rhs": b.to_list(), "problem": "solvable system missed"}
     b2 = IntVector(rng.randint(-4, 4) for _ in range(a.rows))
-    if solve_integer(a, b2) is None:
-        # Exhaustive box search refutes any small solution.
-        for xs in product(range(-6, 7), repeat=a.cols):
-            if a.apply(IntVector(xs)) == b2:
-                return {"matrix": a.to_lists(), "rhs": b2.to_list(), "solution_missed": list(xs)}
-    return None
+    missed = _box_solution(a, b2) if solve_integer(a, b2) is None else None  # refutes any small solution
+    return None if missed is None else {"matrix": a.to_lists(), "rhs": b2.to_list(), "solution_missed": missed}
 
 
 def _check_kernel(plan, index, model_factory):
@@ -570,7 +579,7 @@ def _check_bounding_pair_products(plan, index, model_factory):
         return _model_witness(config, **failure)
     # Under the flipped form, the word with every exponent negated acts as the word does.
     flipped = build_model(config, pairing_sign=-1)
-    mirrored = TwistWord([f._with(-f.exponent, f.locus) for f in word.factors])
+    mirrored = TwistWord([TwistFactor(f.curve_class, -f.exponent, f.locus) for f in word.factors])
     witness = _model_witness(config, pairing_sign=-1, word=word_to_json_dict(mirrored))
     try:
         delta = delta_difference(flipped, mirrored)

@@ -311,6 +311,52 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the box loses +6", "oracle.py",
+        "box = range(-6, 7)", "box = range(-6, 6)",
+        (
+            "tests/test_oracle.py::test_box_search_matches_the_apply_loop",
+        ),
+    ),
+    Mutant(
+        "A·x skips the last column", "oracle.py",
+        "for column in zip(*a.entries)]", "for column in list(zip(*a.entries))[:-1]]",
+        (
+            "tests/test_oracle.py::test_box_search_matches_the_apply_loop",
+            "tests/test_oracle.py::test_solver_fault_trips_the_box_search",
+        ),
+    ),
+    Mutant(
+        "the box search compares the first row only", "oracle.py",
+        "if ax == b.entries)", "if ax[:1] == b.entries[:1])",
+        (
+            "tests/test_oracle.py::test_box_search_matches_the_apply_loop",
+        ),
+    ),
+    Mutant(
+        "an unsolvable system goes unrefuted", "oracle.py",
+        "_box_solution(a, b2) if solve_integer(a, b2) is None else None", "None",
+        (
+            "tests/test_oracle.py::test_solver_fault_trips_the_box_search",
+            "tests/test_oracle.py::test_solver_check_reaches_every_line",
+        ),
+    ),
+    Mutant(
+        "the plan cap counts no circles", "oracle.py",
+        "(g + b - 1)), r * b)", "(g + b - 1)), 0)",
+        (
+            "tests/test_cli.py::test_check_plans_over_the_cap_exit_2",
+            "tests/test_oracle.py::test_invalid_plans_rejected",
+        ),
+    ),
+    Mutant(
+        "the plan cap is skipped", "oracle.py",
+        "r * b) > self.MAX_SIZE:", "r * b) > self.MAX_SIZE and False:",
+        (
+            "tests/test_cli.py::test_check_plans_over_the_cap_exit_2",
+            "tests/test_oracle.py::test_invalid_plans_rejected",
+        ),
+    ),
+    Mutant(
         "oracle skips the peripheral-formula comparison", "oracle.py",
         "if delta_difference(model, word).matrix != direct.matrix:", "if False:",
         (

@@ -551,6 +551,18 @@ def test_configurations_over_the_cap_exit_2(tmp_path):
     assert cli.MAX_K0_RANK == 2048
 
 
+def test_check_plans_over_the_cap_exit_2():
+    # The first three plans ended in a MemoryError traceback with exit 1 before the cap; the last one draws
+    # ranks whose digits are past the int-to-string limit.
+    for flags in (["--max-boundary-count", "1000000"],
+                  ["--max-q-genus", "100000"],
+                  ["--max-components", "1000000", "--max-boundary-count", "1", "--max-component-genus", "0"],
+                  ["--max-components", "9" * 4000, "--max-boundary-count", "9" * 4000]):
+        result = run_python(["-c", LIMITED_CLI, "check", "--trials", "1", *flags])
+        assert (result.returncode, result.stdout) == (2, ""), result.stderr[-300:]
+        assert result.stderr == "error: the plan may draw a rank or a circle count over 2048\n"
+
+
 def test_other_value_errors_keep_their_traceback(tmp_path, monkeypatch):
     # Only the digit limit maps to exit 2; a ValueError from a fault propagates.
     config = write_json(tmp_path / "config.json", {"q_genus": 1, "components": [{"genus": 0, "boundary_count": 3}]})

@@ -40,7 +40,7 @@ from test_surface_model import basis_vector, circle_index, induced_pairing, redu
 
 def zero_difference_map(model):
     k = model.k0_rank
-    return DifferenceMap(IntMatrix.zeros(k, k), model.block_ranges)
+    return DifferenceMap(IntMatrix([[0] * k] * k, cols=k), model.block_ranges)
 
 
 @pytest.fixture
@@ -151,7 +151,7 @@ def test_blockwise_word_reducible(two_component_model):
 
 def test_component_matrices_values(four_circle_model):
     model = four_circle_model
-    assert AnalysisReport(zero_difference_map(model)).component_matrices == (IntMatrix.zeros(3, 3),)
+    assert AnalysisReport(zero_difference_map(model)).component_matrices == (IntMatrix([[0] * 3] * 3),)
     delta = delta_difference(model, peripheral_word(model, 1))
     assert AnalysisReport(delta).component_matrices == (IntMatrix([[0, 0, 0], [0, 1, 1], [0, 1, 1]]),)
 

@@ -229,7 +229,7 @@ def test_kernel_random(a):
 
 
 def test_membership_empty_basis():
-    empty = IntMatrix.zeros(2, 0)
+    empty = IntMatrix([[], []], cols=0)
     assert solve_integer(empty, IntVector([0, 0])) is not None
     assert solve_integer(empty, IntVector([1, 0])) is None
 

@@ -232,7 +232,7 @@ def test_inconsistent_system_is_reported(four_circle_model, monkeypatch):
 
     def zeroed_boundary(config):
         model = build_model(config)  # seed the cached view with the tampered matrix
-        model.__dict__["boundary_matrix"] = _IM.zeros(model.n_circles, model.rank)
+        model.__dict__["boundary_matrix"] = _IM([[0] * model.rank] * model.n_circles, cols=model.rank)
         return model
 
     reports = verify_all(TrialPlan(seed=4, trials=8), model_factory=zeroed_boundary)

@@ -2,13 +2,15 @@
 
 import ast
 import inspect
+import itertools
 import json
+import random
 
 import pytest
 
 from linetrace import missed_lines
-from torelli import oracle, realization
-from torelli.exactlin import IntMatrix
+from torelli import criteria, mapping_class, oracle, realization
+from torelli.exactlin import IntMatrix, IntVector
 from torelli.mapping_class import is_weakly_torelli
 from torelli.oracle import (
     INVARIANTS,
@@ -83,6 +85,16 @@ def test_invalid_plans_rejected():
     for field, value in (("trials", 2.5), ("seed", "0"), ("max_exponent", 1.5)):
         with pytest.raises(TypeError):
             TrialPlan(**{field: value})
+    # The largest rank a plan may draw is 2 (q + r (g + b - 1)), and its circle count r b.
+    cap = TrialPlan.MAX_SIZE
+    assert cap == 2048
+    TrialPlan(max_q_genus=cap // 2, max_components=1, max_component_genus=0, max_boundary_count=1)
+    TrialPlan(max_q_genus=0, max_components=cap // 2, max_component_genus=0, max_boundary_count=2)
+    for over in ({"max_q_genus": cap // 2 + 1, "max_components": 1, "max_component_genus": 0, "max_boundary_count": 1},
+                 {"max_q_genus": 0, "max_components": 1, "max_component_genus": 0, "max_boundary_count": cap // 2 + 2},
+                 {"max_q_genus": 0, "max_components": cap + 1, "max_component_genus": 0, "max_boundary_count": 1}):
+        with pytest.raises(ValueError, match=f"^the plan may draw a rank or a circle count over {cap}$"):
+            TrialPlan(**over)  # rank 2050, 2050 and 0; circles 1, 1026 and 2049
 
 
 def test_fault_injection_breaks_adjunction():
@@ -252,6 +264,70 @@ def test_model_invariants_reach_every_line(monkeypatch):
     assert missed == {"_check_orthogonal_complements": unreachable}
 
 
+# -- the solver's refutation ---------------------------------------------------
+
+
+def _refuting_solver(monkeypatch, refused):
+    """Patch ``oracle.solve_integer`` to answer None on the calls ``refused``
+    picks by their number (from 1); each solver trial calls it twice, for b
+    and then for b2."""
+    calls, original = itertools.count(1), oracle.solve_integer
+    monkeypatch.setattr(oracle, "solve_integer", lambda a, b: None if refused(next(calls)) else original(a, b))
+
+
+def test_solver_fault_trips_the_box_search(monkeypatch):
+    # Every b2 is refused, so each b2 with a solution in the box is a witness.
+    _refuting_solver(monkeypatch, lambda call: call % 2 == 0)
+    reports = verify_all(FAULT_PLAN)
+    assert {r["invariant"]: len(r["failures"]) for r in reports if r["failures"]} == {"exactlin_solver": 2}
+    assert reports[1]["failures"] == [
+        {"matrix": [[3, 1, -3]], "rhs": [-4], "solution_missed": [-6, -4, -6], "trial": 1},
+        {"matrix": [[-1]], "rhs": [-4], "solution_missed": [4], "trial": 6},
+    ]
+
+
+def test_solver_check_reaches_every_line(monkeypatch):
+    def run():  # no call refused, every b2 refused (2 witnesses), every call refused (each b missed)
+        for refused, failing in ((lambda call: False, 0), (lambda call: call % 2 == 0, 2), (lambda call: True, 8)):
+            _refuting_solver(monkeypatch, refused)
+            outcomes = [oracle._check_solver(FAULT_PLAN, index, build_model) for index in range(FAULT_PLAN.trials)]
+            assert sum(map(bool, outcomes)) == failing
+
+    assert missed_lines(run, oracle._check_solver, oracle._box_solution) == {}
+
+
+def _apply_loop(a, b):
+    """The box search as it stood: ``IntMatrix.apply`` on each candidate of
+    [-6, 6]^cols in ``product`` order; the reference for ``_box_solution``."""
+    for xs in itertools.product(range(-6, 7), repeat=a.cols):
+        if a.apply(IntVector(xs)) == b:
+            return list(xs)
+    return None
+
+
+def test_box_search_matches_the_apply_loop(monkeypatch):
+    rng = random.Random(2901)
+    systems = []
+    for cols in (1, 2, 3):  # the identity over one random row: each corner of the box is the one solution
+        for corner in itertools.product((-6, 6), repeat=cols):
+            rows = [[int(r == c) for c in range(cols)] for r in range(cols)]
+            a = IntMatrix(rows + [[rng.randint(-4, 4) for _ in range(cols)]])
+            systems.append((a, a.apply(IntVector(corner))))
+    for n in range(240):  # a solution planted at a corner, in the box or just past it; or a random right side
+        a = oracle._random_matrix(rng, rng.randint(1, 4), rng.randint(1, 3), bound=4)
+        x = rng.choice([[-6, 6, 6], [6, -6, -6], [-6, -6, 6]]) if n % 4 == 0 else [rng.randint(-7, 7) for _ in range(3)]
+        b = a.apply(IntVector(x[:a.cols])) if n % 4 < 3 else IntVector(rng.randint(-4, 4) for _ in range(a.rows))
+        systems.append((a, b))
+    expected = [_apply_loop(a, b) for a, b in systems]
+    assert expected[:14] == [list(c) for cols in (1, 2, 3) for c in itertools.product((-6, 6), repeat=cols)]
+    assert expected.count(None) > 20
+    # The search trusts no IntMatrix arithmetic and no Smith form.
+    for name in ("apply", "__mul__"):
+        monkeypatch.setattr(IntMatrix, name, None)
+    monkeypatch.setattr(oracle, "smith_normal_form", None)
+    assert [oracle._box_solution(a, b) for a, b in systems] == expected
+
+
 def test_oracle_shares_no_private_helper_with_the_fast_path():
     # The oracle checks the fast path, so it must not reach it through these helpers.
     fast_path = {"partner", "_displacements", "_diagonal_exponents", "_sym_coefficients"}
@@ -262,5 +338,15 @@ def test_oracle_shares_no_private_helper_with_the_fast_path():
         for node in ast.walk(ast.parse(source))
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
     }
-    assert "_with" in names  # the walk sees attributes: TwistFactor._with is the oracle's one private access
-    assert not names & fast_path
+    assert "_subseed" in names and "_FLOORS" in names  # the walk sees names and attributes
+    # Nor does it read any private name that the modules it checks define.
+    defined = set()
+    for module in (mapping_class, criteria, realization):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+    private = {name for name in defined if name.startswith("_") and name != "_" and not name.endswith("__")}
+    assert {"_displacements", "_of_edges", "_run_edges"} <= private
+    assert not names & (fast_path | private)

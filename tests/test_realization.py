@@ -72,7 +72,7 @@ def test_basis_change_elementary_off_diagonal():
 
 
 def test_basis_change_zero():
-    coeffs = sym_basis_change(IntMatrix.zeros(3, 3), 3)
+    coeffs = sym_basis_change(IntMatrix([[0] * 3] * 3), 3)
     assert dict(coeffs.items()) == {}
 
 
