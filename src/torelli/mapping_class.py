@@ -195,16 +195,17 @@ def _check_locus(model: HomologyModel, z: Sequence[int], locus: Locus, position:
 
 
 def transvection_action(model: HomologyModel, word: TwistWord) -> IntMatrix:
-    """Dense product of the factor transvections x -> x + m <x, z> z, in
-    composition order; the reference the fast path is checked against."""
+    """Dense product of the factor transvections x -> x + m <x, z> z, in composition
+    order, the fast path's reference; a factor with m = 0 is checked and adds no step."""
     n = model.rank
     result = IntMatrix.identity(n)
     for pos, factor in enumerate(word.factors):
         z = factor.curve_class.entries
         _check_locus(model, z, factor.locus, pos)
-        mjz = [factor.exponent * x for x in model.intersection_form.apply(factor.curve_class)]
-        step = IntMatrix(([(r == c) + z[r] * mjz[c] for c in range(n)] for r in range(n)), cols=n)
-        result = result * step
+        if factor.exponent:
+            mjz = [factor.exponent * x for x in model.intersection_form.apply(factor.curve_class)]
+            step = IntMatrix(([(r == c) + z[r] * mjz[c] for c in range(n)] for r in range(n)), cols=n)
+            result = result * step
     return result
 
 

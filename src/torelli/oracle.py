@@ -257,12 +257,11 @@ def _check_form_unimodular(plan, index, model_factory):
         problems.append("form not unimodular")
     if model.intersection_form.transpose() != -model.intersection_form:
         problems.append("form not skew-symmetric")
-    n, r = config.total_boundary, len(config.components)
-    genus = config.q_genus + sum(c.genus for c in config.components) + n - r
+    n = config.total_boundary
     euler_closed = 2 - 2 * config.q_genus - n + sum(
         2 - 2 * c.genus - c.boundary_count for c in config.components
     )
-    if euler_closed != 2 - 2 * genus or model.rank != 2 * genus:
+    if euler_closed != 2 - 2 * config.genus or model.rank != 2 * config.genus:
         problems.append("rank law violated")
     if problems:
         return _model_witness(config, problems=problems)

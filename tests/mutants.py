@@ -556,6 +556,31 @@ MUTANTS = (
             "tests/test_mapping_class.py::test_a_word_has_one_rank",
         ),
     ),
+    Mutant(
+        "the reference action skips a zero step before its locus check", "mapping_class.py",
+        "_check_locus(model, z, factor.locus, pos)\n        if factor.exponent:\n",
+        "if factor.exponent:\n            _check_locus(model, z, factor.locus, pos)\n",
+        (
+            "tests/test_mapping_class.py::test_zero_exponent_factors_are_still_checked",
+        ),
+    ),
+    Mutant(
+        "the reference action skips negative exponents too", "mapping_class.py",
+        "if factor.exponent:", "if factor.exponent > 0:",
+        (
+            "tests/test_mapping_class.py::test_zero_exponent_factors_act_as_the_identity[1]",
+            "tests/test_mapping_class.py::test_word_times_formal_inverse_is_identity",
+            "tests/test_mapping_class.py::test_fast_path_matches_dense_reference[-1]",
+        ),
+    ),
+    Mutant(
+        "a reference step drops its exponent", "mapping_class.py",
+        "mjz = [factor.exponent * x for x in", "mjz = [x for x in",
+        (
+            "tests/test_mapping_class.py::test_single_transvection_displacement",
+            "tests/test_mapping_class.py::test_fast_path_matches_dense_reference[1]",
+        ),
+    ),
 )
 
 

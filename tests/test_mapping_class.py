@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torelli import mapping_class, realization
-from torelli.criteria import DiagonalMap, NotSymmetric, analyze, delta_from_blocks, is_completely_reducible
+from torelli.criteria import (
+    DiagonalMap,
+    NotSymmetric,
+    analyze,
+    decide_multitwist_correctable,
+    delta_from_blocks,
+    is_completely_reducible,
+)
 from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector, solve_integer
 from torelli.mapping_class import (
     LOCUS_AMBIENT,
@@ -102,6 +109,49 @@ def test_locus_violations(four_circle_model):
     transvection_action(model, TwistWord([TwistFactor(phandle, 1, in_complement(0))]))
     with pytest.raises(LocusViolation):
         transvection_action(model, TwistWord([TwistFactor(phandle, 1, LOCUS_Q)]))
+
+
+def _without_zero_steps(word):
+    return TwistWord([factor for factor in word.factors if factor.exponent])
+
+
+@pytest.mark.parametrize("pairing_sign", [1, -1])
+def test_zero_exponent_factors_act_as_the_identity(pairing_sign):
+    plan, rng = TrialPlan(seed=30, trials=8), random.Random(30 * pairing_sign)
+    counts = {"zero_factors": 0, "all_zero": 0, "zero_corrections": 0}
+    for index in range(plan.trials):
+        model = build_model(random_config(plan, index), pairing_sign=pairing_sign)
+        seeded = random_weakly_torelli_word(model, plan, index)
+        ambient = TwistWord(
+            TwistFactor(IntVector(rng.randint(-2, 2) for _ in range(model.rank)), rng.randint(-1, 1), LOCUS_AMBIENT)
+            for _ in range(4)
+        )
+        all_zero = TwistWord([TwistFactor(f.curve_class, 0, f.locus) for f in concat(ambient, seeded).factors])
+        words = [seeded, ambient, concat(ambient, seeded), all_zero]
+        correction = decide_multitwist_correctable(model, seeded)
+        if correction is not None:
+            words.append(concat(build_boundary_multitwist(model, correction), seeded))
+            counts["zero_corrections"] += 0 in correction.exponents
+            assert transvection_action(model, words[-1]) == IntMatrix.identity(model.rank)
+        for word in words:
+            assert transvection_action(model, word) == transvection_action(model, _without_zero_steps(word))
+            counts["zero_factors"] += sum(m == 0 for _, m, _ in word.table)
+        assert transvection_action(model, all_zero) == IntMatrix.identity(model.rank)
+        counts["all_zero"] += len(all_zero) > 0
+    assert min(counts.values()) > 0, counts
+
+
+def test_zero_exponent_factors_are_still_checked(four_circle_model):
+    model = four_circle_model
+    fine = [TwistFactor(basis_vector(model, ("qa", 0)), 1, LOCUS_Q), TwistFactor(model.circle_class(0, 1), 0, LOCUS_Q)]
+    phandle = TwistFactor(basis_vector(model, ("pa", 0, 0)), 0, LOCUS_Q)
+    message = r"^factor 2: class meets basis index 2 \(a_\{0,0\}\), outside the subsurface image$"
+    with pytest.raises(LocusViolation, match=message):
+        transvection_action(model, TwistWord(fine + [phandle]))
+    short = TwistFactor(IntVector([0] * (model.rank - 1)), 0, LOCUS_Q)
+    message = f"^factor 0: class has length {model.rank - 1}, model rank is {model.rank}$"
+    with pytest.raises(DimensionMismatch, match=message):
+        transvection_action(model, TwistWord([short, short]))
 
 
 def test_weakly_torelli_examples(four_circle_model):

@@ -264,6 +264,19 @@ def test_model_invariants_reach_every_line(monkeypatch):
     assert missed == {"_check_orthogonal_complements": unreachable}
 
 
+def test_least_plan_reaches_every_line_of_the_reference_action(monkeypatch):
+    exponents, action = [], oracle.transvection_action
+
+    def recorded(model, word):
+        exponents.extend(m for _, m, _ in word.table)
+        return action(model, word)
+
+    monkeypatch.setattr(oracle, "transvection_action", recorded)
+    plan = TrialPlan(seed=0, trials=1)  # the least plan: one trial of each invariant
+    assert missed_lines(lambda: verify_all(plan), mapping_class.transvection_action) == {}
+    assert 0 in exponents and any(exponents)  # a zero exponent skips its step; the others take the product
+
+
 # -- the solver's refutation ---------------------------------------------------
 
 
