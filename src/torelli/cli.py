@@ -5,7 +5,7 @@ map as a word, run the randomized invariant suite, print lattice ranks,
 and run the built-in four-circle regression example.
 
 Exit codes: 0 success; 1 invariant failures from ``check``; 2 parse or
-schema error, a k0_rank over ``MAX_K0_RANK``, or an output integer too long
+schema error, a rank over ``MAX_RANK``, or an output integer too long
 to print; 3 locus or dimension violation; 4 difference map not symmetric; 5
 difference map not completely reducible.  stdout carries the payload,
 stderr the diagnostics.
@@ -47,9 +47,9 @@ EXIT_LOCUS = 3
 EXIT_NOT_SYMMETRIC = 4
 EXIT_NOT_REDUCIBLE = 5
 
-#: The largest k0_rank ``analyze`` and ``realize`` accept: both build a
-#: k0_rank-square map, and at this cap the empty word peaks under 1 GiB.
-MAX_K0_RANK = 2048
+#: The largest rank ``analyze`` and ``realize`` accept.  Both build a k0_rank-square
+#: map, rank >= 2 * k0_rank, and at this cap the empty word peaks under 1 GiB.
+MAX_RANK = 4096
 
 
 class _ParseFailure(Exception):
@@ -88,8 +88,8 @@ def _delta_from_json(data, model) -> DifferenceMap:
 
 def _model(data):
     model = build_model(SubsurfaceConfig.from_json_dict(data))
-    if model.k0_rank > MAX_K0_RANK:
-        raise _READ.error(f"k0_rank is {model.k0_rank}, over the limit of {MAX_K0_RANK}")
+    if model.rank > MAX_RANK:
+        raise _READ.error(f"rank is {model.rank}, over the limit of {MAX_RANK}")
     return model
 
 

@@ -245,16 +245,16 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> Optional[Diff
     ``test_partner_is_the_form_column`` checks), so a class u in the circle
     block pairs to zero with that image.  Its twist commutes with every
     factor and moves a class a by m <a, u> u (the paper's a -> m <a, [U]>
-    [U]) whatever the others do.  So the map is sum m * u u^T over the
-    circle-block factors, u being the class's slice of the block, plus the
-    map of one sparse pass of the other factors over the basis; a factor's
-    own edges pick its route.  One walk over the word checks the factors
-    and adds each u u^T as its 2D difference array d d^T, d being u's first
-    difference: the class's stored edges, nonzero only where a run of one
-    value starts or ends, so an interval class adds four corner updates.
-    One 2D prefix sum then turns the sum into the matrix.
+    [U]) whatever the others do.  So a factor takes one of two routes.  A
+    class that is one interval [i, j) of circles of one value v (its two
+    stored edges) adds m u u^T, u being its slice of the block, as m v^2 at
+    the four corners of a 2D difference array that one 2D prefix sum turns
+    into the matrix; every circle factor of a word the library builds is
+    one.  Every other factor, a zero class or a circle class of more edges
+    among them, is checked and joins one sparse pass over the basis, which
+    computes any Q factor exactly.
 
-    The block terms move only the duals, so the pass alone gives the
+    The corner terms move only the duals, so the pass alone gives the
     verdict: weakly Torelli when no Q handle and no circle moves, and every
     displacement must then lie in the circle span.  Dual(j, i) has boundary
     pairing_sign * o_{j,i} and every other class boundary 0, so column
@@ -263,28 +263,22 @@ def weakly_torelli_delta(model: HomologyModel, word: TwistWord) -> Optional[Diff
     """
     rank, (lo, hi), s = model.rank, model.circle_block, model.pairing_sign
     k, h2 = hi - lo, model.handle_ranges[0][1]
-    runs = word.rank == rank  # else every factor takes the checks
     corners, rest = [[0] * (k + 1) for _ in range(k + 1)], []  # row and column k take the edges at hi
-    for pos, (edges, m, locus) in enumerate(word.table):  # a class is 0 outside [lo, hi) if its edges lie in [lo, hi]
+    for pos, (edges, m, locus) in enumerate(word.table):
         if locus != LOCUS_Q:
             got = json.dumps(_locus_to_json(locus), default=repr)
             raise LocusViolation(f'factor {pos}: locus must be "Q", got {got}')
-        if not (runs and (not edges or lo <= edges[0][0] and edges[-1][0] <= hi)):
-            z = _dense(word.rank, edges)
-            _check_locus(model, z, locus, pos)
-            rest.append((z, m))
-        elif len(edges) == 2:  # the interval [i, j) of one value v: m v^2 at four corners
-            (i, v), (j, _) = edges
+        if len(edges) == 2 and lo <= edges[0][0] and edges[1][0] <= hi and word.rank == rank:
+            (i, v), (j, _) = edges  # the interval [i, j) of one value v: m v^2 at four corners
             i, j, w = i - lo, j - lo, m * v * v
             corners[i][i] += w
             corners[j][j] += w
             corners[i][j] -= w
             corners[j][i] -= w
         else:
-            for i, di in edges:
-                row, md = corners[i - lo], m * di
-                for j, dj in edges:
-                    row[j - lo] += md * dj
+            z = _dense(word.rank, edges)
+            _check_locus(model, z, locus, pos)
+            rest.append((z, m))
     matrix, above = [], [0] * k
     for row in corners[:k]:
         above = list(map(add, above, accumulate(row)))  # map stops at column k

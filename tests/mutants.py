@@ -45,20 +45,21 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "corner updates skip each class's first edge", "mapping_class.py",
-        "for j, dj in edges:", "for j, dj in edges[1:]:",
+        "the corner update drops the value's square", "mapping_class.py",
+        "m * v * v", "m * v",
         (
-            "tests/test_acceptance.py::test_criterion_02_symmetry_of_difference_maps",
+            "tests/test_acceptance.py::test_criterion_03_functional_equation",
             "tests/test_mapping_class.py::test_fast_path_matches_dense_reference[1]",
             "tests/test_mapping_class.py::test_two_edge_and_many_edge_classes_match_the_entrywise_sum",
         ),
     ),
     Mutant(
-        "run edges read one place late", "mapping_class.py",
-        "row, md = corners[i - lo], m * di", "row, md = corners[i - lo + 1], m * di",
+        "an interval's corners start one place late", "mapping_class.py",
+        "i, j, w = i - lo, j - lo,", "i, j, w = i - lo + 1, j - lo,",
         (
-            "tests/test_acceptance.py::test_criterion_02_symmetry_of_difference_maps",
-            "tests/test_criteria.py::test_analyze_matches_entrywise_reference",
+            "tests/test_acceptance.py::test_criterion_01_four_circle_regression",
+            "tests/test_mapping_class.py::test_fast_path_matches_dense_reference[1]",
+            "tests/test_mapping_class.py::test_two_edge_and_many_edge_classes_match_the_entrywise_sum",
         ),
     ),
     Mutant(
@@ -231,7 +232,7 @@ MUTANTS = (
     ),
     Mutant(
         "the circle-block sum is dropped", "mapping_class.py",
-        "row[j - lo] += md * dj", "pass",
+        "i, j, w = i - lo, j - lo, m * v * v", "i, j, w = i - lo, j - lo, 0",
         (
             "tests/test_acceptance.py::test_criterion_03_functional_equation",
             "tests/test_mapping_class.py::test_rectangle_sums_match_the_entrywise_sum[1]",
@@ -256,11 +257,27 @@ MUTANTS = (
     ),
     Mutant(
         "every factor is sent to the pass", "mapping_class.py",
-        "if not (runs and (not edges or lo <= edges[0][0] and edges[-1][0] <= hi)):",
-        "if True:",
+        "if len(edges) == 2 and lo <= edges[0][0] and edges[1][0] <= hi and word.rank == rank:",
+        "if False:",
         (
             "tests/test_mapping_class.py::test_circle_runs_skip_the_word_pass",
             "tests/test_mapping_class.py::test_realized_words_never_build_a_dense_class",
+        ),
+    ),
+    Mutant(
+        "an interval that ends at the block's end takes the pass", "mapping_class.py",
+        "edges[1][0] <= hi", "edges[1][0] < hi",
+        (
+            "tests/test_mapping_class.py::test_circle_runs_skip_the_word_pass",
+            "tests/test_mapping_class.py::test_realized_words_never_build_a_dense_class",
+        ),
+    ),
+    Mutant(
+        "the route test drops its lower bound", "mapping_class.py",
+        "len(edges) == 2 and lo <= edges[0][0] and", "len(edges) == 2 and",
+        (
+            "tests/test_mapping_class.py::test_circle_runs_skip_the_word_pass",
+            "tests/test_mapping_class.py::test_weakly_torelli_examples",
         ),
     ),
     Mutant(
@@ -537,7 +554,7 @@ MUTANTS = (
     ),
     Mutant(
         "the walk skips the word's rank test", "mapping_class.py",
-        "runs = word.rank == rank", "runs = True",
+        " and word.rank == rank:", ":",
         (
             "tests/test_mapping_class.py::test_a_word_has_one_rank",
         ),

@@ -539,16 +539,21 @@ LIMITED_CLI = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 <
 
 
 def test_configurations_over_the_cap_exit_2(tmp_path):
-    # At k0_rank 99 999 the map alone would hold 10^10 entries.
-    oversized = {"q_genus": 0, "components": [{"genus": 0, "boundary_count": 100000}]}
-    config = write_json(tmp_path / "config.json", oversized)
-    word = write_json(tmp_path / "word.json", {"factors": []})
-    delta = write_json(tmp_path / "delta.json", {"blocks": {}})
-    for args in (["analyze", "--config", config, "--word", word], ["realize", "--config", config, "--delta", delta]):
-        result = run_python(["-c", LIMITED_CLI, *args])
-        assert (result.returncode, result.stdout) == (2, ""), result.stderr[-300:]
-        assert result.stderr == f"error: {config}: k0_rank is 99999, over the limit of {cli.MAX_K0_RANK}\n"
-    assert cli.MAX_K0_RANK == 2048
+    # At k0_rank 99 999 the map alone would hold 10^10 entries.  The two huge genera have k0_rank 1, but
+    # realize wrote a dense class of their rank: a MemoryError and an OverflowError traceback, exit 1.
+    for q_genus, n, blocks, rank in ((0, 100000, {}, 199998),
+                                     (10**8, 2, {"0": [[1]]}, 200000002),
+                                     (10**30, 2, {"0": [[1]]}, 2 * 10**30 + 2)):
+        oversized = {"q_genus": q_genus, "components": [{"genus": 0, "boundary_count": n}]}
+        config = write_json(tmp_path / "config.json", oversized)
+        word = write_json(tmp_path / "word.json", {"factors": []})
+        delta = write_json(tmp_path / "delta.json", {"blocks": blocks})
+        for args in (["analyze", "--config", config, "--word", word],
+                     ["realize", "--config", config, "--delta", delta]):
+            result = run_python(["-c", LIMITED_CLI, *args])
+            assert (result.returncode, result.stdout) == (2, ""), result.stderr[-300:]
+            assert result.stderr == f"error: {config}: rank is {rank}, over the limit of {cli.MAX_RANK}\n"
+    assert cli.MAX_RANK == 4096
 
 
 def test_check_plans_over_the_cap_exit_2():
@@ -804,9 +809,11 @@ def _containers(doc):
             yield from _containers(child)
 
 
-def oversized_config():
-    """A fresh configuration one circle past the cap on k0_rank that analyze and realize accept."""
-    return {"q_genus": 0, "components": [{"genus": 0, "boundary_count": cli.MAX_K0_RANK + 2}]}
+def oversized_configs():
+    """Fresh configurations past the cap on the rank that analyze and realize
+    accept: one circle past it, and a genus too large for a dense class."""
+    return [{"q_genus": 0, "components": [{"genus": 0, "boundary_count": cli.MAX_RANK // 2 + 2}]},
+            {"q_genus": 10**8, "components": [{"genus": 0, "boundary_count": 2}]}]
 
 
 # What a list of integers may hide: a bool, a float, a string, a nested list,
@@ -823,7 +830,7 @@ def malformed_documents(draw):
     documents and the name of the one that hides a non-integer, or None."""
     docs = valid_documents(random.Random(draw(st.integers(0, 2**32))))
     if draw(st.integers(0, 9)) == 0:
-        docs["config"] = oversized_config()
+        docs["config"] = draw(st.sampled_from(oversized_configs()))
     for _ in range(draw(st.integers(0, 2))):
         name = draw(st.sampled_from(sorted(docs)))
         if draw(st.integers(0, 9)) == 0:
@@ -874,7 +881,7 @@ def test_malformed_documents_end_in_a_documented_exit(edited):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main(args)
-            if docs["config"] == oversized_config():  # unless an edit broke it
+            if docs["config"] in oversized_configs():  # unless an edit broke it
                 assert code == (0 if reads == "config" else 2), args
             assert code in ((2, 3) if reads == poisoned else (0, 2, 3, 4, 5)), args
             if code:

@@ -1,6 +1,9 @@
 """Transvection action, weakly Torelli detection, and difference maps."""
 
+import ast
+import inspect
 import random
+import textwrap
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -33,6 +36,7 @@ from torelli.mapping_class import (
     invert,
     is_weakly_torelli,
     transvection_action,
+    weakly_torelli_delta,
     word_from_json_dict,
     word_to_json_dict,
 )
@@ -47,6 +51,7 @@ from torelli.oracle import (
 from torelli.realization import build_boundary_multitwist, realize_delta
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
 
+from linetrace import missed_lines
 from test_surface_model import basis_vector, label_index, reference_views, small_configs
 
 
@@ -520,6 +525,21 @@ def test_fast_path_matches_dense_reference(pairing_sign):
     # the words reach both branches the seeded generator alone never does
     assert counts["not_weakly_torelli"] >= len(configs) * plan.trials
     assert counts["not_reducible"] > 0
+    # Circle-block factors that are not one interval take the pass: the zero
+    # class, circles {1, 3} of the 4-circle component, and the values 2 and -1.
+    model = build_model(configs[0], pairing_sign=pairing_sign)
+    handle = TwistWord([TwistFactor(basis_vector(model, ("qa", 0)), 1, LOCUS_Q)])
+    for cls in (IntVector([0] * model.rank), model.circle_class(0, 1) + model.circle_class(0, 3),
+                2 * model.circle_class(0, 1) - model.circle_class(0, 2)):
+        alone = TwistWord([TwistFactor(cls, -2, LOCUS_Q)])
+        moved, conjugate = concat(handle, alone), concat(handle, concat(alone, invert(handle)))
+        assert len(alone.table[0][0]) != 2
+        for word in (alone, moved, conjugate):
+            weakly, expected = _reference_weakly_torelli_delta(model, word)
+            assert is_weakly_torelli(model, word) == weakly == (word is not moved)
+            if weakly:  # the handle fixes the circle class, so the conjugate acts as the class alone
+                assert delta_difference(model, word).matrix == expected == delta_difference(model, alone).matrix
+        assert delta_difference(model, alone).is_zero() == (not any(cls.entries))
     # Realized words on the benchmark ladder's rank 10, 16 and 28 rungs, where
     # the sparse rows stay sparse; the dense reference is O(rank^3) per
     # factor, which rules out the rank 38 and 56 rungs here.
@@ -534,6 +554,34 @@ def test_fast_path_matches_dense_reference(pairing_sign):
         word = realize_delta(model, delta).word
         assert _reference_weakly_torelli_delta(model, word) == (True, delta.matrix)
         assert delta_difference(model, word).matrix == delta.matrix
+
+
+#: The statements of the walk that the least plan never runs, each by the
+#: start of its first line, with the reason and the tier-1 test that runs it.
+_UNREACHED_BY_THE_LEAST_PLAN = {
+    "got = json.dumps(": "every drawn word has locus Q (test_weakly_torelli_requires_subsurface_locus)",
+    "raise LocusViolation(": "the same non-Q locus",
+    "return None": "no invariant draws a word that is not weakly Torelli yet (test_weakly_torelli_examples)",
+    "idx, r = min(outside)": "a consistent model keeps displacements in the circle span "
+                             "(test_displacement_outside_circle_span_is_reported tampers with partner)",
+    "raise NotWeaklyTorelli(": "the same displacement outside the circle span",
+    "raise InconsistentDelta(": "a consistent model solves the boundary system "
+                                "(test_inconsistent_system_is_reported tampers with partner)",
+}
+
+
+def test_least_plan_reaches_both_routes_of_the_walk():
+    missed = missed_lines(lambda: verify_all(TrialPlan(seed=0, trials=1)), weakly_torelli_delta, _displacements)
+    lines, first = inspect.getsourcelines(weakly_torelli_delta)
+    spans = {  # each allowed statement's source lines
+        start: range(first + node.lineno - 1, first + node.end_lineno)
+        for node in ast.walk(ast.parse(textwrap.dedent("".join(lines)))) if isinstance(node, ast.stmt)
+        for start in _UNREACHED_BY_THE_LEAST_PLAN if lines[node.lineno - 1].strip().startswith(start)
+    }
+    assert spans.keys() == _UNREACHED_BY_THE_LEAST_PLAN.keys()
+    owners = [next((start for start, span in spans.items() if line in span), None)
+              for line in missed.pop("weakly_torelli_delta")]
+    assert missed == {} and set(owners) == set(spans)  # the pass runs every line, the walk all but these
 
 
 def _read_off(model, word):
