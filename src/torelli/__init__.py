@@ -27,7 +27,6 @@ from torelli.criteria import (
 from torelli.realization import (
     Realization,
     build_boundary_multitwist,
-    peripheral_twist_delta,
     realize_delta,
     sym_basis_change,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "guaranteed_correctable",
     "group_ranks",
     "sym_basis_change",
-    "peripheral_twist_delta",
     "Realization",
     "realize_delta",
     "build_boundary_multitwist",

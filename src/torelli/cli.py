@@ -150,6 +150,9 @@ def _cmd_analyze(args) -> int:
     model = _load(args.config, _model)
     word = _load(args.word, word_from_json_dict, model.rank)
     report = analyze(model, word)
+    # Rendered before the notes, so an output past the digit limit prints its error line alone.
+    text = (_report_text(report) if args.format == "text"
+            else json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     for pos, (edges, _, _) in enumerate(word.table):  # notes only for a word that analyze accepted
         content = gcd(*accumulate(step for _, step in edges))  # the class's run values
         if content > 1:
@@ -158,10 +161,7 @@ def _cmd_analyze(args) -> int:
                 "treated as a transvection",
                 file=sys.stderr,
             )
-    if args.format == "json":
-        _emit(report.to_json_dict())
-    else:
-        print(_report_text(report))
+    print(text)
     return EXIT_OK
 
 

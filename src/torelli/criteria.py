@@ -95,18 +95,6 @@ def _diagonal_exponents(blocks: tuple[IntMatrix, ...]) -> Optional[DiagonalMap]:
     return DiagonalMap(exponents)
 
 
-def restriction_of_diagonal(model: HomologyModel, diagonal: DiagonalMap) -> DifferenceMap:
-    """Difference map obtained by restricting a diagonal map."""
-    if len(diagonal) != model.n_circles:
-        raise DimensionMismatch(f"need {model.n_circles} exponents")
-    blocks = {}
-    for j, (first, end) in enumerate(model.chain_ranges):
-        # image of o_{j,i} is e_i [C_i] - e_0 [C_0] = (e_i + e_0)[C_i] + e_0 * (others)
-        base, *diag = diagonal.exponents[first:end]
-        blocks[j] = IntMatrix([base + e * (r == c) for c in range(len(diag))] for r, e in enumerate(diag))
-    return delta_from_blocks(model, blocks)
-
-
 def decide_extension_by_identity(model: HomologyModel, word: TwistWord) -> bool:
     """Is the extension of the word by the identity a Torelli map?"""
     return analyze(model, word).extension_by_identity_torelli

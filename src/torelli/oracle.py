@@ -14,17 +14,8 @@ import random
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional
 
-from torelli import criteria, realization
-from torelli.exactlin import (
-    IntMatrix,
-    IntVector,
-    _Value,
-    determinant,
-    kernel_basis,
-    lattices_equal,
-    smith_normal_form,
-    solve_integer,
-)
+from torelli import criteria, realization, reference
+from torelli.exactlin import IntMatrix, IntVector, _Value
 from torelli.mapping_class import (
     LOCUS_AMBIENT,
     LOCUS_Q,
@@ -40,6 +31,7 @@ from torelli.mapping_class import (
     transvection_action,
     word_to_json_dict,
 )
+from torelli.reference import determinant, kernel_basis, lattices_equal, smith_normal_form, solve_integer
 from torelli.surface_model import ComplementComponent, HomologyModel, SubsurfaceConfig, build_model
 
 _MASK = (1 << 64) - 1
@@ -344,7 +336,7 @@ def _functional_equation_failure(model: HomologyModel, action: IntMatrix, delta)
     for idx in range(model.rank):
         e = IntVector.unit(model.rank, idx)
         residual = action.apply(e) - e
-        boundary = model.k0_coords(model.mv_boundary(e))
+        boundary = model.k0_coords(model.boundary_matrix.apply(e))
         if residual != model.ambient_from_h1bar(delta.matrix.apply(boundary)):
             return idx
     return None
@@ -372,7 +364,7 @@ def _check_well_defined(plan, index, model_factory):
     a = IntVector(rng.randint(-2, 2) for _ in range(model.rank))
     # Same boundary: shift by a combination of boundary-less basis classes (all but the duals).
     a2 = a + IntVector(0 if kind == "dual" else rng.randint(-2, 2) for kind, *_ in model.labels)
-    if model.mv_boundary(a) != model.mv_boundary(a2):
+    if model.boundary_matrix.apply(a) != model.boundary_matrix.apply(a2):
         return _model_witness(config, problem="shift unexpectedly changed the boundary")
     r1 = model.h1bar_from_ambient(action.apply(a) - a)
     r2 = model.h1bar_from_ambient(action.apply(a2) - a2)
@@ -471,7 +463,7 @@ def _check_multitwist_difference(plan, index, model_factory):
         [rng.randint(-plan.max_exponent, plan.max_exponent) for _ in range(model.n_circles)]
     )
     word = realization.build_boundary_multitwist(model, exponents)
-    expected = criteria.restriction_of_diagonal(model, exponents)
+    expected = reference.restriction_of_diagonal(model, exponents)
     if delta_difference(model, word).matrix != expected.matrix:
         return _model_witness(
             config, exponents=exponents.to_json(), problem="multi-twist difference map wrong"
@@ -509,7 +501,7 @@ def _check_peripheral_formula(plan, index, model_factory):
     subset = [i for i in range(count) if rng.random() < 0.5] or [rng.randrange(count)]
     exponent = rng.randint(-plan.max_exponent, plan.max_exponent)
     word = TwistWord([TwistFactor(realization.peripheral_class(model, j, subset), exponent, LOCUS_Q)])
-    direct = realization.peripheral_twist_delta(model, j, subset, exponent)
+    direct = reference.peripheral_twist_delta(model, j, subset, exponent)
     if delta_difference(model, word).matrix != direct.matrix:
         return _model_witness(
             config, component=j, subset=subset, problem="peripheral twist formula mismatch"

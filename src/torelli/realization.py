@@ -84,23 +84,6 @@ def peripheral_class(model: HomologyModel, j: int, subset: Iterable[int]) -> Int
     return sum(rest, first)
 
 
-def peripheral_twist_delta(
-    model: HomologyModel, j: int, subset: Iterable[int], exponent: int
-) -> DifferenceMap:
-    """Difference map of the peripheral twist about the union U of the chosen
-    circles of component j: a -> m <a, [U]> [U], the outer product m u p^T of
-    U's reduced class u and the pairings p of the two-point classes with U."""
-    members = sorted(set(subset))
-    peripheral_class(model, j, members)  # validates the subset
-    u_chain = IntVector(
-        1 if ji in {(j, i) for i in members} else 0 for ji in model.circle_order
-    )
-    k = model.k0_rank
-    pairings = [model.circle_pairing(model.lift_k0(IntVector.unit(k, pos)), u_chain) for pos in range(k)]
-    matrix = IntMatrix([exponent * x * y for y in pairings] for x in model.project_h1bar(u_chain))
-    return DifferenceMap(matrix, model.block_ranges)
-
-
 class Realization(_Value):
     """A realizing word plus the bi-twist witness of its Torelli extension.
 

@@ -9,16 +9,19 @@ boundary circles, and the lattices that control the extension problem:
 * ``k0_basis`` spans the degree-zero boundary classes that bound on both
   sides of the splitting (rank n - r for n circles and r components);
 * ``boundary_matrix`` is the Mayer-Vietoris boundary map, sending an
-  ambient class a to the 0-chain class sum_C <a, [C]> o_C.
+  ambient class a to the 0-chain class sum_C <a, [C]> o_C, which
+  ``boundary_matrix.apply(a)`` computes.
 
 A model is its two inputs, the configuration and the pairing sign, so
 ``build_model`` only checks the sign, in O(1).  The basis layout and the
 three dense matrices (the form ``intersection_form``, ``k0_basis`` and
 ``boundary_matrix``, O(rank^2) in time and memory) are views of the
 configuration, most of them ``exactlin.cached_view``s, stored on first read
-without a lock.  Only diagnostics, the peripheral and multi-twist builders
-and the oracle read the O(rank) enumerations ``labels``, ``circle_order``
-and ``reduced_order``.
+without a lock.  Only the oracle, its reference algebra in
+``torelli.reference`` and the dense reference action read the dense
+matrices.  Only diagnostics, the peripheral and multi-twist builders and
+the oracle read the O(rank) enumerations ``labels``, ``circle_order`` and
+``reduced_order``.
 
 Basis order (used for all coordinates, including the JSON word schema):
 Q-handle pairs a_0, b_0, ..., then for each component its handle pairs,
@@ -249,42 +252,7 @@ class HomologyModel(_Value):
         pad, s = [0] * self.circle_block[1], self.pairing_sign
         return IntMatrix((pad + [s * x for x in row] for row in self.k0_basis.entries), cols=self.rank)
 
-    # -- pairings and maps -----------------------------------------------
-
-    def mv_boundary(self, a: IntVector) -> IntVector:
-        """Mayer-Vietoris boundary of an ambient class, as a 0-chain class,
-        through the dense boundary matrix (the first call pays O(rank^2))."""
-        if len(a) != self.rank:
-            raise DimensionMismatch(f"expected length {self.rank}, got {len(a)}")
-        return self.boundary_matrix.apply(a)
-
-    def circle_pairing(self, theta: IntVector, b: IntVector) -> int:
-        """Intersection pairing of a 0-chain class with a circle 1-chain class."""
-        if len(theta) != self.n_circles or len(b) != self.n_circles:
-            raise DimensionMismatch(f"expected length {self.n_circles}")
-        return theta.dot(b)
-
-    def project_h1bar(self, b: IntVector) -> IntVector:
-        """Project a circle homology class to the reduced group.
-
-        In coordinates this substitutes the relation making the circles of
-        each component sum to zero, eliminating circle 0.
-        """
-        if len(b) != self.n_circles:
-            raise DimensionMismatch(f"expected length {self.n_circles}, got {len(b)}")
-        out = []
-        for first, end in self.chain_ranges:  # circle (j, 0) sits at first
-            out += [b[c] - b[first] for c in range(first + 1, end)]
-        return IntVector(out)
-
-    def lift_k0(self, theta: IntVector) -> IntVector:
-        """Expand coordinates over the two-point basis classes into 0-chain coordinates."""
-        if len(theta) != self.k0_rank:
-            raise DimensionMismatch(f"expected length {self.k0_rank}, got {len(theta)}")
-        out = []
-        for start, stop in self.block_ranges:
-            out += [-sum(theta[start:stop]), *theta[start:stop]]
-        return IntVector(out)
+    # -- coordinate maps --------------------------------------------------
 
     def k0_coords(self, theta: IntVector) -> IntVector:
         """Coordinates of a 0-chain class over the two-point basis.

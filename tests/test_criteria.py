@@ -19,7 +19,6 @@ from torelli.criteria import (
     guaranteed_correctable,
     is_completely_reducible,
     is_symmetric,
-    restriction_of_diagonal,
 )
 from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
 from torelli.mapping_class import (
@@ -33,6 +32,7 @@ from torelli.mapping_class import (
 )
 from torelli.oracle import TrialPlan, random_config, random_weakly_torelli_word
 from torelli.realization import build_boundary_multitwist, realize_delta
+from torelli.reference import restriction_of_diagonal
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
 
 from test_surface_model import basis_vector, circle_index, induced_pairing, reduced_index

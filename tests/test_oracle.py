@@ -9,7 +9,7 @@ import random
 import pytest
 
 from linetrace import missed_lines
-from torelli import criteria, mapping_class, oracle, realization
+from torelli import criteria, mapping_class, oracle, realization, reference
 from torelli.exactlin import IntMatrix, IntVector
 from torelli.mapping_class import is_weakly_torelli
 from torelli.oracle import (
@@ -180,8 +180,8 @@ def _doubled_k0_column(config):
 
 
 def _negated_peripheral_map(monkeypatch):
-    original = realization.peripheral_twist_delta
-    monkeypatch.setattr(realization, "peripheral_twist_delta", lambda *args: -original(*args))
+    original = reference.peripheral_twist_delta
+    monkeypatch.setattr(reference, "peripheral_twist_delta", lambda *args: -original(*args))
     return build_model
 
 
@@ -216,7 +216,7 @@ FAULTS = {
     "doubled_k0_column": (
         _doubled_k0_column,
         {"model_orthogonal_complements": 7, "model_adjunction": 7, "delta_functional_equation": 3,
-         "bounding_pair_products": 6},
+         "peripheral_twist_formula": 3, "bounding_pair_products": 6},
         "model_orthogonal_complements", {"problem": "two-sided classes != annihilator of fundamentals"},
     ),
     "negated_peripheral_map": (
@@ -260,7 +260,7 @@ def test_model_invariants_reach_every_line(monkeypatch):
     # two-sided classes: no model reaches the second comparison's return.
     lines, first = inspect.getsourcelines(oracle._check_orthogonal_complements)
     unreachable = [first + n for n, line in enumerate(lines) if "annihilator of two-sided classes" in line]
-    missed = missed_lines(run, *checks, realization.peripheral_twist_delta)
+    missed = missed_lines(run, *checks, reference.peripheral_twist_delta)
     assert missed == {"_check_orthogonal_complements": unreachable}
 
 
@@ -344,7 +344,7 @@ def test_box_search_matches_the_apply_loop(monkeypatch):
 def test_oracle_shares_no_private_helper_with_the_fast_path():
     # The oracle checks the fast path, so it must not reach it through these helpers.
     fast_path = {"partner", "_displacements", "_diagonal_exponents", "_sym_coefficients"}
-    sources = [inspect.getsource(oracle), inspect.getsource(realization.peripheral_twist_delta)]
+    sources = [inspect.getsource(oracle), inspect.getsource(reference)]
     names = {
         node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
         for source in sources

@@ -13,7 +13,6 @@ from torelli.criteria import (
     NotSymmetric,
     analyze,
     delta_from_blocks,
-    restriction_of_diagonal,
 )
 from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
 from torelli.mapping_class import (
@@ -33,10 +32,10 @@ from torelli.oracle import (
 from torelli.realization import (
     build_boundary_multitwist,
     peripheral_class,
-    peripheral_twist_delta,
     realize_delta,
     sym_basis_change,
 )
+from torelli.reference import peripheral_twist_delta, restriction_of_diagonal
 from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
 
 from test_surface_model import small_configs

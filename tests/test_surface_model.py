@@ -3,6 +3,7 @@ orthogonal complements, boundary-map image, and the adjunction identity."""
 
 import random
 import re
+from operator import mul
 from importlib import import_module
 from itertools import product
 from pathlib import Path
@@ -10,16 +11,9 @@ from pathlib import Path
 import pytest
 
 from torelli.criteria import analyze, delta_from_blocks
-from torelli.exactlin import (
-    DimensionMismatch,
-    IntMatrix,
-    IntVector,
-    determinant,
-    kernel_basis,
-    lattices_equal,
-    solve_integer,
-)
+from torelli.exactlin import DimensionMismatch, IntMatrix, IntVector
 from torelli.realization import realize_delta
+from torelli.reference import determinant, kernel_basis, lattices_equal, solve_integer
 from torelli.surface_model import (
     ComplementComponent,
     InvalidConfig,
@@ -67,13 +61,21 @@ def lift_h1bar(model, v):
     return IntVector(out)
 
 
+def circle_pairing(model, theta, b):
+    """Pairing of a 0-chain class with a circle 1-chain class: the plain sum
+    of their coordinate products over the model's circles."""
+    assert len(theta) == len(b) == model.n_circles
+    return sum(map(mul, theta, b))
+
+
 def induced_pairing(model, theta, v):
     """Pairing of a two-sided 0-class with a reduced circle class.
 
-    Computed by lifting both; independent of the choice of lift of v
-    because the two lattices annihilate each other.
+    Computed by lifting both, theta through the columns of ``k0_basis``;
+    independent of the choice of lift of v because the two lattices
+    annihilate each other.
     """
-    return model.circle_pairing(model.lift_k0(theta), lift_h1bar(model, v))
+    return circle_pairing(model, model.k0_basis.apply(theta), lift_h1bar(model, v))
 
 
 def small_configs(max_genus=1, max_circles=4, max_components=2):
@@ -147,19 +149,19 @@ def test_circle_classes_sum_to_zero_per_component():
 def test_mv_boundary_of_circles_vanishes():
     model = build_model(SubsurfaceConfig(1, [ComplementComponent(1, 4)]))
     for (j, i) in model.circle_order:
-        assert not any(model.mv_boundary(model.circle_class(j, i)))
+        assert not any(model.boundary_matrix.apply(model.circle_class(j, i)))
 
 
 def test_mv_boundary_of_dual_is_two_point_class():
     model = build_model(SubsurfaceConfig(0, [ComplementComponent(0, 2)]))
-    theta = model.mv_boundary(basis_vector(model, ("dual", 0, 1)))
+    theta = model.boundary_matrix.apply(basis_vector(model, ("dual", 0, 1)))
     assert theta == IntVector(model.k0_basis.transpose().entries[0])
 
 
 def test_mv_boundary_lands_in_two_sided_lattice():
     model = build_model(SubsurfaceConfig(1, [ComplementComponent(0, 3), ComplementComponent(1, 2)]))
     for idx in range(model.rank):
-        theta = model.mv_boundary(IntVector.unit(model.rank, idx))
+        theta = model.boundary_matrix.apply(IntVector.unit(model.rank, idx))
         assert solve_integer(model.k0_basis, theta) is not None
         model.k0_coords(theta)  # does not raise
 
@@ -169,7 +171,7 @@ def test_circle_pairing_duality():
     n = model.n_circles
     for a in range(n):
         for b in range(n):
-            value = model.circle_pairing(IntVector.unit(n, a), IntVector.unit(n, b))
+            value = circle_pairing(model, IntVector.unit(n, a), IntVector.unit(n, b))
             assert value == (1 if a == b else 0)
 
 
@@ -180,7 +182,7 @@ def test_two_sided_classes_annihilate_fundamental_classes():
             fundamental = IntVector(
                 1 if ji[0] == j else 0 for ji in model.circle_order
             )
-            assert model.circle_pairing(col, fundamental) == 0
+            assert circle_pairing(model, col, fundamental) == 0
 
 
 def test_induced_pairing_examples():
@@ -204,18 +206,18 @@ def test_induced_pairing_independent_of_lift():
     fundamental = IntVector([1] * model.n_circles)
     for mult in (-2, 1, 3):
         shifted = lift + mult * fundamental
-        assert model.circle_pairing(model.lift_k0(theta), shifted) == base
+        assert circle_pairing(model, model.k0_basis.apply(theta), shifted) == base
 
 
 def test_project_h1bar_examples():
+    # The two-point and reduced bases are dual, so k0_basis^T projects a
+    # circle class to the reduced group, eliminating circle 0.
     model = build_model(SubsurfaceConfig(0, [ComplementComponent(1, 3)]))
-    n = model.n_circles
+    n, project = model.n_circles, model.k0_basis.transpose().apply
     fundamental = IntVector([1, 1, 1])
-    assert not any(model.project_h1bar(fundamental))
-    assert model.project_h1bar(IntVector.unit(n, circle_index(model, 0, 1))) == IntVector.unit(
-        model.k0_rank, 0
-    )
-    projected_base = model.project_h1bar(IntVector.unit(n, circle_index(model, 0, 0)))
+    assert not any(project(fundamental))
+    assert project(IntVector.unit(n, circle_index(model, 0, 1))) == IntVector.unit(model.k0_rank, 0)
+    projected_base = project(IntVector.unit(n, circle_index(model, 0, 0)))
     assert projected_base == IntVector([-1, -1])
 
 
@@ -401,8 +403,8 @@ def test_coordinate_round_trips():
         model = build_model(config)
         for _ in range(2):
             v = IntVector(rng.randint(-3, 3) for _ in range(model.k0_rank))
-            assert model.k0_coords(model.lift_k0(v)) == v
-            assert model.project_h1bar(lift_h1bar(model, v)) == v
+            assert model.k0_coords(model.k0_basis.apply(v)) == v
+            assert model.k0_basis.transpose().apply(lift_h1bar(model, v)) == v
             assert model.h1bar_from_ambient(model.ambient_from_h1bar(v)) == v
 
 
@@ -453,11 +455,11 @@ def test_exhaustive_small_model_invariants():
         # adjunction on all basis/circle pairs
         for idx in range(model.rank):
             a = IntVector.unit(model.rank, idx)
-            boundary = model.mv_boundary(a)
+            boundary = model.boundary_matrix.apply(a)
             for pos, (j, i) in enumerate(model.circle_order):
                 chain = IntVector.unit(model.n_circles, pos)
-                pairing = a.dot(model.intersection_form.apply(model.circle_class(j, i)))
-                assert pairing == model.circle_pairing(boundary, chain)
+                pairing = sum(map(mul, a, model.intersection_form.apply(model.circle_class(j, i))))
+                assert pairing == circle_pairing(model, boundary, chain)
         # image of the boundary map is the whole two-sided lattice
         assert lattices_equal(model.boundary_matrix, model.k0_basis)
 

@@ -12,10 +12,11 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from torelli.criteria import AnalysisReport, DiagonalMap, analyze
-from torelli.exactlin import IntMatrix, IntVector, SNFResult, smith_normal_form
+from torelli.exactlin import IntMatrix, IntVector
 from torelli.mapping_class import LOCUS_Q, DifferenceMap, TwistFactor, TwistWord
 from torelli.oracle import TrialPlan
 from torelli.realization import Realization, realize_delta
+from torelli.reference import SNFResult, smith_normal_form
 from torelli.surface_model import ComplementComponent, HomologyModel, SubsurfaceConfig, build_model
 
 
