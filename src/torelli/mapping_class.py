@@ -196,17 +196,22 @@ def _check_locus(model: HomologyModel, z: Sequence[int], locus: Locus, position:
 
 def transvection_action(model: HomologyModel, word: TwistWord) -> IntMatrix:
     """Dense product of the factor transvections x -> x + m <x, z> z, in composition
-    order, the fast path's reference; a factor with m = 0 is checked and adds no step."""
+    order, the fast path's reference.  Every factor's locus is checked, in word
+    order; a factor with m = 0 adds no step.  The product starts at the first
+    acting step, and a word with no acting factor acts as the identity."""
     n = model.rank
-    result = IntMatrix.identity(n)
+    result = None
     for pos, factor in enumerate(word.factors):
         z = factor.curve_class.entries
         _check_locus(model, z, factor.locus, pos)
         if factor.exponent:
             mjz = [factor.exponent * x for x in model.intersection_form.apply(factor.curve_class)]
             step = IntMatrix(([(r == c) + z[r] * mjz[c] for c in range(n)] for r in range(n)), cols=n)
-            result = result * step
-    return result
+            if result is None:
+                result = step
+            else:
+                result = result * step
+    return IntMatrix.identity(n) if result is None else result
 
 
 def _displacements(model: HomologyModel, factors: Sequence[tuple[Sequence[int], int]]) -> list[dict[int, int]]:

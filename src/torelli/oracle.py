@@ -332,12 +332,13 @@ def _check_delta_additive(plan, index, model_factory):
 
 def _functional_equation_failure(model: HomologyModel, action: IntMatrix, delta) -> Optional[int]:
     """First basis index whose displacement under the dense action differs
-    from delta applied to its boundary, or None."""
-    for idx in range(model.rank):
-        e = IntVector.unit(model.rank, idx)
-        residual = action.apply(e) - e
-        boundary = model.k0_coords(model.boundary_matrix.apply(e))
-        if residual != model.ambient_from_h1bar(delta.matrix.apply(boundary)):
+    from delta applied to its boundary, or None.  A matrix takes basis vector
+    idx to its column idx, read here as row idx of its transpose."""
+    columns = zip(action.transpose().entries, model.boundary_matrix.transpose().entries)
+    for idx, (image, boundary) in enumerate(columns):
+        residual = IntVector(image) - IntVector.unit(model.rank, idx)
+        coords = model.k0_coords(IntVector(boundary))
+        if residual != model.ambient_from_h1bar(delta.matrix.apply(coords)):
             return idx
     return None
 

@@ -2,7 +2,10 @@
 
 Run from the repository root:
 
-    python tests/mutants.py
+    python tests/mutants.py [SUBSTRING ...]
+
+With substrings, only the rows whose names contain one of them run, and the
+runner says how many it skipped; the full run, with none, is the gate.
 
 Each row names a file under ``src/torelli``, a piece of its source text, the
 text that replaces it, and the test node IDs that must fail once it does.
@@ -22,7 +25,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -591,6 +594,32 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the first acting step is dropped", "mapping_class.py",
+        "result = step", "result = IntMatrix.identity(n)",
+        (
+            "tests/test_mapping_class.py::test_single_transvection_displacement",
+            "tests/test_mapping_class.py::test_reference_action_matches_the_identity_seeded_product[1]",
+            "tests/test_mapping_class.py::test_reference_action_matches_the_identity_seeded_product[-1]",
+        ),
+    ),
+    Mutant(
+        "the functional equation reads rows of the action", "oracle.py",
+        "zip(action.transpose().entries,", "zip(action.entries,",
+        (
+            "tests/test_oracle.py::test_functional_equation_columns_match_the_apply_loop",
+            "tests/test_oracle.py::test_all_invariants_pass_on_correct_build",
+        ),
+    ),
+    Mutant(
+        "the functional equation reads rows of the boundary matrix", "oracle.py",
+        "action.transpose().entries, model.boundary_matrix.transpose().entries",
+        "action.transpose().entries, model.boundary_matrix.entries",
+        (
+            "tests/test_oracle.py::test_functional_equation_columns_match_the_apply_loop",
+            "tests/test_oracle.py::test_all_invariants_pass_on_correct_build",
+        ),
+    ),
+    Mutant(
         "a reference step drops its exponent", "mapping_class.py",
         "mjz = [factor.exponent * x for x in", "mjz = [x for x in",
         (
@@ -643,9 +672,20 @@ def survivors(mutant: Mutant) -> list[str]:
     return [node for node in mutant.killers if node not in failed]
 
 
-def main() -> int:
-    start, alive = time.perf_counter(), 0
-    for mutant in MUTANTS:
+def selected(substrings: Sequence[str]) -> tuple[Mutant, ...]:
+    """The rows whose names contain one of ``substrings``, in table order;
+    every row when none is given."""
+    return tuple(m for m in MUTANTS if not substrings or any(s in m.name for s in substrings))
+
+
+def main(substrings: Sequence[str] = ()) -> int:
+    start, alive, rows = time.perf_counter(), 0, selected(substrings)
+    if substrings:
+        names = " or ".join(map(repr, substrings))
+        print(f"skipped {len(MUTANTS) - len(rows)} of {len(MUTANTS)} rows: no name contains {names}")
+    if not rows:
+        return 2
+    for mutant in rows:
         if occurrences(mutant) != 1:
             print(f"STALE    {mutant.name}: its text does not occur exactly once")
             alive += 1
@@ -655,9 +695,9 @@ def main() -> int:
         print(f"{'SURVIVED' if missed else 'killed  '} {mutant.name}")
         for node in missed:
             print(f"    passed or not found: {node}")
-    print(f"{len(MUTANTS) - alive} of {len(MUTANTS)} killed in {time.perf_counter() - start:.1f} s")
+    print(f"{len(rows) - alive} of {len(rows)} killed in {time.perf_counter() - start:.1f} s")
     return 1 if alive else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

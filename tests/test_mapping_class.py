@@ -161,6 +161,45 @@ def test_zero_exponent_factors_are_still_checked(four_circle_model):
         transvection_action(model, TwistWord([short, short]))
 
 
+def _identity_seeded_product(model, word):
+    """The reference action as it stood: the product starts at the identity
+    and takes I + z (m J z)^T for each factor with a nonzero exponent."""
+    identity = result = IntMatrix.identity(model.rank)
+    for factor in word.factors:
+        if factor.exponent:
+            mjz = factor.exponent * model.intersection_form.apply(factor.curve_class)
+            result = result * (identity + IntMatrix([[x * y for y in mjz] for x in factor.curve_class]))
+    return result
+
+
+@pytest.mark.parametrize("pairing_sign", [1, -1])
+def test_reference_action_matches_the_identity_seeded_product(pairing_sign):
+    plan, rng = TrialPlan(seed=33, trials=6), random.Random(33 * pairing_sign)
+    acting = 0
+    for index in range(plan.trials):
+        model = build_model(random_config(plan, index), pairing_sign=pairing_sign)
+
+        def ambient(length, exponents=(-2, -1, 1, 2)):
+            return [TwistFactor(IntVector(rng.randint(-2, 2) for _ in range(model.rank)), rng.choice(exponents),
+                                LOCUS_AMBIENT) for _ in range(length)]
+
+        inner, ends = ambient(3), ambient(2, exponents=(0,))
+        words = [
+            TwistWord(),
+            TwistWord(ambient(3, exponents=(0,))),
+            TwistWord(ambient(1)),
+            TwistWord(ends[:1] + inner + ends[1:]),  # the seed is the second factor's step
+            TwistWord(ambient(5, exponents=range(-2, 3))),
+            random_weakly_torelli_word(model, plan, index),
+            random_weakly_torelli_word(model, plan, plan.trials + index),
+        ]
+        for word in words:
+            expected = _identity_seeded_product(model, word)
+            assert transvection_action(model, word) == expected
+            acting += expected != IntMatrix.identity(model.rank)
+    assert acting >= 4 * plan.trials
+
+
 def test_weakly_torelli_examples(four_circle_model):
     model = four_circle_model
     assert is_weakly_torelli(model, TwistWord())

@@ -4,7 +4,7 @@ once, and every test it lists still exists."""
 import ast
 from pathlib import Path
 
-from mutants import MUTANTS, ROOT, occurrences
+from mutants import MUTANTS, ROOT, occurrences, selected
 
 
 def test_every_mutant_text_occurs_exactly_once():
@@ -24,3 +24,13 @@ def test_every_listed_killer_is_a_test():
     nodes = (killer.split("::") for m in MUTANTS for killer in m.killers)
     listed = {(Path(file).name, test.split("[")[0]) for file, test in nodes}
     assert listed - defined == set()
+
+
+def test_substrings_select_the_rows_whose_names_contain_one():
+    assert selected(()) == MUTANTS
+    equation = [m for m in MUTANTS if m.name.startswith("the functional equation reads rows")]
+    assert len(equation) == 2 and selected(["functional equation reads"]) == tuple(equation)
+    either = selected(["rows of the action", "first acting step", "rows of the"])  # a row matching two comes once
+    assert [m.name for m in either] == [m.name for m in MUTANTS if m in equation or "first acting step" in m.name]
+    assert either.index(equation[0]) > 0  # table order, not the order of the substrings
+    assert selected(["no row has this name"]) == ()

@@ -20,7 +20,7 @@ from torelli.oracle import (
     random_weakly_torelli_word,
     verify_all,
 )
-from torelli.surface_model import build_model
+from torelli.surface_model import ComplementComponent, SubsurfaceConfig, build_model
 
 
 def test_reports_are_deterministic():
@@ -339,6 +339,46 @@ def test_box_search_matches_the_apply_loop(monkeypatch):
         monkeypatch.setattr(IntMatrix, name, None)
     monkeypatch.setattr(oracle, "smith_normal_form", None)
     assert [oracle._box_solution(a, b) for a, b in systems] == expected
+
+
+# -- the functional equation's column read -----------------------------------
+
+
+def _apply_loop_failure(model, action, delta):
+    """The functional-equation check as it stood: ``IntMatrix.apply`` on each
+    unit vector; the reference for ``_functional_equation_failure``."""
+    for idx in range(model.rank):
+        e = IntVector.unit(model.rank, idx)
+        residual = action.apply(e) - e
+        boundary = model.k0_coords(model.boundary_matrix.apply(e))
+        if residual != model.ambient_from_h1bar(delta.matrix.apply(boundary)):
+            return idx
+    return None
+
+
+def test_functional_equation_columns_match_the_apply_loop(monkeypatch):
+    cases, check = [], oracle._functional_equation_failure
+
+    def recorded(model, action, delta):
+        cases.append((model, action, delta))
+        return check(model, action, delta)
+
+    monkeypatch.setattr(oracle, "_functional_equation_failure", recorded)
+    verify_all(TrialPlan(seed=0, trials=1))  # the least plan's actions
+    assert len(cases) == 3
+    plan = TrialPlan(seed=33, trials=1)
+    for q_genus, circles in ((1, (2, 2)), (1, (3, 2))):  # ranks 6 and 8
+        model = build_model(SubsurfaceConfig(q_genus, [ComplementComponent(0, b) for b in circles]))
+        word = random_weakly_torelli_word(model, plan, 0)
+        action, delta = mapping_class.transvection_action(model, word), mapping_class.delta_difference(model, word)
+        assert not delta.is_zero()
+        for r, c in itertools.product(range(model.rank), repeat=2):  # one entry raised by 1: column c fails first
+            raised = action.to_lists()
+            raised[r][c] += 1
+            cases.append((model, IntMatrix(raised), delta))
+    expected = [_apply_loop_failure(*case) for case in cases]
+    assert expected == [None] * 3 + [c for n in (6, 8) for _, c in itertools.product(range(n), repeat=2)]
+    assert [check(*case) for case in cases] == expected
 
 
 def test_oracle_shares_no_private_helper_with_the_fast_path():
