@@ -5,10 +5,10 @@ map as a word, run the randomized invariant suite, print lattice ranks,
 and run the built-in four-circle regression example.
 
 Exit codes: 0 success; 1 invariant failures from ``check``; 2 parse or
-schema error, a rank over ``MAX_RANK``, or an output integer too long
-to print; 3 locus or dimension violation; 4 difference map not symmetric; 5
-difference map not completely reducible.  stdout carries the payload,
-stderr the diagnostics.
+schema error, a rank over ``MAX_RANK``, a realized word over
+``MAX_WORD_ENTRIES``, or an output integer too long to print; 3 locus or
+dimension violation; 4 difference map not symmetric; 5 difference map not
+completely reducible.  stdout carries the payload, stderr the diagnostics.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ EXIT_NOT_REDUCIBLE = 5
 #: The largest rank ``analyze`` and ``realize`` accept.  Both build a k0_rank-square
 #: map, rank >= 2 * k0_rank, and at this cap the empty word peaks under 1 GiB.
 MAX_RANK = 4096
+#: The most class entries (factors times rank) of a word ``realize`` prints; its
+#: JSON writer holds ~90 bytes an entry, so at this cap it peaks under 1 GiB.
+MAX_WORD_ENTRIES = 1 << 23
 
 
 class _ParseFailure(Exception):
@@ -169,6 +172,10 @@ def _cmd_realize(args) -> int:
     model = _load(args.config, _model)
     delta = _load(args.delta, _delta_from_json, model)
     realized = realize_delta(model, delta)
+    entries = len(realized.word) * model.rank
+    if entries > MAX_WORD_ENTRIES:
+        raise _ParseFailure(f"{args.delta}: the realized word holds {entries} class entries, "
+                            f"over the limit of {MAX_WORD_ENTRIES}")
     _emit(word_to_json_dict(realized.word))
     return EXIT_OK
 

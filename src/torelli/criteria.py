@@ -48,9 +48,6 @@ class DiagonalMap(_Value):
     def __len__(self) -> int:
         return len(self.exponents)
 
-    def __neg__(self) -> "DiagonalMap":
-        return DiagonalMap(tuple(-e for e in self.exponents))
-
     def to_json(self) -> list[int]:
         return list(self.exponents)
 
@@ -77,7 +74,7 @@ def is_completely_reducible(delta: DifferenceMap) -> bool:
 
 
 def _diagonal_exponents(blocks: tuple[IntMatrix, ...]) -> Optional[DiagonalMap]:
-    """Exponents of a diagonal map restricting to the given blocks, or None.
+    """Correcting exponents for the given blocks (a restricting diagonal map's, negated), or None.
 
     Over a component with circles 0..n-1 the restriction of the diagonal
     map with exponents e_0..e_{n-1} has block e_0 * ones + diag(e_1..e_{n-1}),
@@ -91,7 +88,7 @@ def _diagonal_exponents(blocks: tuple[IntMatrix, ...]) -> Optional[DiagonalMap]:
         base = rows[0][1] if len(rows) > 1 else 0
         if any(x != base for r, row in enumerate(rows) for x in row[:r] + row[r + 1:]):
             return None
-        exponents += [base, *(row[r] - base for r, row in enumerate(rows))]
+        exponents += [-base, *(base - row[r] for r, row in enumerate(rows))]
     return DiagonalMap(exponents)
 
 
@@ -169,10 +166,9 @@ class AnalysisReport(_Value):
     @cached_view
     def multitwist_correctable(self) -> Optional[DiagonalMap]:
         """Exponents of the boundary multi-twist that corrects the identity
-        extension to Torelli (the negated diagonal solution), or None."""
+        extension to Torelli, as ``_diagonal_exponents`` builds them, or None."""
         blocks = self.component_matrices
-        correction = None if blocks is None else _diagonal_exponents(blocks)
-        return None if correction is None else -correction
+        return None if blocks is None else _diagonal_exponents(blocks)
 
     def to_json_dict(self) -> dict:
         delta, correction, blocks = self.delta, self.multitwist_correctable, self.component_matrices

@@ -315,12 +315,11 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "oracle skips both orthogonal-complement comparisons", "oracle.py",
+        "oracle skips the orthogonal-complement comparison", "oracle.py",
         "    rows = ([int(c == j) for c, _ in model.circle_order] for j in range(model.n_components))",
         "    return None",
         (
             "tests/test_oracle.py::test_each_model_fault_trips_its_invariant[doubled_k0_column]",
-            "tests/test_oracle.py::test_model_invariants_reach_every_line",
         ),
     ),
     Mutant(
@@ -422,9 +421,9 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the correctable view does not negate the correction", "criteria.py",
-        "return None if correction is None else -correction",
-        "return correction",
+        "the correction keeps the diagonal solution's sign", "criteria.py",
+        "exponents += [-base, *(base - row[r] for r, row in enumerate(rows))]",
+        "exponents += [base, *(row[r] - base for r, row in enumerate(rows))]",
         (
             "tests/test_cli.py::test_pinned_stdout_for_two_component_config",
             "tests/test_criteria.py::test_correctable_round_trip_on_multitwist",
@@ -582,6 +581,49 @@ MUTANTS = (
         "if factor.exponent:\n            _check_locus(model, z, factor.locus, pos)\n",
         (
             "tests/test_mapping_class.py::test_zero_exponent_factors_are_still_checked",
+        ),
+    ),
+    Mutant(
+        "the Q locus admits the complement handles", "mapping_class.py",
+        "if any(z[:a]) or any(z[b:lo]) or any(z[hi:]):", "if any(z[:a]) or any(z[hi:]):",
+        (
+            "tests/test_cli.py::test_locus_violation_names_the_basis_index[handle]",
+            "tests/test_mapping_class.py::test_locus_violations",
+            "tests/test_mapping_class.py::test_zero_exponent_factors_are_still_checked",
+            "tests/test_mapping_class.py::test_locus_ranges_match_label_walk",
+        ),
+    ),
+    Mutant(
+        "a complement locus reads component 0's circles", "mapping_class.py",
+        "lo, hi = (lo + c for c in model.block_ranges[j])", "lo, hi = (lo + c for c in model.block_ranges[0])",
+        (
+            "tests/test_acceptance.py::test_criterion_05_realization_round_trip",
+            "tests/test_cli.py::test_decider_commands_do_not_load_the_oracle",
+            "tests/test_mapping_class.py::test_inconsistent_system_is_reported",
+            "tests/test_mapping_class.py::test_locus_ranges_match_label_walk",
+            "tests/test_mapping_class.py::test_least_plan_reaches_both_routes_of_the_walk",
+            "tests/test_oracle.py::test_reports_are_deterministic",
+            "tests/test_oracle.py::test_all_invariants_pass_on_correct_build",
+            "tests/test_oracle.py::test_single_trial_plan_runs_one_trial_each",
+            "tests/test_oracle.py::test_fault_injection_breaks_adjunction",
+            "tests/test_oracle.py::test_each_model_fault_trips_its_invariant[negated_boundary]",
+            "tests/test_oracle.py::test_each_model_fault_trips_its_invariant[skewed_circles]",
+            "tests/test_oracle.py::test_each_model_fault_trips_its_invariant[doubled_form]",
+            "tests/test_oracle.py::test_each_model_fault_trips_its_invariant[unit_diagonal]",
+            "tests/test_oracle.py::test_each_model_fault_trips_its_invariant[doubled_k0_column]",
+            "tests/test_oracle.py::test_each_model_fault_trips_its_invariant[negated_peripheral_map]",
+            "tests/test_oracle.py::test_least_plan_reaches_every_line_of_the_reference_action",
+            "tests/test_oracle.py::test_solver_fault_trips_the_box_search",
+            "tests/test_oracle.py::test_functional_equation_columns_match_the_apply_loop",
+            "tests/test_realization.py::test_realization_round_trip_random",
+        ),
+    ),
+    Mutant(
+        "the class length goes unchecked", "mapping_class.py",
+        "if len(z) != model.rank:", "if False:",
+        (
+            "tests/test_mapping_class.py::test_zero_exponent_factors_are_still_checked",
+            "tests/test_mapping_class.py::test_a_word_has_one_rank",
         ),
     ),
     Mutant(

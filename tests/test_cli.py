@@ -560,6 +560,33 @@ def test_configurations_over_the_cap_exit_2(tmp_path):
     assert cli.MAX_RANK == 4096
 
 
+def test_realized_words_over_the_cap_exit_2(tmp_path, monkeypatch, capsys):
+    # Rank 1024, under the rank cap: one genus-0 component of 513 circles and a seeded symmetric +-1 block
+    # realize as 82 068 factors.  Writing their classes out ended in a MemoryError traceback, exit 1.
+    rng, k = random.Random(0), 512
+    rows = [[0] * k for _ in range(k)]
+    for r in range(k):
+        for c in range(r, k):
+            rows[r][c] = rows[c][r] = rng.choice((-1, 1))
+    config = write_json(tmp_path / "config.json", {"q_genus": 0, "components": [{"genus": 0, "boundary_count": 513}]})
+    delta = write_json(tmp_path / "delta.json", {"blocks": {"0": rows}})
+    result = run_python(["-c", LIMITED_CLI, "realize", "--config", config, "--delta", delta])
+    assert (result.returncode, result.stdout) == (2, ""), result.stderr[-300:]
+    assert result.stderr == f"error: {delta}: the realized word holds {82068 * 1024} class entries, " \
+        f"over the limit of {cli.MAX_WORD_ENTRIES}\n"
+    assert cli.MAX_WORD_ENTRIES == 1 << 23
+    # The cap counts factors times rank and lets a word of exactly that size through: 3 factors at rank 10.
+    config = write_json(tmp_path / "config.json", FOUR_CIRCLE_CONFIG)
+    delta = write_json(tmp_path / "delta.json", {"blocks": {"0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}})
+    monkeypatch.setattr(cli, "MAX_WORD_ENTRIES", 30)
+    code, out, err = run_main(capsys, ["realize", "--config", config, "--delta", delta])
+    assert (code, len(json.loads(out)["factors"]), err) == (0, 3, "")
+    monkeypatch.setattr(cli, "MAX_WORD_ENTRIES", 29)
+    code, out, err = run_main(capsys, ["realize", "--config", config, "--delta", delta])
+    assert (code, out) == (2, "")
+    assert err == f"error: {delta}: the realized word holds 30 class entries, over the limit of 29\n"
+
+
 def test_check_plans_over_the_cap_exit_2():
     # The first three plans ended in a MemoryError traceback with exit 1 before the cap; the last one draws
     # ranks whose digits are past the int-to-string limit.

@@ -57,7 +57,7 @@ def diagonal_solution(delta):
     """The diagonal map restricting to ``delta``, or None: the report's
     correcting multi-twist, negated."""
     correction = AnalysisReport(delta).multitwist_correctable
-    return None if correction is None else -correction
+    return None if correction is None else DiagonalMap(-e for e in correction.exponents)
 
 
 def peripheral_word(model, m):

@@ -255,13 +255,37 @@ def test_model_invariants_reach_every_line(monkeypatch):
                     check(FAULT_PLAN, index, factory)
         assert oracle._check_form_unimodular(FAULT_PLAN, 0, wrong_rank)["problems"] == ["rank law violated"]
 
-    # Once the two-sided classes are the annihilator of the fundamentals, the
-    # fundamentals' rows are saturated, so they are the annihilator of the
-    # two-sided classes: no model reaches the second comparison's return.
-    lines, first = inspect.getsourcelines(oracle._check_orthogonal_complements)
-    unreachable = [first + n for n, line in enumerate(lines) if "annihilator of two-sided classes" in line]
-    missed = missed_lines(run, *checks, reference.peripheral_twist_delta)
-    assert missed == {"_check_orthogonal_complements": unreachable}
+    assert missed_lines(run, *checks, reference.peripheral_twist_delta) == {}
+
+
+def _wrong_at_the_flipped_sign(monkeypatch, name, wrong):
+    """Patch ``criteria.<name>`` to answer ``wrong(original, *args)`` while the
+    oracle works on a model of pairing sign -1, told by the last model whose
+    difference map it took; at sign +1 the decider stays right."""
+    sign, take = [1], oracle.delta_difference
+
+    def recorded(model, word):
+        sign[0] = model.pairing_sign
+        return take(model, word)
+
+    original = getattr(criteria, name)
+    monkeypatch.setattr(oracle, "delta_difference", recorded)
+    monkeypatch.setattr(criteria, name, lambda *args: wrong(original, *args) if sign[0] == -1 else original(*args))
+
+
+@pytest.mark.parametrize("name, wrong, problem", [
+    ("is_completely_reducible", lambda original, delta: not original(delta), "reducibility verdict differs"),
+    ("is_symmetric", lambda original, delta: False, "difference map not symmetric"),
+    ("decide_multitwist_correctable", lambda original, model, word: criteria.DiagonalMap([1] * model.n_circles),
+     "correcting multi-twist does not trivialize the action"),
+], ids=["reducibility", "symmetry", "correction"])
+def test_bounding_pair_checks_run_at_both_signs(monkeypatch, name, wrong, problem):
+    # A decider wrong only at pairing sign -1 trips the mirrored case alone.
+    _wrong_at_the_flipped_sign(monkeypatch, name, wrong)
+    witnesses = [oracle._check_bounding_pair_products(FAULT_PLAN, index, build_model)
+                 for index in range(FAULT_PLAN.trials)]
+    tripped = [w for w in witnesses if w is not None]
+    assert tripped and all(w.get("pairing_sign") == -1 and w["problem"].startswith(problem) for w in tripped)
 
 
 def test_least_plan_reaches_every_line_of_the_reference_action(monkeypatch):
